@@ -153,8 +153,8 @@ def cmd_witness(args):
 def _graph_stream(args):
     if args.stream is not None:
         with open(args.stream) as fh:
-            for i, g in enumerate(read_graph6_lines(fh.read())):
-                yield (f"{args.stream}:{i}", g)
+            for lineno, g in read_graph6_lines(fh.read()):
+                yield (f"{args.stream}:{lineno}", g)
     else:
         import os
 

@@ -27,6 +27,8 @@ from .survival import (
 from .tangles import (
     Tangle,
     TangleError,
+    cover_masks,
+    covering_triple,
     enumerate_tangles,
     extends,
     format_tangle,
@@ -165,22 +167,18 @@ def trace_provenance(trace: ReductionTrace) -> MinorProvenance:
 def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
     """No three members' small-side subgraphs jointly contain h.
 
-    Scanning maximal members suffices: coverage only grows upward.
+    Scanning maximal members suffices: coverage only grows upward.  An h
+    that is not a subgraph of g is never contained.
     """
-    hv = h.vertex_set()
+    if not (h.vertex_set() <= g.vertex_set() and h.edges <= g.edges):
+        return True
+    n = len(g.vertices)
+    target = g.mask_of(h.vertices)
+    for i, e in enumerate(g.sorted_edges()):
+        if e in h.edges:
+            target |= 1 << (n + i)
     pool = tau.maximal_members()
-    subs = [(s.small, g.edges_within(s.small)) for s in pool]
-    m = len(subs)
-    for i in range(m):
-        for j in range(i, m):
-            for l in range(j, m):
-                vs = subs[i][0] | subs[j][0] | subs[l][0]
-                if not hv <= vs:
-                    continue
-                es = subs[i][1] | subs[j][1] | subs[l][1]
-                if h.edges <= es:
-                    return False
-    return True
+    return covering_triple(cover_masks(g, pool), target) is None
 
 
 def witness_subgraph(trace: ReductionTrace) -> Graph:

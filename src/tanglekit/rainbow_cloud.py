@@ -24,7 +24,7 @@ from .decomposition import (
 from .graphs import Graph, delete_edge
 from .separations import OrientedSeparation, enumerate_separations, sep
 from .survival import forced_orientation
-from .tangles import Tangle, TangleError, extends, is_tangle
+from .tangles import Tangle, TangleError, extends, is_tangle, maximal_members
 
 
 class RainbowError(ValueError):
@@ -182,19 +182,19 @@ def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k=None) -> Cro
     "Clockwise" puts an early bag strictly inside the small side and a late
     bag strictly inside the big side; the reverse orientation is
     counterclockwise.  A crossing separation must carry the whole sun in its
-    separator, which is asserted.
+    separator; one that does not raises RainbowError.
     """
     if k is None:
         k = s.order
     fwd = _clockwise_indices(rc, s, k)
+    bwd = None if fwd is not None else _clockwise_indices(rc, s.inverse(), k)
+    if fwd is None and bwd is None:
+        return CrossingInfo("none")
+    if not rc.sun <= s.small & s.big:
+        raise RainbowError("crossing separator misses the sun")
     if fwd is not None:
-        assert rc.sun <= s.small & s.big, "crossing separator misses the sun"
         return CrossingInfo("clockwise", *fwd)
-    bwd = _clockwise_indices(rc, s.inverse(), k)
-    if bwd is not None:
-        assert rc.sun <= s.small & s.big, "crossing separator misses the sun"
-        return CrossingInfo("counterclockwise", *bwd)
-    return CrossingInfo("none")
+    return CrossingInfo("counterclockwise", *bwd)
 
 
 def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k=None):
@@ -357,12 +357,7 @@ def shorten_to_not_living(rc: RCDecomposition, tau: Tangle) -> RCDecomposition:
                 for m in tau.sorted_members()
                 if m.big - m.small <= rc.rainbow_vertices() - rc.cloud
             ]
-            best = [
-                m
-                for m in candidates
-                if not any(m is not o and m.lt(o) for o in candidates)
-            ]
-            r, s = _region_bag_span(rc, best[0])
+            r, s = _region_bag_span(rc, maximal_members(tau.graph, candidates)[0])
         i, j = (0, r - 1) if r > M / 2 - k else (s + 1, M)
     else:  # flip
         h = verdict.turning_point

@@ -172,16 +172,6 @@ def unoriented_count(seps) -> int:
     return len({s.canonical_key() for s in seps})
 
 
-def maximal_elements(seps):
-    """The <=-maximal members of a collection of oriented separations."""
-    seps = list(seps)
-    out = []
-    for s in seps:
-        if not any(s.lt(t) for t in seps):
-            out.append(s)
-    return sorted(set(out), key=OrientedSeparation.sort_key)
-
-
 def longest_strict_chain(g: Graph, k: int):
     """A longest strictly increasing chain in the order-< k separation poset.
 

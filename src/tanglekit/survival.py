@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .graphs import Graph, GraphError, components, delete_edge, suppress_vertex
 from .separations import OrientedSeparation, enumerate_separations
-from .tangles import Tangle, TangleError, search_extension
+from .tangles import Tangle, TangleError, maximal_members, search_extension
 
 
 def _require(cond, msg):
@@ -216,10 +216,7 @@ def divergent_witness(tau: Tangle, tau_tilde: Tangle) -> OrientedSeparation:
         t for t in tau_tilde.members if t.order < tau.k and t.inverse() in tau.members
     ]
     _require(bool(distinguishing), "tangles do not diverge")
-    maximal = [
-        t for t in distinguishing if not any(t.lt(u) for u in distinguishing)
-    ]
-    return min(maximal, key=OrientedSeparation.sort_key)
+    return maximal_members(tau.graph, distinguishing)[0]
 
 
 def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle):

@@ -3,14 +3,13 @@
 A k-tangle orients every separation of order < k so that no three chosen
 small sides (repetition allowed) have induced subgraphs covering the whole
 graph, vertices and edges alike.  Everything here reduces to bitmask
-scans: the vertex cover and the edge cover of each chosen small side are
-packed into integers, and the hot triple/maximality scans are delegated to
-the kernels module.
+scans on plain Python ints: each small side becomes one cover mask holding
+its vertices and the edges inside it, and one covering-triple scan decides
+whether three masks together contain a target.
 """
 
 from __future__ import annotations
 
-from . import _kernels
 from .graphs import Graph, GraphError
 from .separations import (
     OrientedSeparation,
@@ -25,69 +24,78 @@ class TangleError(ValueError):
     pass
 
 
-# -- cover-mask tables ----------------------------------------------------
+# -- cover masks and the covering-triple scan -------------------------------
 
 
-class CoverTable:
-    """Vertex- and edge-cover bitmasks of small sides, plus packed arrays."""
+def cover_masks(g: Graph, seps):
+    """One int per separation: the small side's vertex and edge bits.
 
-    def __init__(self, g: Graph, seps):
-        if len(g.vertices) > 128:
-            raise TangleError("graphs are limited to 128 vertices")
-        self.graph = g
-        self.seps = list(seps)
-        edges = g.sorted_edges()
-        self.n_edges = len(edges)
-        eidx = {e: i for i, e in enumerate(edges)}
-        self.vfull = g.full_mask()
-        self.efull = (1 << len(edges)) - 1
-        self.vcov = []
-        self.ecov = []
-        self.small = []
-        self.big = []
-        for s in self.seps:
-            vm = g.mask_of(s.small)
-            em = 0
-            for e in g.edges_within(s.small):
-                em |= 1 << eidx[e]
-            self.vcov.append(vm)
-            self.ecov.append(em)
-            self.small.append(vm)
-            self.big.append(g.mask_of(s.big))
+    Bits 0..n-1 are vertices in sorted label order; bit n+i is the i-th
+    edge of g.sorted_edges(), set when both its ends lie in the small side.
+    """
+    n = len(g.vertices)
+    ends = g.edge_masks()
+    out = []
+    for s in seps:
+        vm = g.mask_of(s.small)
+        cover = vm
+        for i, em in enumerate(ends):
+            if vm & em == em:
+                cover |= 1 << (n + i)
+        out.append(cover)
+    return out
 
-    def packed(self):
-        nv = max(1, len(self.graph.vertices))
-        ne = max(1, self.n_edges)
-        return (
-            _kernels.pack_masks(self.vcov, nv),
-            _kernels.pack_masks(self.ecov, ne),
-            _kernels.pack_masks([self.vfull], nv)[0],
-            _kernels.pack_masks([self.efull], ne)[0],
-        )
 
-    def packed_sides(self):
-        nv = max(1, len(self.graph.vertices))
-        return _kernels.pack_masks(self.small, nv), _kernels.pack_masks(self.big, nv)
+def full_cover(g: Graph) -> int:
+    """The cover mask of the whole graph."""
+    return (1 << (len(g.vertices) + len(g.edges))) - 1
+
+
+def covering_triple(covers, target):
+    """First (i, j, l), i <= j <= l, whose masks together contain target.
+
+    Scans on transposed bitsets: for each target bit, the rows covering
+    it.  A pair (i, j) then needs one AND per bit it misses to find every
+    valid third row.  Returns None if no triple exists.
+    """
+    n = len(covers)
+    all_rows = (1 << n) - 1
+    rows_with = {}
+    for r, c in enumerate(covers):
+        c &= target
+        while c:
+            low = c & -c
+            rows_with[low] = rows_with.get(low, 0) | (1 << r)
+            c ^= low
+    for i in range(n):
+        for j in range(i, n):
+            rows = all_rows >> j << j
+            missing = target & ~(covers[i] | covers[j])
+            while missing and rows:
+                low = missing & -missing
+                rows &= rows_with.get(low, 0)
+                missing ^= low
+            if rows:
+                return i, j, (rows & -rows).bit_length() - 1
+    return None
 
 
 def is_forbidden_triple(g: Graph, s1, s2, s3) -> bool:
     """Do the three small-side induced subgraphs cover g entirely?"""
-    t = CoverTable(g, [s1, s2, s3])
-    return (
-        t.vcov[0] | t.vcov[1] | t.vcov[2] == t.vfull
-        and t.ecov[0] | t.ecov[1] | t.ecov[2] == t.efull
-    )
+    return covering_triple(cover_masks(g, [s1, s2, s3]), full_cover(g)) is not None
 
 
 def maximal_members(g: Graph, seps):
-    """<=-maximal members of a collection, via the packed kernel."""
+    """<=-maximal members of a collection, in sort-key order."""
     seps = sorted(set(seps), key=OrientedSeparation.sort_key)
-    if not seps:
-        return []
-    table = CoverTable(g, seps)
-    small, big = table.packed_sides()
-    mask = _kernels.maximal_mask(small, big)
-    return [s for s, keep in zip(seps, mask) if keep]
+    sides = [(g.mask_of(s.small), g.mask_of(s.big)) for s in seps]
+    return [
+        s
+        for s, (a, b) in zip(seps, sides)
+        if not any(
+            a & ~c == 0 and d & ~b == 0 and (a, b) != (c, d) for c, d in sides
+        )
+    ]
 
 
 def find_forbidden_triple(g: Graph, seps, restrict_to_maximal=True):
@@ -100,14 +108,10 @@ def find_forbidden_triple(g: Graph, seps, restrict_to_maximal=True):
     pool = maximal_members(g, seps) if restrict_to_maximal else sorted(
         set(seps), key=OrientedSeparation.sort_key
     )
-    if not pool:
+    hit = covering_triple(cover_masks(g, pool), full_cover(g))
+    if hit is None:
         return None
-    table = CoverTable(g, pool)
-    vcov, ecov, vfull, efull = table.packed()
-    i, j, l = _kernels.find_covering_triple(vcov, ecov, vfull, efull)
-    if i < 0:
-        return None
-    return (pool[i], pool[j], pool[l])
+    return tuple(pool[x] for x in hit)
 
 
 # -- the Tangle object ----------------------------------------------------
@@ -250,23 +254,14 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
             keys.append(key)
     keys.sort(key=lambda key: options[key][0].sort_key())
 
-    table = CoverTable(g, [])
-    vfull, efull = table.vfull, table.efull
-    edges = g.sorted_edges()
-    eidx = {e: i for i, e in enumerate(edges)}
-
-    def masks(s):
-        vm = g.mask_of(s.small)
-        em = 0
-        for e in g.edges_within(s.small):
-            em |= 1 << eidx[e]
-        return vm, g.mask_of(s.big), em
-
+    vfull, full = g.full_mask(), full_cover(g)
+    flat = [s for key in keys for s in options[key]]
     info = {
-        s: masks(s) for key in keys for s in options[key]
+        s: (c & vfull, g.mask_of(s.big), c)
+        for s, c in zip(flat, cover_masks(g, flat))
     }
 
-    chosen = []  # (sep, small_mask, big_mask, ecov)
+    chosen = []  # (sep, small_mask, big_mask, cover)
     results = []
 
     def consistent(sm, bm):
@@ -278,7 +273,7 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
 
     def frontier():
         out = []
-        for i, (_, sm, bm, ec) in enumerate(chosen):
+        for i, (_, sm, bm, c) in enumerate(chosen):
             dominated = False
             for j, (_, tsm, tbm, _) in enumerate(chosen):
                 if i == j:
@@ -287,16 +282,16 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
                     dominated = True
                     break
             if not dominated:
-                out.append((sm | 0, ec))
+                out.append(c)
         return out
 
-    def breaks(vm, em):
+    def breaks(c):
         # covering triple containing the new element (pairs may repeat)
-        front = frontier() + [(vm, em)]
-        for av, ae in front:
-            pv, pe = vm | av, em | ae
-            for bv, be in front:
-                if (pv | bv) == vfull and (pe | be) == efull:
+        front = frontier() + [c]
+        for a in front:
+            p = c | a
+            for b in front:
+                if p | b == full:
                     return True
         return False
 
@@ -307,12 +302,12 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
         key = keys[i]
         cands = [fixed[key]] if key in fixed else options[key]
         for s in cands:
-            vm, bm, em = info[s]
+            vm, bm, c = info[s]
             if not consistent(vm, bm):
                 continue
-            if breaks(vm, em):
+            if breaks(c):
                 continue
-            chosen.append((s, vm, bm, em))
+            chosen.append((s, vm, bm, c))
             done = rec(i + 1)
             chosen.pop()
             if done:

@@ -1,20 +1,19 @@
-"""Bit-parallel kernels: both backends agree with a plain-python oracle."""
+"""The covering-triple and maximal-member scans agree with plain oracles."""
 
-import os
 import random
 import subprocess
 import sys
 
-import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tanglekit._kernels import (
-    HAS_NUMBA,
-    _find_triple_np,
-    _maximal_mask_np,
-    find_covering_triple,
-    maximal_mask,
-    pack_masks,
-    unpack_row,
+from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from tanglekit.separations import OrientedSeparation, enumerate_separations
+from tanglekit.tangles import (
+    cover_masks,
+    covering_triple,
+    full_cover,
+    maximal_members,
 )
 
 
@@ -33,103 +32,138 @@ def oracle_maximal(smalls, bigs):
     return out
 
 
-def oracle_triple(vcovs, ecovs, vfull, efull):
-    n = len(vcovs)
+def oracle_triple(covers, target):
+    n = len(covers)
     for i in range(n):
         for j in range(i, n):
             for l in range(j, n):
-                if (
-                    vcovs[i] | vcovs[j] | vcovs[l] == vfull
-                    and ecovs[i] | ecovs[j] | ecovs[l] == efull
-                ):
+                if (covers[i] | covers[j] | covers[l]) & target == target:
                     return (i, j, l)
-    return (-1, -1, -1)
+    return None
 
 
 def random_masks(rng, n, nbits):
     return [rng.getrandbits(nbits) for _ in range(n)]
 
 
-def test_pack_unpack_round_trip():
-    rng = random.Random(7)
-    for nbits in (1, 63, 64, 65, 130):
-        masks = random_masks(rng, 20, nbits)
-        packed = pack_masks(masks, nbits)
-        assert [unpack_row(r) for r in packed] == masks
+def holed_masks(rng, n, nbits, holes):
+    """Masks missing a few bits each, so that some triples cover."""
+    full = (1 << nbits) - 1
+    return [
+        full & ~sum(1 << rng.randrange(nbits) for _ in range(holes))
+        for _ in range(n)
+    ]
 
 
-def test_maximal_mask_matches_oracle():
-    rng = random.Random(11)
-    for nbits in (10, 70):
-        for _ in range(20):
-            n = rng.randrange(1, 15)
-            smalls = random_masks(rng, n, nbits)
-            bigs = random_masks(rng, n, nbits)
-            got = maximal_mask(pack_masks(smalls, nbits), pack_masks(bigs, nbits))
-            assert list(got) == oracle_maximal(smalls, bigs)
+WIDTHS = [1, 8, 63, 64, 65, 127, 128, 129, 200]
+
+
+@st.composite
+def triple_cases(draw):
+    nbits = draw(st.sampled_from(WIDTHS))
+    full = (1 << nbits) - 1
+    bit = st.integers(0, nbits - 1)
+    holed = st.lists(bit, max_size=4).map(
+        lambda hs: full & ~sum(1 << h for h in set(hs))
+    )
+    rows = draw(st.lists(st.one_of(st.integers(0, full), holed), max_size=10))
+    target = draw(st.one_of(st.just(full), st.integers(0, full)))
+    return rows, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple_cases())
+def test_covering_triple_matches_oracle_property(case):
+    rows, target = case
+    assert covering_triple(rows, target) == oracle_triple(rows, target)
 
 
 def test_find_covering_triple_matches_oracle():
     rng = random.Random(13)
-    for nbits in (8, 70):
-        vfull = (1 << nbits) - 1
-        efull = (1 << (nbits // 2 + 1)) - 1
+    for nbits in (8, 70, 130):
+        full = (1 << nbits) - 1
         for _ in range(30):
             n = rng.randrange(1, 12)
-            vcovs = random_masks(rng, n, nbits)
-            ecovs = [rng.getrandbits(nbits // 2 + 1) for _ in range(n)]
-            got = find_covering_triple(
-                pack_masks(vcovs, nbits),
-                pack_masks(ecovs, nbits // 2 + 1),
-                pack_masks([vfull], nbits)[0],
-                pack_masks([efull], nbits // 2 + 1)[0],
-            )
-            assert tuple(got) == oracle_triple(vcovs, ecovs, vfull, efull)
+            for rows in (random_masks(rng, n, nbits), holed_masks(rng, n, nbits, 3)):
+                for target in (full, rng.getrandbits(nbits), rng.getrandbits(nbits) & rows[0]):
+                    assert covering_triple(rows, target) == oracle_triple(rows, target)
 
 
-def test_numpy_fallback_matches_dispatch():
-    rng = random.Random(17)
-    nbits = 66
-    n = 12
-    smalls = random_masks(rng, n, nbits)
-    bigs = random_masks(rng, n, nbits)
-    ps, pb = pack_masks(smalls, nbits), pack_masks(bigs, nbits)
-    assert list(maximal_mask(ps, pb)) == list(_maximal_mask_np(ps, pb))
-    vfull = pack_masks([(1 << nbits) - 1], nbits)[0]
-    efull = pack_masks([(1 << 5) - 1], 5)[0]
-    ecovs = pack_masks([rng.getrandbits(5) for _ in range(n)], 5)
-    assert tuple(find_covering_triple(ps, ecovs, vfull, efull)) == tuple(
-        _find_triple_np(ps, ecovs, vfull, efull)
-    )
+def test_covering_triple_edge_cases():
+    assert covering_triple([], 0) is None
+    assert covering_triple([], 0b111) is None
+    # nothing to cover: the first row alone does it
+    assert covering_triple([0b1, 0b10], 0) == (0, 0, 0)
+    # bits outside a partial target do not matter
+    assert covering_triple([0b0011, 0b0100], 0b0111) == (0, 0, 1)
+    assert covering_triple([0b0011, 0b0100], 0b1111) is None
+    # repetition: one row may fill several slots
+    assert covering_triple([0b011], 0b011) == (0, 0, 0)
+    assert covering_triple([0b001, 0b010, 0b100], 0b111) == (0, 1, 2)
+    # only three rows, each holding one bit above 128
+    wide = [1 << 129, 1 << 64, 1 << 200]
+    assert covering_triple(wide, sum(wide)) == (0, 1, 2)
 
 
-def test_env_flag_forces_numpy_backend():
+def _seps_from_masks(g, smalls, bigs):
+    return [
+        OrientedSeparation(g.labels_of(a), g.labels_of(b)) for a, b in zip(smalls, bigs)
+    ]
+
+
+@st.composite
+def side_cases(draw):
+    # a few free bits placed near the top of a wide mask, so that
+    # containment between rows is common
+    n = draw(st.sampled_from([4, 66, 130]))
+    shift = n - 4
+    pair = st.tuples(st.integers(0, 15), st.integers(0, 15))
+    rows = draw(st.lists(pair, max_size=12))
+    return n, [a << shift for a, _ in rows], [b << shift for _, b in rows]
+
+
+def _check_maximal(n, smalls, bigs):
+    g = Graph(range(n))
+    seps = _seps_from_masks(g, smalls, bigs)
+    keep = oracle_maximal(smalls, bigs)
+    want = sorted({s for s, k in zip(seps, keep) if k}, key=OrientedSeparation.sort_key)
+    assert maximal_members(g, seps) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(side_cases())
+def test_maximal_members_matches_oracle_property(case):
+    _check_maximal(*case)
+
+
+def test_maximal_mask_matches_oracle():
+    rng = random.Random(11)
+    for nbits in (10, 70, 130):
+        for _ in range(20):
+            n = rng.randrange(0, 15)
+            _check_maximal(nbits, random_masks(rng, n, nbits), random_masks(rng, n, nbits))
+
+
+def test_cover_masks_layout():
+    for g in (complete_graph(5), cycle_graph(7), path_graph(70)):
+        n = len(g.vertices)
+        edges = g.sorted_edges()
+        seps = enumerate_separations(g, 2)
+        for s, c in zip(seps, cover_masks(g, seps)):
+            assert c & g.full_mask() == g.mask_of(s.small)
+            inside = {edges[i] for i in range(len(edges)) if c >> (n + i) & 1}
+            assert inside == g.edges_within(s.small)
+            assert c <= full_cover(g)
+
+
+def test_import_loads_only_stdlib_and_networkx():
     code = (
-        "from tanglekit import _kernels\n"
-        "print(_kernels.HAS_NUMBA)\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tanglekit\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
     )
-    env = dict(os.environ, TANGLEKIT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
-
-
-def test_tangle_counts_identical_under_both_backends():
-    code = (
-        "from tanglekit.graphs import complete_graph, cycle_graph\n"
-        "from tanglekit.tangles import enumerate_tangles\n"
-        "counts = [len(enumerate_tangles(complete_graph(5), k)) for k in (1,2,3,4)]\n"
-        "counts += [len(enumerate_tangles(cycle_graph(6), k)) for k in (1,2,3)]\n"
-        "print(counts)\n"
-    )
-    runs = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, TANGLEKIT_NO_NUMBA=flag)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        runs[flag] = out.stdout
-    assert runs["0"] == runs["1"]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['networkx', 'tanglekit']"

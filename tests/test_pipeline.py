@@ -172,6 +172,37 @@ def test_is_witness_rejects_too_small():
     assert not is_witness(g, tau, Graph([0, 1], [(0, 1)]))
 
 
+def test_is_witness_of_a_non_subgraph_is_true():
+    g = complete_graph(4)
+    (tau,) = enumerate_tangles(g, 3)
+    assert is_witness(g, tau, Graph([0, 9], []))
+    assert is_witness(g, tau, Graph(g.vertices, [(0, 1), (3, 9)]))
+    # the same edges without the stray one are covered
+    assert not is_witness(g, tau, Graph(g.vertices, [(0, 1)]))
+
+
+def test_is_witness_matches_frozenset_oracle():
+    def oracle(g, tau, h):
+        subs = [(s.small, g.edges_within(s.small)) for s in tau.members]
+        return not any(
+            h.vertex_set() <= a[0] | b[0] | c[0] and h.edges <= a[1] | b[1] | c[1]
+            for a in subs
+            for b in subs
+            for c in subs
+        )
+
+    checked = 0
+    for g in [complete_graph(4), complete_graph(5), cycle_graph(5),
+              subdivide_edge(complete_graph(4), (0, 1))]:
+        for tau in enumerate_tangles(g, 3):
+            for e in g.sorted_edges():
+                for h in (g, Graph(g.vertices, g.edges - {e}), Graph(e, [e]),
+                          g.induced(g.vertices[:-1])):
+                    assert is_witness(g, tau, h) == oracle(g, tau, h)
+                    checked += 1
+    assert checked > 0
+
+
 # -- trace serialization -------------------------------------------------------------------
 
 
@@ -259,16 +290,26 @@ def test_cli_induce_no_tangle(k4_file, capsys):
 def test_cli_p11_stream_and_guards(tmp_path, capsys):
     from tanglekit.graphs import graph6_encode
 
+    graphs = [complete_graph(4), cycle_graph(5)]
     stream = tmp_path / "graphs.g6"
-    stream.write_text(
-        "\n".join(graph6_encode(g) for g in [complete_graph(4), cycle_graph(5)])
-        + "\n"
-    )
+    stream.write_text("\n".join(graph6_encode(g) for g in graphs) + "\n")
     out = tmp_path / "report.txt"
     assert (
         main(["p11", "--k", "2", "--stream", str(stream), "--out", str(out)]) == 0
     )
-    assert out.read_text().splitlines()[-1].startswith("SUMMARY")
+    last = out.read_text().splitlines()[-1]
+    assert last.startswith("SUMMARY")
+    summary = json.loads(last[len("SUMMARY "):])
+    assert summary["malformed"] == 0
+    assert summary["tangles"] == sum(len(enumerate_tangles(g, 2)) for g in graphs)
+    # one garbage line is one malformed entry; the good graphs still count
+    stream.write_text(stream.read_text() + "not graph6 at all\n")
+    main(["p11", "--k", "2", "--stream", str(stream), "--out", str(out)])
+    last = out.read_text().splitlines()[-1]
+    summary = json.loads(last[len("SUMMARY "):])
+    assert summary["malformed"] == 1
+    assert summary["graphs"] == 3
+    assert summary["tangles"] == sum(len(enumerate_tangles(g, 2)) for g in graphs)
     # exactly one of --stream/--dir
     assert main(["p11", "--k", "2"]) == 2
     assert (

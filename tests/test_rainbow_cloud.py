@@ -144,6 +144,16 @@ def test_classify_crossing_directions():
     assert bwd.direction == "counterclockwise"
 
 
+def test_classify_crossing_rejects_separator_without_sun():
+    g, rc, _ = synth_rc(16, 1, 1)
+    mid = rainbow_separation(rc, 0, 7)
+    assert rc.sun <= mid.separator
+    missing = sep(mid.small, mid.big - rc.sun)
+    for s in (missing, missing.inverse()):
+        with pytest.raises(RainbowError, match="misses the sun"):
+            classify_crossing(rc, s, 3)
+
+
 def test_split_family_is_increasing_and_bounded():
     g, rc, _ = synth_rc(16, 1, 0)
     k = 3

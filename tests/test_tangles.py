@@ -121,6 +121,14 @@ def test_maximal_members_have_connected_remainder():
                     assert rem.is_connected()
 
 
+def test_graphs_above_128_vertices():
+    g = path_graph(130)
+    (tau,) = enumerate_tangles(g, 1)
+    assert is_tangle(g, 1, tau.members)
+    assert tau.core() == g.vertex_set()
+    assert not is_tangle(g, 1, [s.inverse() for s in tau.members])
+
+
 def test_extends_examples():
     k4 = complete_graph(4)
     (t3,) = enumerate_tangles(k4, 3)
