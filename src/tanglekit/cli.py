@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a requested property fails to hold
-(no tangle, no inducing set, a failed verification), 2 on usage errors.
+(no tangle, no inducing set, a failed verification), 2 on usage errors
+and on inputs that cannot be handled (unreadable or malformed files, or a
+run out of recursion depth or memory), reported without a traceback.
 """
 
 from __future__ import annotations
@@ -285,8 +287,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -161,6 +161,36 @@ def transfer_by_zero(trace, w_terminal) -> WeightFunction:
 # -- batch verification ------------------------------------------------------------
 
 
+def _load_checkpoint(path):
+    """Finished p11 rows by id, from a checkpoint of JSON lines.
+
+    A crash mid-append leaves a torn last line.  A last line that does not
+    parse or lacks its newline is dropped, and the file is cut back to the
+    end of the line before it, so that row is computed again and the next
+    append starts a fresh line.  A bad line anywhere else still raises.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
+    *lines, tail = data.split(b"\n")
+    done, keep = {}, 0
+    for i, line in enumerate(lines):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            if tail or i < len(lines) - 1:
+                raise
+            break
+        done[row["id"]] = row
+        keep += len(line) + 1
+    if keep < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
+    return done
+
+
 def verify_p11_batch(
     graphs,
     k: int,
@@ -174,15 +204,7 @@ def verify_p11_batch(
     Returns {"rows": [...], "summary": {...}}.  With a checkpoint path,
     finished rows are appended as JSON lines and skipped on rerun.
     """
-    done = {}
-    if checkpoint_path is not None:
-        try:
-            with open(checkpoint_path) as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    done[row["id"]] = row
-        except FileNotFoundError:
-            pass
+    done = {} if checkpoint_path is None else _load_checkpoint(checkpoint_path)
     rows = []
     for gid, g in graphs:
         gid = str(gid)

@@ -29,7 +29,6 @@ from .tangles import (
     TangleError,
     cover_masks,
     covering_triple,
-    enumerate_tangles,
     extends,
     format_tangle,
     is_tangle,
@@ -106,14 +105,13 @@ def _next_step(g: Graph, t: Tangle):
                 "suppress_vertex", (deg2,), "degree-2 suppression",
                 G.suppress_vertex(g, deg2), t2,
             )
-        if enumerate_tangles(g, k + 1):
-            try:
-                e, t2 = survive_edge_deletion_via_supertangle(g, t)
-                return ReductionStep(
-                    "delete_edge", e, "higher-order tangle", G.delete_edge(g, e), t2
-                )
-            except (TangleError, ValueError):
-                pass
+        try:
+            e, t2 = survive_edge_deletion_via_supertangle(g, t)
+            return ReductionStep(
+                "delete_edge", e, "higher-order tangle", G.delete_edge(g, e), t2
+            )
+        except (TangleError, ValueError):
+            pass  # no (k+1)-tangle, or no construction applies
         for e in g.sorted_edges():
             found = brute_force_extensions(g, t, e, find_all=False)
             if found:

@@ -238,83 +238,85 @@ def check_axioms(tangle: Tangle) -> dict:
 # -- enumeration / constrained search -------------------------------------
 
 
+def _completes_triple(c, front, full):
+    """Do cover c and at most two frontier covers (repetition allowed) reach full?"""
+    miss = full & ~c
+    if not miss:
+        return True
+    misses = [miss & ~a for a, _ in front]
+    if 0 in misses:
+        return True
+    for x, m in enumerate(misses):
+        for a, _ in front[x + 1:]:
+            if m & a == m:
+                return True
+    return False
+
+
 def _search(g: Graph, k: int, fixed, find_all: bool):
-    """Backtracking orientation search avoiding covering triples.
+    """Depth-first orientation search avoiding covering triples.
 
     fixed maps canonical separation keys to a required orientation.
-    Yields member-frozensets of valid k-tangles.
+    Returns the member-frozensets of the k-tangles found, in search order.
+
+    Depth i orients the i-th unoriented separation, in the sort-key order
+    of its first orientation.  The search runs on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.  The frame
+    of each depth carries the frontier: the <=-maximal members chosen so
+    far, as (cover, big) int pairs.  Cover is monotone along <=, so a
+    candidate with cover c completes a covering triple iff c == full,
+    c | a == full or c | a | b == full for frontier covers a, b.  Its
+    small side lies inside that of a member exactly when its cover does,
+    so the pairs also decide <=.
+
+    No separate consistency check is needed.  Suppose a chosen t has
+    inv(s) <= t, that is big(t) <= small(s) and big(s) <= small(t), and
+    the frontier member t' has t <= t'.  Every vertex and every edge of g
+    lies inside small(t) or big(t), hence inside small(t') or small(s);
+    so the triple (s, t', t') covers g and rejects s.
     """
     seps = enumerate_separations(g, k)
-    keys = []
-    options = {}
-    for s in seps:
-        key = s.canonical_key()
-        options.setdefault(key, []).append(s)
-        if key not in keys:
-            keys.append(key)
-    keys.sort(key=lambda key: options[key][0].sort_key())
+    full = full_cover(g)
+    # seps come sorted, so each key enters with its first orientation's rank
+    rows = {}
+    for s, c in zip(seps, cover_masks(g, seps)):
+        rows.setdefault(s.canonical_key(), []).append((s, c, g.mask_of(s.big)))
+    levels = [
+        [x for x in row if x[0] == fixed[key]] if key in fixed else row
+        for key, row in rows.items()
+    ]
 
-    vfull, full = g.full_mask(), full_cover(g)
-    flat = [s for key in keys for s in options[key]]
-    info = {
-        s: (c & vfull, g.mask_of(s.big), c)
-        for s, c in zip(flat, cover_masks(g, flat))
-    }
-
-    chosen = []  # (sep, small_mask, big_mask, cover)
+    depth = len(levels)
+    chosen = [None] * depth
+    fronts = [()] * (depth + 1)  # fronts[i]: frontier of chosen[:i]
+    tried = [0] * depth  # candidates already tried at each depth
     results = []
-
-    def consistent(sm, bm):
-        # reject if some chosen t has inv(t) <= s or inv(s) <= t
-        for _, tsm, tbm, _ in chosen:
-            if (tbm & ~sm) == 0 and (bm & ~tsm) == 0:
-                return False
-        return True
-
-    def frontier():
-        out = []
-        for i, (_, sm, bm, c) in enumerate(chosen):
-            dominated = False
-            for j, (_, tsm, tbm, _) in enumerate(chosen):
-                if i == j:
-                    continue
-                if (sm & ~tsm) == 0 and (tbm & ~bm) == 0 and (sm, bm) != (tsm, tbm):
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(c)
-        return out
-
-    def breaks(c):
-        # covering triple containing the new element (pairs may repeat)
-        front = frontier() + [c]
-        for a in front:
-            p = c | a
-            for b in front:
-                if p | b == full:
-                    return True
-        return False
-
-    def rec(i):
-        if i == len(keys):
-            results.append(frozenset(s for s, *_ in chosen))
-            return not find_all
-        key = keys[i]
-        cands = [fixed[key]] if key in fixed else options[key]
-        for s in cands:
-            vm, bm, c = info[s]
-            if not consistent(vm, bm):
-                continue
-            if breaks(c):
-                continue
-            chosen.append((s, vm, bm, c))
-            done = rec(i + 1)
-            chosen.pop()
-            if done:
-                return True
-        return False
-
-    rec(0)
+    i = 0
+    while i >= 0:
+        if i == depth:
+            results.append(frozenset(chosen))
+            if not find_all:
+                break
+            i -= 1
+            continue
+        j = tried[i]
+        if j == len(levels[i]):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = j + 1
+        s, c, b = levels[i][j]
+        front = fronts[i]
+        if _completes_triple(c, front, full):
+            continue
+        chosen[i] = s
+        if any(c & ~a == 0 and x & ~b == 0 for a, x in front):
+            fronts[i + 1] = front
+        else:
+            fronts[i + 1] = tuple(
+                (a, x) for a, x in front if a & ~c or b & ~x
+            ) + ((c, b),)
+        i += 1
     return results
 
 

@@ -1,6 +1,7 @@
 """Inducing vertex sets and weight functions, and their transfer."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -235,6 +236,28 @@ def test_verify_p11_batch_checkpoint_resume(tmp_path):
     good = [r for r in second["rows"] if "error" not in r]
     assert len(ck.read_text().splitlines()) == len(good)
     assert second["rows"][:2] == first["rows"]
+
+
+@pytest.mark.parametrize("torn", ['{"id": "p4", "tang', '{"id": "p4", "tangles": 9}'])
+def test_verify_p11_batch_resumes_after_torn_last_line(tmp_path, torn):
+    ck = tmp_path / "rows.jsonl"
+    verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
+    with open(ck, "a") as fh:
+        fh.write(torn)  # a crash mid-append leaves no newline
+    report = verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
+    fresh = verify_p11_batch(batch_input(), k=2)
+    assert report["rows"] == fresh["rows"]  # the torn p4 row was recomputed
+    lines = ck.read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["k4", "c5", "p4"]
+
+
+def test_verify_p11_batch_rejects_bad_middle_line(tmp_path):
+    ck = tmp_path / "rows.jsonl"
+    verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
+    text = ck.read_text().splitlines(keepends=True)
+    ck.write_text(text[0] + '{"id": "c5", "tang\n' + text[1])
+    with pytest.raises(json.JSONDecodeError):
+        verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
 
 
 def test_format_p11_report_structure():

@@ -340,6 +340,19 @@ def test_cli_rc_synth_validate_extend(tmp_path, capsys):
     assert "deleted edge:" in out and "True" in out
 
 
+@pytest.mark.parametrize(
+    "exc, shown",
+    [(RecursionError("too deep"), "too deep"), (MemoryError(), "MemoryError")],
+)
+def test_cli_reports_exhaustion_without_traceback(k4_file, capsys, monkeypatch, exc, shown):
+    def boom(g, k):
+        raise exc
+
+    monkeypatch.setattr("tanglekit.cli.enumerate_tangles", boom)
+    assert main(["tangles", str(k4_file), "--k", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
 def test_cli_usage_errors():
     assert main(["tangles"]) == 2  # missing required args
     assert main(["tangles", "/nonexistent/file", "--k", "2"]) == 2

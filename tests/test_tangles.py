@@ -1,15 +1,25 @@
+import itertools
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglekit.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    delete_edge,
     path_graph,
     subdivide_edge,
     suppress_vertex,
 )
-from tanglekit.separations import enumerate_separations, sep
+from tanglekit.separations import (
+    enumerate_separations,
+    enumerate_separations_naive,
+    sep,
+)
+from tanglekit.survival import tangle_of_block
 from tanglekit.tangles import (
     Tangle,
     TangleError,
@@ -22,6 +32,7 @@ from tanglekit.tangles import (
     lift_suppression,
     parse_tangle,
     format_tangle,
+    search_extension,
 )
 
 from conftest import atlas_graphs, nx_to_graph
@@ -129,6 +140,14 @@ def test_graphs_above_128_vertices():
     assert not is_tangle(g, 1, [s.inverse() for s in tau.members])
 
 
+def test_deep_search_needs_no_recursion():
+    """1199 unoriented separations: one search level each, far past the
+    interpreter's recursion limit."""
+    g = path_graph(600)
+    tau = tangle_of_block(g, frozenset({300, 301}))
+    assert search_extension(g, 2, tau.members) == [tau]
+
+
 def test_extends_examples():
     k4 = complete_graph(4)
     (t3,) = enumerate_tangles(k4, 3)
@@ -185,3 +204,110 @@ def test_serialization_round_trip():
     k4 = complete_graph(4)
     (t,) = enumerate_tangles(k4, 3)
     assert parse_tangle(format_tangle(t), k4) == t
+
+
+# -- differential test against an independent reference search ------------------
+
+
+def reference_tangles(g: Graph, k: int):
+    """k-tangles by plain backtracking over the naive separation list.
+
+    Small sides stay frozensets; a candidate is rejected when some triple
+    of chosen members, itself included and repetition allowed, has induced
+    subgraphs covering every vertex and every edge of g.
+    """
+    pairs = {}
+    for s in enumerate_separations_naive(g, k):
+        pairs.setdefault(frozenset({s.small, s.big}), []).append(s)
+    pairs = list(pairs.values())
+    V = g.vertex_set()
+
+    def covered(*sides):
+        return frozenset().union(*sides) == V and all(
+            any(u in x and v in x for x in sides) for u, v in g.edges
+        )
+
+    found = []
+
+    def extend(chosen):
+        if len(chosen) == len(pairs):
+            found.append(frozenset(chosen))
+            return
+        for s in pairs[len(chosen)]:
+            pool = chosen + [s]
+            if not any(
+                covered(s.small, a.small, b.small)
+                for a, b in itertools.product(pool, repeat=2)
+            ):
+                extend(pool)
+
+    extend([])
+    return found
+
+
+def _output_key(members):
+    return tuple(sorted(s.sort_key() for s in members))
+
+
+def check_against_reference(g: Graph, k: int):
+    want = reference_tangles(g, k)
+    got = enumerate_tangles(g, k)
+    assert sorted(map(_output_key, want)) == [_output_key(t.members) for t in got]
+    assert {t.members for t in got} == set(want)
+    for t in got:
+        assert check_axioms(t)["consistency"]
+    for e in g.sorted_edges():
+        g2 = delete_edge(g, e)
+        below = reference_tangles(g2, k)
+        for t in got:
+            ext = search_extension(g2, k, t.members, find_all=True)
+            agree = sorted(_output_key(m) for m in below if t.members <= m)
+            assert [_output_key(x.members) for x in ext] == agree
+            first = search_extension(g2, k, t.members)
+            assert len(first) == min(1, len(ext)) and set(first) <= set(ext)
+            for x in ext:
+                assert check_axioms(x)["consistency"]
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.sampled_from([3, 4]))
+def test_search_matches_reference_property(g, k):
+    check_against_reference(g, k)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(5),
+        complete_graph(6),
+        cycle_graph(5),
+        subdivide_edge(complete_graph(4), (0, 1), 1),
+        # two K4s sharing the edge 23: one 3-tangle each
+        Graph(
+            range(6),
+            list(complete_graph(4).edges) + [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+        ),
+        # triangular prism
+        Graph(
+            range(6),
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+        ),
+        # wheel with five spokes
+        Graph(
+            range(6),
+            [(0, v) for v in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+        ),
+    ],
+    ids=["K5", "K6", "C5", "K4-subdivided", "two-K4", "prism", "W5"],
+)
+@pytest.mark.parametrize("k", [3, 4])
+def test_search_matches_reference_seeded(g, k):
+    check_against_reference(g, k)
