@@ -68,6 +68,10 @@ def _pick_tangle(args, g):
     found = enumerate_tangles(g, args.k)
     if not found:
         return None
+    if not 0 <= args.tangle_index < len(found):
+        raise ValueError(
+            f"--tangle-index {args.tangle_index} is outside 0..{len(found) - 1}"
+        )
     return found[args.tangle_index]
 
 
@@ -138,7 +142,10 @@ def cmd_transfer(args):
     with open(args.trace) as fh:
         trace = parse_trace(fh.read())
     with open(args.weights) as fh:
-        w_terminal = WeightFunction({int(v): c for v, c in json.load(fh).items()})
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("--weights must hold a JSON object mapping vertex to weight")
+    w_terminal = WeightFunction({int(v): c for v, c in raw.items()})
     w = transfer_terminal_weights(trace, w_terminal)
     print(json.dumps({str(v): c for v, c in sorted(w.weights.items())}))
     return 0

@@ -26,7 +26,7 @@ def _norm_edge(e):
 class Graph:
     """Simple undirected graph.  No loops, no parallel edges."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_index", "_hash")
+    __slots__ = ("vertices", "edges", "_adj", "_index", "_hash", "_seps")
 
     def __init__(self, vertices=(), edges=()):
         es = frozenset(_norm_edge(e) for e in edges)
@@ -43,6 +43,7 @@ class Graph:
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
+        self._seps = {}  # k -> separations of order < k, filled by separations.py
 
     # -- basic queries -------------------------------------------------
 

@@ -45,8 +45,11 @@ class ReductionStep:
     kind: str  # "delete_edge" | "suppress_vertex" | "take_component"
     detail: tuple  # the edge, (vertex,), or (smallest component label,)
     rule: str  # which construction fired
-    graph: Graph
     tangle: Tangle
+
+    @property
+    def graph(self) -> Graph:
+        return self.tangle.graph
 
 
 @dataclass(frozen=True)
@@ -82,42 +85,33 @@ def _next_step(g: Graph, t: Tangle):
     if not g.is_connected() and len(g.vertices) > 1:
         comp, t2 = restrict_to_component(g, t)
         label = min(comp.vertices)
-        return ReductionStep("take_component", (label,), "component restriction", comp, t2)
+        return ReductionStep("take_component", (label,), "component restriction", t2)
     if k == 1 and g.edges:
         e = g.sorted_edges()[0]
         t2 = survive_delete_edge_k1(g, t, e)
-        return ReductionStep("delete_edge", e, "order-1 deletion", G.delete_edge(g, e), t2)
+        return ReductionStep("delete_edge", e, "order-1 deletion", t2)
     if k == 2 and len(g.edges) >= 2:
         e, t2 = survive_delete_edge_k2(g, t)
-        return ReductionStep("delete_edge", e, "order-2 deletion", G.delete_edge(g, e), t2)
+        return ReductionStep("delete_edge", e, "order-2 deletion", t2)
     if k >= 3:
         pendant = next((v for v in g.vertices if g.degree(v) == 1), None)
         if pendant is not None:
             e = tuple(sorted((pendant, next(iter(g.neighbors(pendant))))))
             t2 = survive_delete_pendant_edge(g, t, pendant)
-            return ReductionStep(
-                "delete_edge", e, "pendant deletion", G.delete_edge(g, e), t2
-            )
+            return ReductionStep("delete_edge", e, "pendant deletion", t2)
         deg2 = next((v for v in g.vertices if g.degree(v) == 2), None)
         if deg2 is not None:
             t2 = survive_suppress_vertex(g, t, deg2)
-            return ReductionStep(
-                "suppress_vertex", (deg2,), "degree-2 suppression",
-                G.suppress_vertex(g, deg2), t2,
-            )
+            return ReductionStep("suppress_vertex", (deg2,), "degree-2 suppression", t2)
         try:
             e, t2 = survive_edge_deletion_via_supertangle(g, t)
-            return ReductionStep(
-                "delete_edge", e, "higher-order tangle", G.delete_edge(g, e), t2
-            )
+            return ReductionStep("delete_edge", e, "higher-order tangle", t2)
         except (TangleError, ValueError):
             pass  # no (k+1)-tangle, or no construction applies
         for e in g.sorted_edges():
             found = brute_force_extensions(g, t, e, find_all=False)
             if found:
-                return ReductionStep(
-                    "delete_edge", e, "edge search", G.delete_edge(g, e), found[0]
-                )
+                return ReductionStep("delete_edge", e, "edge search", found[0])
     return None
 
 
@@ -219,54 +213,42 @@ def format_trace(trace: ReductionTrace) -> str:
 
 
 def parse_trace(text: str) -> ReductionTrace:
-    sections = []
-    current = None
+    root, steps = {}, []
+    cur, body = root, None
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         head = line.split()[0]
-        if head in ("ROOT-GRAPH", "ROOT-TANGLE", "STEP", "RULE", "KIND", "GRAPH", "TANGLE"):
-            current = [line, []]
-            sections.append(current)
-        elif current is None:
+        if head == "STEP":
+            cur, body = {}, None
+            steps.append(cur)
+        elif head in ("ROOT-GRAPH", "ROOT-TANGLE", "RULE", "KIND", "GRAPH", "TANGLE"):
+            body = cur[head] = [line]
+        elif body is None:
             raise PipelineError("trace data before any section")
         else:
-            current[1].append(line)
-    blocks = {"steps": []}
-    pending = {}
-    for header, body in sections:
-        words = header.split()
-        key, text_body = words[0], "\n".join(body)
-        if key == "ROOT-GRAPH":
-            blocks["root_graph"] = G.parse_edgelist(text_body)
-        elif key == "ROOT-TANGLE":
-            blocks["root_tangle_text"] = text_body
-        elif key == "STEP":
-            if pending:
-                blocks["steps"].append(pending)
-            pending = {}
-        elif key == "RULE":
-            pending["rule"] = header[len("RULE ") :]
-        elif key == "KIND":
-            pending["kind"] = words[1]
-            pending["detail"] = tuple(int(x) for x in words[2:])
-        elif key == "GRAPH":
-            pending["graph"] = G.parse_edgelist(text_body)
-        elif key == "TANGLE":
-            pending["tangle_text"] = text_body
-    if pending:
-        blocks["steps"].append(pending)
-    root_graph = blocks["root_graph"]
-    root_tangle = parse_tangle(blocks["root_tangle_text"], root_graph)
-    steps = tuple(
-        ReductionStep(
-            kind=p["kind"],
-            detail=p["detail"],
-            rule=p["rule"],
-            graph=p["graph"],
-            tangle=parse_tangle(p["tangle_text"], p["graph"]),
-        )
-        for p in blocks["steps"]
-    )
-    return ReductionTrace(root_graph, root_tangle, steps)
+            body.append(line)
+
+    def section(d, name, where):
+        """(header line, body text) of a section that must be present."""
+        if name not in d:
+            raise PipelineError(f"{where} has no {name} section")
+        return d[name][0], "\n".join(d[name][1:])
+
+    root_graph = G.parse_edgelist(section(root, "ROOT-GRAPH", "trace")[1])
+    root_tangle = parse_tangle(section(root, "ROOT-TANGLE", "trace")[1], root_graph)
+    out = []
+    for n, d in enumerate(steps, start=1):
+        where = f"step {n}"
+        kind = section(d, "KIND", where)[0].split()[1:]
+        if not kind:
+            raise PipelineError(f"{where} has a KIND line without a kind")
+        graph = G.parse_edgelist(section(d, "GRAPH", where)[1])
+        out.append(ReductionStep(
+            kind=kind[0],
+            detail=tuple(int(x) for x in kind[1:]),
+            rule=section(d, "RULE", where)[0][len("RULE "):],
+            tangle=parse_tangle(section(d, "TANGLE", where)[1], graph),
+        ))
+    return ReductionTrace(root_graph, root_tangle, tuple(out))

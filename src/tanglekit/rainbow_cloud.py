@@ -210,11 +210,7 @@ def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k=None):
     i, j = info.i_min, info.j_max
     if not i + 1 <= h <= j:
         raise RainbowError(f"split index {h} out of range {i + 1}..{j}")
-    M = rc.length
-    outer = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, M)
-    small = (s.small & outer) | rc.bag_union(i, h - 1) | rc.sun
-    big = rc.bag_union(h, j) | (s.big & outer) | rc.sun
-    return sep(small, big)
+    return _splits(rc, s, i, j, (h,))[h]
 
 
 def split_family(rc: RCDecomposition, s: OrientedSeparation, k=None):
@@ -222,9 +218,15 @@ def split_family(rc: RCDecomposition, s: OrientedSeparation, k=None):
     info = classify_crossing(rc, s, k)
     if info.direction != "clockwise":
         raise RainbowError("separation does not cross clockwise")
-    return {
-        h: split_crossing(rc, s, h, k) for h in range(info.i_min + 1, info.j_max + 1)
-    }
+    i, j = info.i_min, info.j_max
+    return _splits(rc, s, i, j, range(i + 1, j + 1))
+
+
+def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
+    """The splits h in hs of a clockwise crossing with window (i, j)."""
+    outer = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, rc.length)
+    small, big = (s.small & outer) | rc.sun, (s.big & outer) | rc.sun
+    return {h: sep(small | rc.bag_union(i, h - 1), rc.bag_union(h, j) | big) for h in hs}
 
 
 def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k=None) -> bool:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import Graph, GraphError
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class OrientedSeparation:
     """An ordered pair (small side, big side) of a separation."""
 
@@ -48,31 +47,8 @@ class OrientedSeparation:
         return OrientedSeparation(self.small | other.small, self.big & other.big)
 
     def canonical_key(self):
-        """Key identifying the underlying unoriented separation.
-
-        The side holding the smallest label outside the separator comes
-        first; if both sides equal the separator, sides are equal anyway.
-        Ties (never ambiguous for distinct sides) fall back to sorted-tuple
-        comparison.
-        """
-        a = tuple(sorted(self.small))
-        b = tuple(sorted(self.big))
-        sep = self.small & self.big
-        ax = next((x for x in a if x not in sep), None)
-        bx = next((x for x in b if x not in sep), None)
-        if ax is None and bx is None:
-            return (a, b) if a <= b else (b, a)
-        if ax is None:
-            return (a, b)
-        if bx is None:
-            return (b, a)
-        return (a, b) if ax < bx else (b, a)
-
-    def is_canonical_orientation(self):
-        return self.canonical_key() == (
-            tuple(sorted(self.small)),
-            tuple(sorted(self.big)),
-        )
+        """Key identifying the underlying unoriented separation."""
+        return frozenset((self.small, self.big))
 
     def sort_key(self):
         return (self.order, tuple(sorted(self.small)), tuple(sorted(self.big)))
@@ -111,46 +87,75 @@ def check_submodular_equality(s: OrientedSeparation, t: OrientedSeparation) -> b
     return s.meet(t).order + s.join(t).order == s.order + t.order
 
 
-def _frozen_graph_key(g: Graph):
-    return (g.vertices, tuple(g.sorted_edges()))
-
-
-@lru_cache(maxsize=512)
-def _enumerate_cached(gkey, k):
-    vertices, edges = gkey
-    g = Graph(vertices, edges)
-    return tuple(_enumerate_separations(g, k))
-
-
 def enumerate_separations(g: Graph, k: int):
     """All oriented separations of order < k, both orientations.
 
-    Sorted by (order, sorted small side, sorted big side).  Enumeration
-    walks candidate separators S with |S| < k and distributes the
-    components of g - S over the two sides; keeping only splits whose
-    separator is exactly S avoids emitting any separation twice.
+    Sorted by (order, sorted small side, sorted big side).  The first call
+    for a given k stores the result on g, so the separations live exactly
+    as long as g; every call returns a fresh list.
     """
     if k < 0:
         raise GraphError("negative order bound")
-    return list(_enumerate_cached(_frozen_graph_key(g), k))
+    memo = g._seps
+    if k not in memo:
+        memo[k] = _enumerate_separations(g, k)
+    return list(memo[k])
 
 
 def _enumerate_separations(g: Graph, k):
-    V = g.vertex_set()
-    out = set()
-    for size in range(min(k, len(V) + 1)):
-        for S in itertools.combinations(g.vertices, size):
-            S = frozenset(S)
-            comps = Graph(V - S, g.edges_within(V - S)).component_vertex_sets()
+    """Enumeration on vertex-index bitmasks.
+
+    For each candidate separator S with |S| < k, the components of g - S
+    are found as masks and distributed over the two sides in every way.
+    The components are disjoint from S and each goes to exactly one side,
+    so every split has separator exactly S, and distinct splits or
+    distinct S give distinct separations: nothing comes out twice.  Each
+    distinct side mask becomes one frozenset, shared by every separation
+    with that side, so a separation and its inverse share both sides.
+    """
+    n = len(g.vertices)
+    adj = [g.mask_of(g.neighbors(v)) for v in g.vertices]
+    full = (1 << n) - 1
+    pairs = []
+    for size in range(min(k, n + 1)):
+        for S in itertools.combinations(range(n), size):
+            sm = 0
+            for i in S:
+                sm |= 1 << i
+            comps = []
+            rest = full & ~sm
+            while rest:
+                comp = grow = rest & -rest
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    new = adj[low.bit_length() - 1] & rest & ~comp
+                    comp |= new
+                    grow |= new
+                comps.append(comp)
+                rest &= ~comp
             for pick in itertools.product((0, 1), repeat=len(comps)):
-                small = set(S)
-                big = set(S)
+                small = big = sm
                 for side, comp in zip(pick, comps):
-                    (small if side == 0 else big).update(comp)
-                s = OrientedSeparation(frozenset(small), frozenset(big))
-                if s.separator == S:  # exact separator: no duplicates across S
-                    out.add(s)
-    return sorted(out, key=OrientedSeparation.sort_key)
+                    if side:
+                        big |= comp
+                    else:
+                        small |= comp
+                pairs.append((size, small, big))
+    vs = g.vertices
+    labels = {}
+    for _, small, big in pairs:
+        for m in (small, big):
+            if m not in labels:
+                out, x = [], m
+                while x:
+                    low = x & -x
+                    out.append(vs[low.bit_length() - 1])
+                    x ^= low
+                labels[m] = tuple(out)  # sorted: bits follow label order
+    pairs.sort(key=lambda p: (p[0], labels[p[1]], labels[p[2]]))
+    sides = {m: frozenset(t) for m, t in labels.items()}
+    return tuple(OrientedSeparation(sides[a], sides[b]) for _, a, b in pairs)
 
 
 def enumerate_separations_naive(g: Graph, k: int):

@@ -221,6 +221,16 @@ def test_trace_round_trip_bit_exact():
     assert format_trace(again) == text
 
 
+def test_step_graph_is_its_tangles_graph():
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    again = parse_trace(format_trace(trace))
+    assert trace.steps and len(again.steps) == len(trace.steps)
+    for step in trace.steps + again.steps:
+        assert step.graph is step.tangle.graph
+
+
 def test_parse_trace_rejects_garbage():
     with pytest.raises(PipelineError):
         parse_trace("0 1\n1 2\n")
@@ -351,6 +361,38 @@ def test_cli_reports_exhaustion_without_traceback(k4_file, capsys, monkeypatch, 
     monkeypatch.setattr("tanglekit.cli.enumerate_tangles", boom)
     assert main(["tangles", str(k4_file), "--k", "3"]) == 2
     assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty trace", "no root tangle", "step without kind", "weights not an object",
+     "tangle index too large", "negative tangle index"],
+)
+def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    text = format_trace(reduce(g, tau))
+    traces = {
+        "empty trace": "",
+        "no root tangle": "ROOT-GRAPH\n0 1\n",
+        "step without kind": "".join(
+            l for l in text.splitlines(True) if not l.startswith("KIND")
+        ),
+    }
+    tr, wt, tri = tmp_path / "trace.txt", tmp_path / "w.json", tmp_path / "tri.edges"
+    tr.write_text(traces.get(case, text))
+    wt.write_text("[1, 2]")
+    tri.write_text(format_edgelist(complete_graph(3)))
+    if case in traces:
+        argv = ["witness", "--trace", str(tr)]
+    elif case == "weights not an object":
+        argv = ["transfer", "--trace", str(tr), "--weights", str(wt)]
+    else:
+        index = "5" if case == "tangle index too large" else "-1"
+        argv = ["reduce", str(tri), "--k", "1", "--tangle-index", index]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_usage_errors():

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,10 +39,57 @@ def test_enumerate_k4():
 
 def test_enumerate_matches_naive_oracle():
     for g in atlas_graphs(5):
-        for k in (1, 2, 3):
-            got = set(enumerate_separations(g, k))
-            want = set(enumerate_separations_naive(g, k))
-            assert got == want, (g, k)
+        for k in (1, 2, 3, 4):
+            assert enumerate_separations(g, k) == enumerate_separations_naive(g, k), (g, k)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs with at most 6 vertices on distinct, non-contiguous labels."""
+    labels = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(), st.integers(0, 5))
+def test_enumerate_matches_naive_oracle_property(g, k):
+    assert enumerate_separations(g, k) == enumerate_separations_naive(g, k)
+
+
+def test_inverse_shares_both_sides():
+    for g in atlas_graphs(5) + [cycle_graph(7, offset=3)]:
+        seps = enumerate_separations(g, 3)
+        index = {s: s for s in seps}
+        for s in seps:
+            t = index[s.inverse()]
+            assert t.small is s.big and t.big is s.small
+
+
+def test_enumeration_lives_with_its_graph():
+    """Separations are freed with their graph; nothing keeps them globally."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(40):
+            g = cycle_graph(16, offset=100 * i)
+            assert len(enumerate_separations(g, 3)) > 0
+        del g
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20, f"{grown / 2**20:.2f} MB still held"
+
+
+def test_returned_list_is_the_callers():
+    g = cycle_graph(5)
+    first = enumerate_separations(g, 2)
+    want = list(first)
+    first.clear()
+    assert enumerate_separations(g, 2) == want
 
 
 def test_order_and_symmetry():
