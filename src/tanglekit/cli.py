@@ -12,13 +12,7 @@ import argparse
 import json
 import sys
 
-from .graphs import (
-    Graph,
-    delete_edge,
-    format_edgelist,
-    parse_edgelist,
-    read_graph6_lines,
-)
+from .graphs import delete_edge, format_edgelist, read_edgelist, read_graph6_lines
 from .inducing import (
     find_inducing_set,
     find_inducing_weights,
@@ -52,11 +46,6 @@ from .tangles import (
 )
 
 
-def _read_graph(path) -> Graph:
-    with open(path) as fh:
-        return parse_edgelist(fh.read())
-
-
 def _read_tangle(path, g):
     with open(path) as fh:
         return parse_tangle(fh.read(), g)
@@ -84,7 +73,7 @@ def _write(path, text):
 
 
 def cmd_tangles(args):
-    g = _read_graph(args.graph)
+    g = read_edgelist(args.graph)
     found = enumerate_tangles(g, args.k)
     print(f"{len(found)} tangle(s) of order {args.k}")
     for i, t in enumerate(found):
@@ -94,7 +83,7 @@ def cmd_tangles(args):
 
 
 def cmd_verify(args):
-    g = _read_graph(args.graph)
+    g = read_edgelist(args.graph)
     t = _read_tangle(args.tangle, g)
     ok = is_tangle(g, t.k, t.members)
     print(f"tangle: {ok}")
@@ -105,7 +94,7 @@ def cmd_verify(args):
 
 
 def cmd_reduce(args):
-    g = _read_graph(args.graph)
+    g = read_edgelist(args.graph)
     t = _pick_tangle(args, g)
     if t is None:
         print("no tangle of that order", file=sys.stderr)
@@ -121,7 +110,7 @@ def cmd_reduce(args):
 
 
 def cmd_induce(args):
-    g = _read_graph(args.graph)
+    g = read_edgelist(args.graph)
     t = _pick_tangle(args, g)
     if t is None:
         print("no tangle of that order", file=sys.stderr)
@@ -170,7 +159,7 @@ def _graph_stream(args):
         for name in sorted(os.listdir(args.dir)):
             path = os.path.join(args.dir, name)
             try:
-                yield (name, _read_graph(path))
+                yield (name, read_edgelist(path))
             except (OSError, ValueError):
                 yield (name, None)
 
@@ -200,7 +189,7 @@ def cmd_rc(args):
     if args.graph is None or args.rc is None:
         print("error: --graph and --rc are required", file=sys.stderr)
         return 2
-    g = _read_graph(args.graph)
+    g = read_edgelist(args.graph)
     with open(args.rc) as fh:
         rc = parse_rc(fh.read(), g)
     if args.action == "validate":

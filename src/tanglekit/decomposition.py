@@ -10,19 +10,18 @@ adhesion sets are joined by full linkages.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphs import Graph
-from .separations import OrientedSeparation, enumerate_separations, longest_strict_chain
+from .separations import enumerate_separations, longest_strict_chain
 
 
 class DecompositionError(ValueError):
     pass
 
 
-# -- linkages (Menger via max-flow with unit vertex capacities) -------------
+# -- linkages (Menger via shortest augmenting paths) ------------------------
 
 
 def vertex_disjoint_paths(g: Graph, sources, targets):
@@ -30,48 +29,56 @@ def vertex_disjoint_paths(g: Graph, sources, targets):
 
     Each path meets sources exactly in its first vertex and targets exactly
     in its last; vertices in both sets count as trivial one-vertex paths.
+    Shortest augmenting paths (Edmonds-Karp) on the vertex-split graph,
+    where (v, 0) -> (v, 1) carries v, every arc has capacity 1, and no arc
+    enters a source or leaves a target.  The flow is kept as the paths
+    themselves: pred[v] and succ[v] are v's neighbours on its path (None at
+    its ends), and v carries flow exactly when it is a key of pred.
     """
     S = frozenset(sources) & g.vertex_set()
     T = frozenset(targets) & g.vertex_set()
     common = S & T
     paths = [(v,) for v in sorted(common)]
     S2, T2 = S - common, T - common
-    if not S2 or not T2:
-        return paths
-    D = nx.DiGraph()
-    src, snk = ("src",), ("snk",)
-    for v in g.vertices:
-        if v in common:
-            continue
-        D.add_edge(("in", v), ("out", v), capacity=1)
-    for u, v in g.edges:
-        if u in common or v in common:
-            continue
-        D.add_edge(("out", u), ("in", v), capacity=len(g.vertices))
-        D.add_edge(("out", v), ("in", u), capacity=len(g.vertices))
-    for s in S2:
-        D.add_edge(src, ("in", s), capacity=1)
-    for t in T2:
-        D.add_edge(("out", t), snk, capacity=1)
-    value, flow = nx.maximum_flow(D, src, snk)
-    # decompose the integral flow into paths
-    used = {
-        (a, b): f for a, nbrs in flow.items() for b, f in nbrs.items() if f > 0
-    }
-    for _ in range(int(value)):
-        walk = []
-        node = src
-        while node != snk:
-            nxt = next(b for (a, b), f in used.items() if a == node and f > 0)
-            used[(node, nxt)] -= 1
-            if isinstance(nxt, tuple) and len(nxt) == 2 and nxt[0] == "out":
-                walk.append(nxt[1])
-            node = nxt
-        # shortcut: start at the last source vertex, end at the first target
-        starts = [i for i, v in enumerate(walk) if v in S2]
-        walk = walk[starts[-1] :]
-        ends = [i for i, v in enumerate(walk) if v in T2]
-        walk = walk[: ends[0] + 1]
+    pred, succ = {}, {}
+    while S2 and T2:
+        parent = {(s, 0): None for s in sorted(S2 - pred.keys())}
+        queue = deque(parent)
+        while queue:
+            node = v, side = queue.popleft()
+            if side and v in T2:
+                break
+            if side:
+                steps = [(v, 0)] if v in pred else []
+                taken = succ.get(v)
+                steps += [(w, 0) for w in g.neighbors(v) if w not in S and w != taken]
+            elif v not in pred:
+                steps = [(v, 1)]
+            else:  # a used v is left only back along the arc its flow came in on
+                steps = [] if pred[v] is None else [(pred[v], 1)]
+            for nxt in steps:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        else:
+            break  # no augmenting path is left
+        chain = [node]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        chain.reverse()
+        pred[chain[0][0]] = succ[v] = None
+        for (a, side), (b, _) in zip(chain, chain[1:]):
+            if a == b:
+                if side:  # a gives its flow up; its outgoing arc is cancelled already
+                    del pred[a]
+            elif side:  # new arc a -> b
+                succ[a], pred[b] = b, a
+            else:  # cancelled arc b -> a; a's new predecessor is set already
+                del succ[b]
+    for s in sorted(S2 & pred.keys()):
+        walk = [s]
+        while succ[walk[-1]] is not None:
+            walk.append(succ[walk[-1]])
         paths.append(tuple(walk))
     return sorted(paths)
 
@@ -112,12 +119,6 @@ class LinearDecomposition:
 
     def part(self, i) -> Graph:
         return self.graph.induced(self.bags[i])
-
-    def separation_at(self, i) -> OrientedSeparation:
-        """The separation with bags 0..i-1 on the small side, i..M big."""
-        small = frozenset().union(*self.bags[:i]) if i else frozenset()
-        big = frozenset().union(*self.bags[i:])
-        return OrientedSeparation(small, big)
 
 
 def check_bag_cover(ld: LinearDecomposition) -> bool:
@@ -214,9 +215,7 @@ def foundational_linkage(ld: LinearDecomposition):
         paths = vertex_disjoint_paths(part, ld.adhesion_set(i), ld.adhesion_set(i + 1))
         if len(paths) < ell:
             raise DecompositionError(f"part {i} lacks a full linkage")
-        for p in paths:
-            if p[0] not in ld.adhesion_set(i):
-                p = p[::-1]
+        for p in paths:  # each starts in adhesion_set(i)
             by_start[(i, p[0])] = p
     linkage = []
     for v in sorted(ld.adhesion_set(1)):
@@ -247,24 +246,12 @@ def check_uniform_trivial_paths(ld: LinearDecomposition, linkage) -> bool:
 def _free_connection(g: Graph, bag, linkage, p, q) -> bool:
     """Path in g[bag] from p to q whose interior avoids all linkage paths."""
     occupied = {v for path in linkage for v in path}
-    vp = set(_path_bag_vertices(p, bag))
-    vq = set(_path_bag_vertices(q, bag))
-    if not vp or not vq:
-        return False
-    part = g.induced(bag)
-    frontier = set(vp)
-    reached = set(vp)
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in part.neighbors(x):
-                if y in vq:
-                    return True
-                if y not in reached and y not in occupied:
-                    nxt.add(y)
-                    reached.add(y)
-        frontier = nxt
-    return False
+    mp = g.mask_of(_path_bag_vertices(p, bag))
+    mq = g.mask_of(_path_bag_vertices(q, bag))
+    # any path from p to q among these vertices has such a stretch: from
+    # its last vertex on p to the first vertex on q after it
+    free = g.mask_of(bag - occupied) | mp | mq
+    return any(c & mp and c & mq for c in g.components(free))
 
 
 def check_uniform_connections(ld: LinearDecomposition, linkage) -> bool:

@@ -26,7 +26,7 @@ def _norm_edge(e):
 class Graph:
     """Simple undirected graph.  No loops, no parallel edges."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_index", "_hash", "_seps")
+    __slots__ = ("vertices", "edges", "_adj", "_index", "_hash", "_seps", "_nbrs")
 
     def __init__(self, vertices=(), edges=()):
         es = frozenset(_norm_edge(e) for e in edges)
@@ -44,6 +44,7 @@ class Graph:
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
         self._seps = {}  # k -> separations of order < k, filled by separations.py
+        self._nbrs = None  # per-vertex neighbour masks, filled by components()
 
     # -- basic queries -------------------------------------------------
 
@@ -90,11 +91,6 @@ class Graph:
             raise GraphError(f"vertices not in graph: {sorted(unknown)}")
         return Graph(vs, (e for e in self.edges if e[0] in vs and e[1] in vs))
 
-    def minus_vertex(self, v):
-        if v not in self._adj:
-            raise GraphError(f"no such vertex {v}")
-        return self.induced(set(self.vertices) - {v})
-
     def plus_edge(self, u, v):
         return Graph(self.vertices, self.edges | {_norm_edge((u, v))})
 
@@ -104,28 +100,31 @@ class Graph:
         return {e for e in self.edges if e[0] in vs and e[1] in vs}
 
     def is_connected(self):
-        if not self.vertices:
-            return False
-        return len(self.component_vertex_sets()) == 1
+        return len(self.components()) == 1
 
     def component_vertex_sets(self):
         """Vertex sets of components, ordered by smallest contained label."""
-        seen = set()
+        return [self.labels_of(m) for m in self.components()]
+
+    def components(self, mask=None):
+        """Component masks of the subgraph induced by mask (default: all
+        vertices), ordered by lowest bit, that is by smallest label."""
+        nbrs = self._nbrs
+        if nbrs is None:
+            nbrs = self._nbrs = [self.mask_of(self._adj[v]) for v in self.vertices]
+        rest = self.full_mask() if mask is None else mask
         comps = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            stack = [root]
-            comp = {root}
-            seen.add(root)
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
+        while rest:
+            comp = grow = rest & -rest
+            rest ^= comp
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                new = nbrs[low.bit_length() - 1] & rest
+                comp |= new
+                grow |= new
+                rest ^= new
+            comps.append(comp)
         return comps
 
     def min_degree(self):
@@ -143,12 +142,10 @@ class Graph:
     def labels_of(self, mask):
         vs = self.vertices
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(vs[i])
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(vs[low.bit_length() - 1])
+            mask ^= low
         return frozenset(out)
 
     def full_mask(self):
@@ -182,10 +179,10 @@ def suppress_vertex(g: Graph, v) -> Graph:
     if g.degree(v) != 2:
         raise GraphError(f"not suppressible: vertex {v} has degree {g.degree(v)}")
     u, w = sorted(g.neighbors(v))
-    h = g.minus_vertex(v)
-    if not h.has_edge(u, w):
-        h = h.plus_edge(u, w)
-    return h
+    return Graph(
+        (x for x in g.vertices if x != v),
+        {e for e in g.edges if v not in e} | {(u, w)},
+    )
 
 
 def components(g: Graph) -> list:

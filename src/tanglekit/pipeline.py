@@ -238,17 +238,48 @@ def parse_trace(text: str) -> ReductionTrace:
 
     root_graph = G.parse_edgelist(section(root, "ROOT-GRAPH", "trace")[1])
     root_tangle = parse_tangle(section(root, "ROOT-TANGLE", "trace")[1], root_graph)
-    out = []
+    out, prev = [], root_graph
     for n, d in enumerate(steps, start=1):
         where = f"step {n}"
-        kind = section(d, "KIND", where)[0].split()[1:]
-        if not kind:
+        words = section(d, "KIND", where)[0].split()[1:]
+        if not words:
             raise PipelineError(f"{where} has a KIND line without a kind")
+        kind, detail = words[0], words[1:]
+        if kind not in _DETAIL_ARITY:
+            raise PipelineError(f"{where} has unknown kind {kind!r}")
+        arity = _DETAIL_ARITY[kind]
+        if len(detail) != arity or not all(x.isdecimal() for x in detail):
+            raise PipelineError(
+                f"{where}: {kind} needs {arity} vertex label(s), got {detail}"
+            )
+        detail = tuple(map(int, detail))
         graph = G.parse_edgelist(section(d, "GRAPH", where)[1])
+        try:
+            replayed = _replay(prev, kind, detail)
+        except G.GraphError as err:
+            raise PipelineError(f"{where}: cannot replay {kind}: {err}")
+        if graph != replayed:
+            raise PipelineError(
+                f"{where}: GRAPH is not what {kind} makes of the previous graph"
+            )
         out.append(ReductionStep(
-            kind=kind[0],
-            detail=tuple(int(x) for x in kind[1:]),
+            kind=kind,
+            detail=detail,
             rule=section(d, "RULE", where)[0][len("RULE "):],
             tangle=parse_tangle(section(d, "TANGLE", where)[1], graph),
         ))
+        prev = graph
     return ReductionTrace(root_graph, root_tangle, tuple(out))
+
+
+_DETAIL_ARITY = {"delete_edge": 2, "suppress_vertex": 1, "take_component": 1}
+
+
+def _replay(g: Graph, kind, detail) -> Graph:
+    """The graph a step of this kind and detail makes of g."""
+    if kind == "delete_edge":
+        return G.delete_edge(g, detail)
+    if kind == "suppress_vertex":
+        return G.suppress_vertex(g, *detail)
+    comps = [c for c in g.component_vertex_sets() if detail[0] in c]
+    return g.induced(comps[0] if comps else detail)  # a label outside g raises

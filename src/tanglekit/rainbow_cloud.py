@@ -459,21 +459,23 @@ def extend_after_deletion(
             raise RainbowError("minimum degree below 3")
     if rc.adhesion + len(rc.sun) < 1:
         raise RainbowError("adhesion and sun cannot both be empty")
-    u, v = tuple(e)
     g2 = delete_edge(g, e)
+    full, ends = g2.full_mask(), g2.mask_of(e)
+    cloud = g2.mask_of(rc.cloud & g2.vertex_set())
     members = []
     for s in enumerate_separations(g2, k):
         forced = forced_orientation(tau, s)
         if forced is not None:
             members.append(forced)
             continue
-        comps = g2.induced(g2.vertex_set() - (s.small & s.big)).component_vertex_sets()
-        comp_small = next((c for c in comps if c & {u, v} and c <= s.small), None)
-        comp_big = next((c for c in comps if c & {u, v} and c <= s.big), None)
+        small, big = g2.mask_of(s.small), g2.mask_of(s.big)
+        comps = g2.components(full & ~(small & big))
+        comp_small = next((c for c in comps if c & ends and not c & ~small), None)
+        comp_big = next((c for c in comps if c & ends and not c & ~big), None)
         if comp_small is None or comp_big is None:
             raise RainbowError("unforced separation does not isolate the edge ends")
-        small_meets = bool(comp_small & rc.cloud)
-        big_meets = bool(comp_big & rc.cloud)
+        small_meets = bool(comp_small & cloud)
+        big_meets = bool(comp_big & cloud)
         if small_meets == big_meets:
             raise RainbowError("cloud reachability fails to decide an orientation")
         members.append(s if big_meets else s.inverse())

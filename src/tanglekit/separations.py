@@ -114,26 +114,14 @@ def _enumerate_separations(g: Graph, k):
     with that side, so a separation and its inverse share both sides.
     """
     n = len(g.vertices)
-    adj = [g.mask_of(g.neighbors(v)) for v in g.vertices]
-    full = (1 << n) - 1
+    full = g.full_mask()
     pairs = []
     for size in range(min(k, n + 1)):
         for S in itertools.combinations(range(n), size):
             sm = 0
             for i in S:
                 sm |= 1 << i
-            comps = []
-            rest = full & ~sm
-            while rest:
-                comp = grow = rest & -rest
-                while grow:
-                    low = grow & -grow
-                    grow ^= low
-                    new = adj[low.bit_length() - 1] & rest & ~comp
-                    comp |= new
-                    grow |= new
-                comps.append(comp)
-                rest &= ~comp
+            comps = g.components(full & ~sm)
             for pick in itertools.product((0, 1), repeat=len(comps)):
                 small = big = sm
                 for side, comp in zip(pick, comps):
@@ -229,11 +217,3 @@ def parse_separation(line: str) -> OrientedSeparation:
         return OrientedSeparation(parse(small), parse(big))
     except ValueError:
         raise GraphError(f"bad separation line: {line!r}")
-
-
-def format_separations(seps) -> str:
-    return "".join(format_separation(s) + "\n" for s in seps)
-
-
-def parse_separations(text: str):
-    return [parse_separation(l) for l in text.splitlines() if l.strip()]

@@ -9,9 +9,15 @@ tangles of the reduced graph.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, components, delete_edge, suppress_vertex
+from .graphs import Graph, delete_edge, suppress_vertex
 from .separations import OrientedSeparation, enumerate_separations
-from .tangles import Tangle, TangleError, maximal_members, search_extension
+from .tangles import (
+    Tangle,
+    TangleError,
+    enumerate_tangles,
+    maximal_members,
+    search_extension,
+)
 
 
 def _require(cond, msg):
@@ -251,8 +257,6 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
     first (then any edge works; the smallest is taken), otherwise uses a
     diverging one.
     """
-    from .tangles import enumerate_tangles
-
     _require(tau.k >= 2, "needs order >= 2")
     supers = enumerate_tangles(g, tau.k + 1)
     _require(bool(supers), "no higher-order tangle exists")

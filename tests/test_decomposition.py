@@ -117,6 +117,21 @@ def test_max_linkage_matches_flow_oracle(small_graphs):
             assert len(got) == nx_node_connectivity(g, S, T)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linkage_matches_flow_oracle_property(data):
+    labels = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    g = Graph(labels, edges)
+    S = data.draw(st.sets(st.sampled_from(labels)))
+    T = data.draw(st.sets(st.sampled_from(labels)))
+    got = vertex_disjoint_paths(g, S, T)
+    check_paths_valid(g, S, T, got)
+    assert got == sorted(got)
+    assert len(got) == max_linkage_size(g, S, T) == nx_node_connectivity(g, S, T)
+
+
 def test_max_linkage_size_complete_graph():
     g = complete_graph(6)
     assert max_linkage_size(g, {0, 1, 2}, {3, 4, 5}) == 3

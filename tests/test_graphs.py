@@ -95,6 +95,29 @@ def test_edgelist_round_trip():
     assert parse_edgelist("# comment\n3\n0 1\n") == Graph([0, 1, 3], [(0, 1)])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_components_match_networkx(data):
+    labels = data.draw(st.lists(st.integers(0, 60), max_size=9, unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    g = Graph(labels, edges)
+    full = g.full_mask()
+    mask = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+    h = nx.Graph()
+    h.add_nodes_from(labels)
+    h.add_edges_from(edges)
+    want = sorted(
+        (frozenset(c) for c in nx.connected_components(h.subgraph(g.labels_of(mask)))),
+        key=min,
+    )
+    assert [g.labels_of(m) for m in g.components(mask)] == want
+    if mask == full:
+        assert g.components() == g.components(mask)
+        assert g.component_vertex_sets() == want
+        assert g.is_connected() == (len(want) == 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.data())
 def test_graph6_round_trip_vs_networkx(n, data):

@@ -363,10 +363,26 @@ def test_cli_reports_exhaustion_without_traceback(k4_file, capsys, monkeypatch, 
     assert capsys.readouterr().err == f"error: {shown}\n"
 
 
+# edits of the first step of the subdivided K4's trace that parse_trace
+# refuses: case -> (old text, new text, part of the error message)
+STEP_EDITS = {
+    "unknown kind": ("KIND suppress_vertex", "KIND frobnicate", "unknown kind 'frobnicate'"),
+    "detail of wrong arity": ("KIND suppress_vertex 4", "KIND suppress_vertex 4 5", "needs 1"),
+    "detail not an integer": ("KIND suppress_vertex 4", "KIND suppress_vertex x", "needs 1"),
+    "edge of one vertex": ("KIND suppress_vertex 4", "KIND delete_edge 4", "needs 2"),
+    "component without label": ("KIND suppress_vertex 4", "KIND take_component", "needs 1"),
+    "vertex not suppressible": ("KIND suppress_vertex 4", "KIND suppress_vertex 0", "cannot replay"),
+    "other edge deleted": ("KIND suppress_vertex 4", "KIND delete_edge 0 4", "GRAPH is not what"),
+    "component of all": ("KIND suppress_vertex 4", "KIND take_component 0", "GRAPH is not what"),
+    # GRAPH loses the edge 0 5, which suppressing vertex 4 keeps
+    "graph not replayed": ("\nGRAPH\n0 1\n0 5\n", "\nGRAPH\n0 1\n", "GRAPH is not what"),
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["empty trace", "no root tangle", "step without kind", "weights not an object",
-     "tangle index too large", "negative tangle index"],
+    ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
+     "weights not an object", "tangle index too large", "negative tangle index"],
 )
 def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     g = subdivided_k4()
@@ -379,6 +395,9 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
             l for l in text.splitlines(True) if not l.startswith("KIND")
         ),
     }
+    for name, (old, new, _) in STEP_EDITS.items():
+        assert old in text
+        traces[name] = text.replace(old, new, 1)
     tr, wt, tri = tmp_path / "trace.txt", tmp_path / "w.json", tmp_path / "tri.edges"
     tr.write_text(traces.get(case, text))
     wt.write_text("[1, 2]")
@@ -393,6 +412,7 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
 
 
 def test_cli_usage_errors():
