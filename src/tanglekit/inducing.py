@@ -65,73 +65,113 @@ def induces_set(tau: Tangle, x) -> bool:
     return all(len(x & s.small) < len(x & s.big) for s in tau.members)
 
 
+def _maximal_sides(tau: Tangle):
+    """(small - big, big - small) as vertex-index masks, per <=-maximal member."""
+    g = tau.graph
+    out = []
+    for s in tau.maximal_members():
+        a, b = g.mask_of(s.small), g.mask_of(s.big)
+        out.append((a & ~b, b & ~a))
+    return out
+
+
 def find_inducing_set(tau: Tangle, max_size=None):
     """Smallest inducing vertex set, lexicographic tiebreak, else None.
 
-    Vertices of the core (intersection of big sides) are tried first within
-    each size: a member never outvotes itself there, so they prune fastest.
+    Sizes run from 1 to max_size (default: all vertices).  Within a size,
+    index combinations come in lexicographic order, which is label order,
+    so the first inducing one is the answer.
+
+    Only the <=-maximal members are checked.  If s <= t then
+    small(s) - big(s) is inside small(t) - big(t) and big(s) - small(s)
+    contains big(t) - small(t), so a set that outvotes t outvotes s; and
+    every member lies below a maximal one.
     """
     g = tau.graph
+    n = len(g.vertices)
     if max_size is None:
-        max_size = len(g.vertices)
-    core = tau.core()
-    order = sorted(core) + sorted(g.vertex_set() - core)
-    members = tau.sorted_members()
+        max_size = n
+    elif max_size < 0:
+        raise InducingError(f"negative set size bound {max_size}")
+    cons = _maximal_sides(tau)
+    bits = [1 << i for i in range(n)]
     for size in range(1, max_size + 1):
-        best = None
-        for combo in combinations(order, size):
-            x = frozenset(combo)
-            if all(len(x & s.small) < len(x & s.big) for s in members):
-                if best is None or tuple(sorted(x)) < best:
-                    best = tuple(sorted(x))
-        if best is not None:
-            return frozenset(best)
+        for combo in combinations(bits, size):
+            x = sum(combo)  # distinct bits: the sum is the union
+            if all((x & neg).bit_count() < (x & pos).bit_count() for neg, pos in cons):
+                return frozenset(g.labels_of(x))
     return None
 
 
 def find_inducing_weights(tau: Tangle, budget):
     """A minimum-total weight function inducing tau with total <= budget.
 
-    Exact search: totals ascending, weight vectors by depth-first
-    composition with per-constraint feasibility pruning (a partial
-    assignment is dropped when no distribution of the remaining budget can
-    tip every member toward its big side).
+    Exact search: totals ascending, and for each total the weight vectors
+    depth first, vertex by vertex in label order with each weight
+    ascending.  A node is dropped when some member's balance
+    w(big - small) - w(small - big) over the weights set so far, plus the
+    remaining budget if a vertex of big - small is still unweighted, is
+    below 1: no completion can tip that member toward its big side.
+
+    Only the <=-maximal members are checked.  If s <= t then
+    big(t) - small(t) is inside big(s) - small(s) and small(t) - big(t)
+    contains small(s) - big(s), so for nonnegative weights t's balance is
+    at most s's, and an unweighted vertex on t's side is one on s's side.
+    Every member lies below a maximal one, so a node that passes every
+    maximal member passes every member: the search prunes the same nodes
+    in the same order as over all members.  The balances are kept per
+    maximal member, updated as weights are set and cleared.
     """
+    if budget < 0:
+        raise InducingError(f"negative weight budget {budget}")
     g = tau.graph
-    verts = list(g.vertices)
-    # per member: vertices that push the wrong way / the right way
-    cons = [(s.small - s.big, s.big - s.small) for s in tau.sorted_members()]
+    n = len(g.vertices)
+    cons = _maximal_sides(tau)
+    # moves[i]: (member, +1 or -1) for each balance that vertex i enters
+    moves = [
+        [(j, 1 if pos >> i & 1 else -1) for j, (neg, pos) in enumerate(cons)
+         if (neg | pos) >> i & 1]
+        for i in range(n)
+    ]
+    # live[i]: members with a vertex of big - small at index >= i, whose
+    # balance the remaining budget can still raise; done[i]: the rest
+    live = [[j for j, (_, pos) in enumerate(cons) if pos >> i] for i in range(n + 1)]
+    done = [[j for j, (_, pos) in enumerate(cons) if not pos >> i] for i in range(n + 1)]
 
-    def feasible(assigned, idx, remaining):
-        rest = verts[idx:]
-        for neg, pos in cons:
-            got = sum(w for v, w in assigned.items() if v in pos) - sum(
-                w for v, w in assigned.items() if v in neg
-            )
-            slack = remaining if any(v in pos for v in rest) else 0
-            if got + slack < 1:
-                return False
-        return True
-
-    def dfs(assigned, idx, remaining):
-        if not feasible(assigned, idx, remaining):
-            return None
-        if idx == len(verts):
-            return dict(assigned) if remaining == 0 else None
-        v = verts[idx]
-        for w in range(remaining + 1):
-            if w:
-                assigned[v] = w
-            got = dfs(assigned, idx + 1, remaining - w)
-            assigned.pop(v, None)
-            if got is not None:
-                return got
-        return None
+    def first_of_total(total):
+        w = [0] * n
+        bal = [0] * len(cons)
+        i, rem = 0, total  # the node: weights of vertices < i set, rem left
+        while True:
+            if all(bal[j] > 0 for j in done[i]) and all(
+                bal[j] + rem > 0 for j in live[i]
+            ):
+                if i < n:
+                    i += 1  # first child: weight 0 on vertex i
+                    continue
+                if rem == 0:
+                    return w
+            # next sibling: one more unit on vertex i - 1, after clearing
+            # the vertices whose weights are used up
+            while not rem and i:
+                i -= 1
+                x = w[i]
+                if x:
+                    w[i] = 0
+                    rem += x
+                    for j, c in moves[i]:
+                        bal[j] -= c * x
+            if i == 0:
+                return None
+            w[i - 1] += 1
+            rem -= 1
+            for j, c in moves[i - 1]:
+                bal[j] += c
 
     for total in range(budget + 1):
-        got = dfs({}, 0, total)
+        got = first_of_total(total)
         if got is not None:
-            return WeightFunction(got)
+            return WeightFunction(zip(g.vertices, got))
     return None
 
 

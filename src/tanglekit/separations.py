@@ -207,13 +207,16 @@ def format_separation(s: OrientedSeparation) -> str:
     return f"[{a}] [{b}]"
 
 
+def _parse_side(part: str) -> frozenset:
+    """Comma-separated integers; blank items are skipped."""
+    return frozenset(map(int, filter(str.strip, part.split(","))))
+
+
 def parse_separation(line: str) -> OrientedSeparation:
     line = line.strip()
     try:
         left, right = line.split("] [")
-        small = left.lstrip("[")
-        big = right.rstrip("]")
-        parse = lambda part: frozenset(int(x) for x in part.split(",") if x.strip())
-        return OrientedSeparation(parse(small), parse(big))
+        small, big = _parse_side(left.lstrip("[")), _parse_side(right.rstrip("]"))
+        return OrientedSeparation(small, big)
     except ValueError:
         raise GraphError(f"bad separation line: {line!r}")

@@ -127,6 +127,7 @@ class Tangle:
         self.graph = graph
         self.k = k
         self.members = frozenset(members)
+        self._maximal = None  # <=-maximal members, filled by maximal_members()
         self._by_key = {}
         for s in self.members:
             key = s.canonical_key()
@@ -162,7 +163,10 @@ class Tangle:
         return sorted(self.members, key=OrientedSeparation.sort_key)
 
     def maximal_members(self):
-        return maximal_members(self.graph, self.members)
+        """<=-maximal members in sort-key order, computed once per tangle."""
+        if self._maximal is None:
+            self._maximal = tuple(maximal_members(self.graph, self.members))
+        return list(self._maximal)
 
     def core(self) -> frozenset:
         """Intersection of all big sides.

@@ -2,9 +2,10 @@
 
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
@@ -21,6 +22,8 @@ from tanglekit.inducing import (
     transfer_by_zero,
     verify_p11_batch,
 )
+
+from conftest import atlas_graphs
 
 
 def brute_min_inducing_sets(tau):
@@ -48,6 +51,91 @@ def brute_min_weight_total(tau, budget):
             if induces_weight(tau, w):
                 return total
     return None
+
+
+def find_inducing_set_reference(tau, max_size=None):
+    """Inducing-set search over all members with frozenset counts, core
+    vertices first within each size, every combination of a size scanned."""
+    g = tau.graph
+    if max_size is None:
+        max_size = len(g.vertices)
+    core = tau.core()
+    order = sorted(core) + sorted(g.vertex_set() - core)
+    members = tau.sorted_members()
+    for size in range(1, max_size + 1):
+        best = None
+        for combo in itertools.combinations(order, size):
+            x = frozenset(combo)
+            if all(len(x & s.small) < len(x & s.big) for s in members):
+                if best is None or tuple(sorted(x)) < best:
+                    best = tuple(sorted(x))
+        if best is not None:
+            return frozenset(best)
+    return None
+
+
+def find_inducing_weights_reference(tau, budget):
+    """Weight search over all members, each node summing the assigned
+    weights per member from scratch."""
+    verts = list(tau.graph.vertices)
+    cons = [(s.small - s.big, s.big - s.small) for s in tau.sorted_members()]
+
+    def feasible(assigned, idx, remaining):
+        rest = verts[idx:]
+        for neg, pos in cons:
+            got = sum(w for v, w in assigned.items() if v in pos) - sum(
+                w for v, w in assigned.items() if v in neg
+            )
+            slack = remaining if any(v in pos for v in rest) else 0
+            if got + slack < 1:
+                return False
+        return True
+
+    def dfs(assigned, idx, remaining):
+        if not feasible(assigned, idx, remaining):
+            return None
+        if idx == len(verts):
+            return dict(assigned) if remaining == 0 else None
+        v = verts[idx]
+        for w in range(remaining + 1):
+            if w:
+                assigned[v] = w
+            got = dfs(assigned, idx + 1, remaining - w)
+            assigned.pop(v, None)
+            if got is not None:
+                return got
+        return None
+
+    for total in range(budget + 1):
+        got = dfs({}, 0, total)
+        if got is not None:
+            return WeightFunction(got)
+    return None
+
+
+def check_against_references(g, k):
+    for tau in enumerate_tangles(g, k):
+        x = find_inducing_set(tau)
+        assert x == find_inducing_set_reference(tau)
+        if x is not None:
+            below = len(x) - 1
+            assert find_inducing_set(tau, below) == find_inducing_set_reference(tau, below)
+        budget = 32 if x is None else len(x)
+        w = find_inducing_weights(tau, budget)
+        assert w == find_inducing_weights_reference(tau, budget)
+        if w is not None and w.total:
+            less = w.total - 1
+            assert find_inducing_weights(tau, less) is None
+            assert find_inducing_weights_reference(tau, less) is None
+
+
+@st.composite
+def labelled_graphs(draw, max_n=6):
+    """Graphs on up to max_n vertices with arbitrary distinct labels."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_n, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(labels, edges)
 
 
 # -- WeightFunction ---------------------------------------------------------------
@@ -168,6 +256,42 @@ def test_weight_beats_set_never(small_graphs):
                 continue
             w = find_inducing_weights(tau, budget=len(x))
             assert w is not None and w.total <= len(x)
+
+
+def test_negative_limits_are_refused():
+    (tau,) = enumerate_tangles(complete_graph(4), 3)
+    with pytest.raises(InducingError, match="negative"):
+        find_inducing_set(tau, max_size=-1)
+    with pytest.raises(InducingError, match="negative"):
+        find_inducing_weights(tau, budget=-3)
+    assert find_inducing_set(tau, max_size=0) is None
+
+
+# -- agreement with the all-member searches ----------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs(), st.integers(1, 4))
+def test_searches_match_references_property(g, k):
+    check_against_references(g, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_searches_match_references_seeded_atlas7(seed):
+    graphs = atlas_graphs(7, connected_only=True, min_n=7)
+    for g in random.Random(seed).sample(graphs, 8):
+        for k in (1, 2, 3, 4):
+            check_against_references(g, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(), st.integers(1, 4), st.data())
+def test_maximal_members_decide_weight_induction(g, k, data):
+    weights = st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 4))
+    for tau in enumerate_tangles(g, k):
+        w = WeightFunction(data.draw(weights))
+        on_maximal = all(w.side(s.small) < w.side(s.big) for s in tau.maximal_members())
+        assert on_maximal == induces_weight(tau, w)
 
 
 # -- transfer ---------------------------------------------------------------------------

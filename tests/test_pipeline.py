@@ -1,6 +1,10 @@
 """The reduction driver, witnessing subgraphs, traces, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +299,39 @@ def test_cli_induce(k4_file, capsys):
 
 def test_cli_induce_no_tangle(k4_file, capsys):
     assert main(["induce", str(k4_file), "--k", "4"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", "K4", "--k", "3", "--budget", "-3"],
+        ["induce", "K4", "--k", "3", "--max-size", "-1"],
+        ["p11", "--k", "3", "--stream", "K4.g6", "--max-set-size", "-1"],
+    ],
+)
+def test_cli_refuses_negative_limits(argv, k4_file, tmp_path, capsys):
+    from tanglekit.graphs import graph6_encode
+
+    stream = tmp_path / "K4.g6"
+    stream.write_text(graph6_encode(complete_graph(4)) + "\n")
+    files = {"K4": str(k4_file), "K4.g6": str(stream)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "negative" in err
+
+
+def test_python_m_tanglekit_runs_the_cli(k4_file):
+    import tanglekit
+
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["induce", str(k4_file), "--k", "3", "--budget", "-1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanglekit", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_cli_p11_stream_and_guards(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglekit.graphs import Graph, complete_graph, cycle_graph, delete_edge, path_graph
+from tanglekit.graphs import Graph, GraphError, complete_graph, cycle_graph, delete_edge, path_graph
 from tanglekit.separations import (
     OrientedSeparation,
     are_crossing,
@@ -191,6 +191,48 @@ def _oracle_longest_chain(g, k):
 def test_serialization_round_trip():
     s = sep(frozenset({0, 1}), frozenset({1, 2, 3}))
     assert parse_separation(format_separation(s)) == s
+
+
+def parse_separation_reference(line):
+    """The per-item generator parser, kept to pin down what is accepted."""
+    line = line.strip()
+    try:
+        left, right = line.split("] [")
+        small = left.lstrip("[")
+        big = right.rstrip("]")
+        parse = lambda part: frozenset(int(x) for x in part.split(",") if x.strip())
+        return OrientedSeparation(parse(small), parse(big))
+    except ValueError:
+        raise GraphError(f"bad separation line: {line!r}")
+
+
+def parse_outcome(parse, line):
+    try:
+        return parse(line)
+    except GraphError as exc:
+        return ("GraphError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="[] ,0123-+_x\t", max_size=16),
+    st.builds(
+        "{}] [{}".format,
+        st.text(alphabet="[ ,012-_", max_size=8),
+        st.text(alphabet="] ,012+", max_size=8),
+    ),
+))
+def test_parse_separation_matches_reference(line):
+    assert parse_outcome(parse_separation, line) == parse_outcome(
+        parse_separation_reference, line
+    )
+
+
+@pytest.mark.parametrize("line", ["[0, 1] [1,2]", " [[3] [3,4]] ", "[,0,] [ ]", "[1,,2] [2]"])
+def test_parse_separation_examples(line):
+    assert parse_outcome(parse_separation, line) == parse_outcome(
+        parse_separation_reference, line
+    )
 
 
 @settings(max_examples=100, deadline=None)
