@@ -25,7 +25,11 @@ class WeightFunction:
     def __init__(self, weights):
         if isinstance(weights, WeightFunction):
             weights = weights.weights
-        self.weights = {v: int(w) for v, w in dict(weights).items() if int(w) != 0}
+        weights = dict(weights)
+        for v, w in weights.items():
+            if isinstance(w, bool) or not isinstance(w, int):
+                raise InducingError(f"weight of vertex {v!r} is not an integer: {w!r}")
+        self.weights = {v: int(w) for v, w in weights.items() if w != 0}
         if any(w < 0 for w in self.weights.values()):
             raise InducingError("weights must be nonnegative")
 

@@ -27,12 +27,12 @@ from .survival import (
 from .tangles import (
     Tangle,
     TangleError,
+    _parse_tangle,
     cover_masks,
     covering_triple,
     extends,
     format_tangle,
     is_tangle,
-    parse_tangle,
 )
 
 
@@ -236,8 +236,12 @@ def parse_trace(text: str) -> ReductionTrace:
             raise PipelineError(f"{where} has no {name} section")
         return d[name][0], "\n".join(d[name][1:])
 
+    # side text -> frozenset: consecutive tangles of a trace share most sides
+    sides = {}
     root_graph = G.parse_edgelist(section(root, "ROOT-GRAPH", "trace")[1])
-    root_tangle = parse_tangle(section(root, "ROOT-TANGLE", "trace")[1], root_graph)
+    root_tangle = _parse_tangle(
+        section(root, "ROOT-TANGLE", "trace")[1], root_graph, sides
+    )
     out, prev = [], root_graph
     for n, d in enumerate(steps, start=1):
         where = f"step {n}"
@@ -266,7 +270,7 @@ def parse_trace(text: str) -> ReductionTrace:
             kind=kind,
             detail=detail,
             rule=section(d, "RULE", where)[0][len("RULE "):],
-            tangle=parse_tangle(section(d, "TANGLE", where)[1], graph),
+            tangle=_parse_tangle(section(d, "TANGLE", where)[1], graph, sides),
         ))
         prev = graph
     return ReductionTrace(root_graph, root_tangle, tuple(out))

@@ -159,19 +159,19 @@ class CrossingInfo:
         return self.direction != "none"
 
 
-def _clockwise_indices(rc: RCDecomposition, s: OrientedSeparation, k: int):
-    """Minimal early bag inside A\\B and maximal late bag inside B\\A."""
+def _clockwise_indices(rc: RCDecomposition, a_strict, b_strict, k: int):
+    """Minimal early bag inside a_strict and maximal late bag inside b_strict."""
     M = rc.length
-    a_strict = s.small - s.big
-    b_strict = s.big - s.small
     i_min = next(
         (i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict), None
     )
+    if i_min is None:
+        return None
     j_max = next(
         (j for j in range(M, max(M - 2 * k, 0) - 1, -1) if rc.bags[j] <= b_strict),
         None,
     )
-    if i_min is None or j_max is None:
+    if j_max is None:
         return None
     return i_min, j_max
 
@@ -186,8 +186,9 @@ def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k=None) -> Cro
     """
     if k is None:
         k = s.order
-    fwd = _clockwise_indices(rc, s, k)
-    bwd = None if fwd is not None else _clockwise_indices(rc, s.inverse(), k)
+    a_strict, b_strict = s.small - s.big, s.big - s.small
+    fwd = _clockwise_indices(rc, a_strict, b_strict, k)
+    bwd = None if fwd is not None else _clockwise_indices(rc, b_strict, a_strict, k)
     if fwd is None and bwd is None:
         return CrossingInfo("none")
     if not rc.sun <= s.small & s.big:
@@ -210,7 +211,7 @@ def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k=None):
     i, j = info.i_min, info.j_max
     if not i + 1 <= h <= j:
         raise RainbowError(f"split index {h} out of range {i + 1}..{j}")
-    return _splits(rc, s, i, j, (h,))[h]
+    return _splits(rc, s, i, j, range(h, h + 1))[h]
 
 
 def split_family(rc: RCDecomposition, s: OrientedSeparation, k=None):
@@ -223,10 +224,27 @@ def split_family(rc: RCDecomposition, s: OrientedSeparation, k=None):
 
 
 def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
-    """The splits h in hs of a clockwise crossing with window (i, j)."""
-    outer = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, rc.length)
-    small, big = (s.small & outer) | rc.sun, (s.big & outer) | rc.sun
-    return {h: sep(small | rc.bag_union(i, h - 1), rc.bag_union(h, j) | big) for h in hs}
+    """The splits h in hs, a range within i+1 .. j, of a clockwise crossing
+    with window (i, j).
+
+    Split h has bags i..h-1 on its small side and bags h..j on its big
+    side.  Past the bags outside hs, one running union from the left gives
+    every small side and one from the right every big side.
+    """
+    bags = rc.bags
+    outer = rc.cloud.union(*bags[:i], *bags[j + 1 :])
+    small = ((s.small & outer) | rc.sun).union(*bags[i : hs.start - 1])
+    big = ((s.big & outer) | rc.sun).union(*bags[hs.stop : j + 1])
+    smalls = []
+    for h in hs:
+        small = small | bags[h - 1]
+        smalls.append(small)
+    bigs = []
+    for h in reversed(hs):
+        big = bags[h] | big
+        bigs.append(big)
+    bigs.reverse()
+    return {h: sep(a, b) for h, a, b in zip(hs, smalls, bigs)}
 
 
 def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k=None) -> bool:
@@ -235,10 +253,8 @@ def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k=None) -> bool:
     if k is None:
         k = s.order
     M = rc.length
-    for a_strict, b_strict in (
-        (s.small - s.big, s.big - s.small),
-        (s.big - s.small, s.small - s.big),
-    ):
+    a, b = s.small - s.big, s.big - s.small
+    for a_strict, b_strict in ((a, b), (b, a)):
         early = [i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict]
         late = [j for j in range(max(M - 2 * k, 0), M + 1) if rc.bags[j] <= a_strict]
         if not early or not late:

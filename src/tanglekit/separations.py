@@ -207,16 +207,27 @@ def format_separation(s: OrientedSeparation) -> str:
     return f"[{a}] [{b}]"
 
 
-def _parse_side(part: str) -> frozenset:
-    """Comma-separated integers; blank items are skipped."""
-    return frozenset(map(int, filter(str.strip, part.split(","))))
+def _parse_side(part: str, sides: dict) -> frozenset:
+    """Comma-separated integers; blank items are skipped.
+
+    sides maps side texts already parsed to their frozensets, so a text
+    that repeats is parsed once and its set is shared.
+    """
+    got = sides.get(part)
+    if got is None:
+        got = sides[part] = frozenset(map(int, filter(str.strip, part.split(","))))
+    return got
 
 
 def parse_separation(line: str) -> OrientedSeparation:
+    return _parse_separation(line, {})
+
+
+def _parse_separation(line: str, sides: dict) -> OrientedSeparation:
     line = line.strip()
     try:
         left, right = line.split("] [")
-        small, big = _parse_side(left.lstrip("[")), _parse_side(right.rstrip("]"))
-        return OrientedSeparation(small, big)
+        small = _parse_side(left.lstrip("["), sides)
+        return OrientedSeparation(small, _parse_side(right.rstrip("]"), sides))
     except ValueError:
         raise GraphError(f"bad separation line: {line!r}")

@@ -200,15 +200,23 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
 
     An orientation is forced when it sits below some member of tau.
     Consistency of tau makes the forced orientation unique.
+
+    Only tau's <=-maximal members are compared.  This is exact: every
+    member t lies below some maximal member m and <= is transitive, so
+    s <= t gives s <= m; conversely every maximal member is a member.  So
+    both the answer and the "forces both orientations" error are those
+    of a scan over all members.
     """
-    fwd = any(s.le(t) for t in tau.members)
-    bwd = any(s.inverse().le(t) for t in tau.members)
+    inv = s.inverse()
+    maximal = tau.maximal_members()
+    fwd = any(s.le(t) for t in maximal)
+    bwd = any(inv.le(t) for t in maximal)
     if fwd and bwd:
         raise TangleError("tangle forces both orientations; it is inconsistent")
     if fwd:
         return s
     if bwd:
-        return s.inverse()
+        return inv
     return None
 
 

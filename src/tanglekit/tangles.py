@@ -13,9 +13,9 @@ from __future__ import annotations
 from .graphs import Graph, GraphError
 from .separations import (
     OrientedSeparation,
+    _parse_separation,
     enumerate_separations,
     format_separation,
-    parse_separation,
     restrict_to_subgraph,
 )
 
@@ -409,6 +409,11 @@ def format_tangle(t: Tangle) -> str:
 
 
 def parse_tangle(text: str, g: Graph) -> Tangle:
+    return _parse_tangle(text, g, {})
+
+
+def _parse_tangle(text: str, g: Graph, sides: dict) -> Tangle:
+    """parse_tangle, sharing the side-text memo sides with other calls."""
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].startswith("order "):
         raise GraphError("tangle text must start with 'order <k>'")
@@ -416,5 +421,5 @@ def parse_tangle(text: str, g: Graph) -> Tangle:
         k = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GraphError("bad order line")
-    members = [parse_separation(l) for l in lines[1:]]
+    members = [_parse_separation(l, sides) for l in lines[1:]]
     return Tangle(g, k, members)

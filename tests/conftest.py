@@ -2,8 +2,10 @@ import functools
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from tanglekit.graphs import Graph
+from tanglekit.rainbow_cloud import RCDecomposition, synth_rc
 
 
 def nx_to_graph(h) -> Graph:
@@ -46,3 +48,25 @@ def connected_graphs_6():
 @pytest.fixture(scope="session")
 def connected_graphs_7():
     return atlas_graphs(7, connected_only=True)
+
+
+def relabel_rc(g, rc, clique, perm):
+    """A synth_rc triple with every vertex v renamed perm[v]."""
+    h = Graph([perm[v] for v in g.vertices], [(perm[a], perm[b]) for a, b in g.edges])
+
+    def image(vs):
+        return frozenset(perm[v] for v in vs)
+
+    rc = RCDecomposition(h, tuple(map(image, rc.bags)), image(rc.sun), image(rc.cloud))
+    return h, rc, image(clique)
+
+
+@st.composite
+def synth_rc_instances(draw, max_length=5):
+    """synth_rc(M, ell, z) with M <= max_length, ell and z in 0..2 (not both
+    0), under a random relabelling of its vertices."""
+    ell, z = draw(st.sampled_from([(a, b) for a in range(3) for b in range(3) if a or b]))
+    g, rc, clique = synth_rc(draw(st.integers(1, max_length)), ell, z)
+    vs = sorted(g.vertices)
+    perm = dict(zip(vs, draw(st.permutations(vs))))
+    return relabel_rc(g, rc, clique, perm)

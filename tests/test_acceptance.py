@@ -35,7 +35,13 @@ from tanglekit.inducing import (
     transfer_by_zero,
     verify_p11_batch,
 )
-from tanglekit.pipeline import is_witness, reduce, witness_subgraph
+from tanglekit.pipeline import (
+    format_trace,
+    is_witness,
+    parse_trace,
+    reduce,
+    witness_subgraph,
+)
 from tanglekit.rainbow_cloud import (
     classify_cross_or_slice,
     classify_crossing,
@@ -446,6 +452,18 @@ def test_c11_witness_subgraphs_along_traces(traces_7):
         if not all(g.has_edge(*e) for e in h.edges):
             ok = False
     report(11, f"witness subgraphs verified on {len(traces_7)} traces", ok)
+
+
+def test_trace_text_round_trip_along_traces(traces_7):
+    assert len(traces_7) == 705
+    for g, tau, trace in traces_7:
+        text = format_trace(trace)
+        again = parse_trace(text)
+        assert format_trace(again) == text
+        assert again.root_tangle.members == tau.members
+        assert [s.tangle.members for s in again.steps] == [
+            s.tangle.members for s in trace.steps
+        ]
 
 
 # -- 12: closed-form guarantees against independent evaluation ---------------------------

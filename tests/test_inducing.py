@@ -156,6 +156,12 @@ def test_weight_function_rejects_negative():
         WeightFunction({0: -1})
 
 
+@pytest.mark.parametrize("weight", [1.5, 0.5, 2.0, True, False, "2", None])
+def test_weight_function_rejects_non_integers(weight):
+    with pytest.raises(InducingError, match="not an integer"):
+        WeightFunction({0: 1, 1: weight})
+
+
 @given(st.sets(st.integers(0, 10), max_size=6))
 def test_indicator_matches_set_semantics(xs):
     w = WeightFunction.indicator(xs)

@@ -13,6 +13,7 @@ from tanglekit.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    delete_edge,
     format_edgelist,
     parse_edgelist,
     subdivide_edge,
@@ -28,6 +29,13 @@ from tanglekit.pipeline import (
     trace_provenance,
     transfer_terminal_weights,
     witness_subgraph,
+)
+from tanglekit.rainbow_cloud import (
+    choose_edge,
+    clique_tangle,
+    extend_after_deletion,
+    format_rc,
+    synth_rc,
 )
 from tanglekit.tangles import Tangle, enumerate_tangles, extends, is_tangle
 
@@ -225,6 +233,30 @@ def test_trace_round_trip_bit_exact():
     assert format_trace(again) == text
 
 
+def test_parse_trace_shares_one_set_per_side_text():
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    again = parse_trace(format_trace(reduce(g, tau)))
+    tangles = [again.root_tangle] + [s.tangle for s in again.steps]
+    sides = {}
+    for t in tangles:
+        for s in t.members:
+            for side in (s.small, s.big):
+                assert sides.setdefault(side, side) is side
+    assert len(tangles) > 1
+
+
+def test_parse_trace_refuses_a_bad_side_text():
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    text = format_trace(reduce(g, tau))
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    assert last.startswith("[")
+    bad = text[: -len(last) - 1] + last.replace("]", ",x]", 1) + "\n"
+    with pytest.raises(ValueError, match="bad separation line"):
+        parse_trace(bad)
+
+
 def test_step_graph_is_its_tangles_graph():
     g = subdivided_k4()
     (tau,) = enumerate_tangles(g, 3)
@@ -385,6 +417,40 @@ def test_cli_rc_synth_validate_extend(tmp_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "deleted edge:" in out and "True" in out
+
+
+def test_cli_rc_extend_output_on_synth_18_1_1(tmp_path, capsys):
+    g, rc, clique = synth_rc(18, 1, 1)
+    gp, rp = tmp_path / "rc.edges", tmp_path / "rc.txt"
+    gp.write_text(format_edgelist(g))
+    rp.write_text(format_rc(rc))
+    args = ["rc", "extend", "--graph", str(gp), "--rc", str(rp), "--k", "3",
+            "--relaxed", "--clique"] + [str(c) for c in sorted(clique)]
+    assert main(args) == 0
+    tau = clique_tangle(g, clique, 3)
+    e, merged = choose_edge(rc, tau)
+    out = extend_after_deletion(g, tau, merged, e, relaxed=True, verify=False)
+    verified = is_tangle(delete_edge(g, e), 3, out.members)
+    assert capsys.readouterr().out == (
+        f"deleted edge: {e[0]} {e[1]}\n"
+        f"extension verified on the reduced graph: {verified}\n"
+    )
+    assert verified
+
+
+@pytest.mark.parametrize("weight", [1.5, 2.0, True, "2", None])
+def test_cli_transfer_refuses_non_integer_weights(weight, tmp_path, capsys):
+    g = subdivided_k4()
+    gp, tr, wt = tmp_path / "g.edges", tmp_path / "trace.txt", tmp_path / "w.json"
+    gp.write_text(format_edgelist(g))
+    assert main(["reduce", str(gp), "--k", "3", "--out", str(tr)]) == 0
+    wt.write_text(json.dumps({"0": weight, "1": 1, "2": 1}))
+    capsys.readouterr()
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "not an integer" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import synth_rc_instances
 from tanglekit.graphs import Graph, delete_edge
 from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
 from tanglekit.tangles import Tangle, TangleError, extends, is_tangle
 from tanglekit.survival import brute_force_extensions
 from tanglekit.rainbow_cloud import (
+    CrossingInfo,
     RainbowError,
     RCDecomposition,
     bags_outside_strict_sides,
@@ -212,6 +216,128 @@ def test_slices_rainbow_needs_a_middle_bag_on_the_other_side():
     # an end-anchored separation does not slice
     t = rainbow_separation(rc, 0, 7)
     assert not slices_rainbow(rc, t, k)
+
+
+# -- references: strict sides, splits and slices rebuilt for every use ------------
+
+
+def ref_clockwise_indices(rc, s, k):
+    M = rc.length
+    a_strict = s.small - s.big
+    b_strict = s.big - s.small
+    i_min = next(
+        (i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict), None
+    )
+    j_max = next(
+        (j for j in range(M, max(M - 2 * k, 0) - 1, -1) if rc.bags[j] <= b_strict),
+        None,
+    )
+    if i_min is None or j_max is None:
+        return None
+    return i_min, j_max
+
+
+def ref_classify_crossing(rc, s, k=None):
+    if k is None:
+        k = s.order
+    fwd = ref_clockwise_indices(rc, s, k)
+    bwd = None if fwd is not None else ref_clockwise_indices(rc, s.inverse(), k)
+    if fwd is None and bwd is None:
+        return CrossingInfo("none")
+    if not rc.sun <= s.small & s.big:
+        raise RainbowError("crossing separator misses the sun")
+    if fwd is not None:
+        return CrossingInfo("clockwise", *fwd)
+    return CrossingInfo("counterclockwise", *bwd)
+
+
+def ref_splits(rc, s, i, j, hs):
+    """Each split's sides as two fresh unions of up to M bags."""
+    outer = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, rc.length)
+    small, big = (s.small & outer) | rc.sun, (s.big & outer) | rc.sun
+    return {h: sep(small | rc.bag_union(i, h - 1), rc.bag_union(h, j) | big) for h in hs}
+
+
+def ref_split_family(rc, s, k=None):
+    info = ref_classify_crossing(rc, s, k)
+    assert info.direction == "clockwise"
+    return ref_splits(rc, s, info.i_min, info.j_max, range(info.i_min + 1, info.j_max + 1))
+
+
+def ref_slices_rainbow(rc, s, k=None):
+    if k is None:
+        k = s.order
+    M = rc.length
+    for a_strict, b_strict in (
+        (s.small - s.big, s.big - s.small),
+        (s.big - s.small, s.small - s.big),
+    ):
+        early = [i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict]
+        late = [j for j in range(max(M - 2 * k, 0), M + 1) if rc.bags[j] <= a_strict]
+        if not early or not late:
+            continue
+        i, j = min(early), max(late)
+        if any(rc.bags[h] <= b_strict for h in range(i + 1, j)):
+            return True
+    return False
+
+
+def ref_classify_cross_or_slice(rc, s, k=None):
+    if ref_classify_crossing(rc, s, k):
+        return "crossing"
+    if ref_slices_rainbow(rc, s, k):
+        return "slicing"
+    return "neither"
+
+
+def assert_matches_reference(rc, s, k):
+    info = classify_crossing(rc, s, k)
+    assert info == ref_classify_crossing(rc, s, k)
+    assert classify_crossing(rc, s) == ref_classify_crossing(rc, s)
+    assert classify_cross_or_slice(rc, s, k) == ref_classify_cross_or_slice(rc, s, k)
+    assert slices_rainbow(rc, s, k) == ref_slices_rainbow(rc, s, k)
+    if info.direction != "clockwise":
+        with pytest.raises(RainbowError):
+            split_family(rc, s, k)
+        return
+    fam = split_family(rc, s, k)
+    ref = ref_split_family(rc, s, k)
+    assert fam == ref and list(fam) == list(ref)
+    for h in range(info.i_min - 1, info.j_max + 2):
+        if h in ref:
+            assert split_crossing(rc, s, h, k) == ref[h]
+        else:
+            with pytest.raises(RainbowError, match="out of range"):
+                split_crossing(rc, s, h, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_rc_instances(), st.sampled_from((2, 3)))
+def test_crossings_splits_and_slices_match_reference(instance, k):
+    g, rc, _ = instance
+    for s in enumerate_separations(g, k):
+        assert_matches_reference(rc, s, k)
+
+
+def test_split_family_of_a_touching_crossing_is_empty():
+    # on a length-1 rainbow a crossing can have i_min >= j_max
+    g, rc, _ = synth_rc(1, 0, 1)
+    k = 2
+    empty = []
+    for s in enumerate_separations(g, k):
+        assert_matches_reference(rc, s, k)
+        info = classify_crossing(rc, s, k)
+        if info.direction == "clockwise" and info.i_min >= info.j_max:
+            empty.append(s)
+    assert empty
+    for s in empty:
+        assert split_family(rc, s, k) == {} == ref_split_family(rc, s, k)
+
+
+def test_longer_rainbow_matches_reference():
+    g, rc, _ = synth_rc(12, 1, 0)
+    for s in enumerate_separations(g, 3):
+        assert_matches_reference(rc, s, 3)
 
 
 # -- living, shortening, edge choice -----------------------------------------------

@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import synth_rc_instances
 from tanglekit.graphs import (
     Graph,
     complete_graph,
@@ -15,6 +18,7 @@ from tanglekit.graphs import (
     suppress_vertex,
 )
 from tanglekit.separations import OrientedSeparation, enumerate_separations
+from tanglekit.rainbow_cloud import clique_tangle
 from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, is_tangle
 from tanglekit.survival import (
     brute_force_extensions,
@@ -197,6 +201,69 @@ def test_forced_orientation_partial_on_subgraph_separations():
                 forced.le(t) for t in tau.members
             )
     assert seen_forced > 0
+
+
+def ref_forced_orientation(tau, s):
+    """forced_orientation scanning every member, not only the maximal ones."""
+    fwd = any(s.le(t) for t in tau.members)
+    bwd = any(s.inverse().le(t) for t in tau.members)
+    if fwd and bwd:
+        raise TangleError("tangle forces both orientations; it is inconsistent")
+    if fwd:
+        return s
+    if bwd:
+        return s.inverse()
+    return None
+
+
+def forced_outcome(fn, tau, s):
+    try:
+        return fn(tau, s)
+    except TangleError as err:
+        return str(err)
+
+
+@settings(max_examples=25, deadline=None)
+@given(synth_rc_instances(max_length=4), st.sampled_from((2, 3)), st.data())
+def test_forced_orientation_matches_all_member_scan(instance, k, data):
+    g, rc, clique = instance
+    tau = clique_tangle(g, clique, k)
+    e = data.draw(st.sampled_from(sorted(g.edges)))
+    for s in enumerate_separations(delete_edge(g, e), k):
+        assert forced_orientation(tau, s) == ref_forced_orientation(tau, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_forced_orientation_on_inconsistent_orientations(data):
+    # random orientations of the separations of small graphs are mostly not
+    # tangles: answers and "forces both" errors must still match the scan
+    g = data.draw(st.sampled_from([
+        complete_graph(4), cycle_graph(5), path_graph(4), k4_with_pendant(),
+    ]))
+    k = data.draw(st.integers(1, 3))
+    pairs = {}
+    for s in enumerate_separations(g, k):
+        pairs.setdefault(s.canonical_key(), s)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    members = [s if keep else s.inverse() for s, keep in zip(pairs.values(), picks)]
+    tau = Tangle(g, k, members)
+    for s in enumerate_separations(delete_edge(g, min(g.edges)), k):
+        assert forced_outcome(forced_orientation, tau, s) == forced_outcome(
+            ref_forced_orientation, tau, s
+        )
+
+
+def test_forced_orientation_raises_on_members_forcing_both_ways():
+    g = path_graph(4)  # 0-1-2-3
+    everything = frozenset(g.vertices)
+    low = OrientedSeparation(frozenset({0, 1}), frozenset({1, 2, 3}))
+    s = OrientedSeparation(frozenset({1}), everything)
+    # s <= low, and s's inverse is itself a member
+    tau = Tangle(g, 2, [low, s.inverse()])
+    for fn in (forced_orientation, ref_forced_orientation):
+        with pytest.raises(TangleError, match="forces both"):
+            fn(tau, s)
 
 
 # -- supertangle-assisted deletion ----------------------------------------------
