@@ -15,6 +15,9 @@ from .graphs import Graph
 from .tangles import Tangle, enumerate_tangles
 
 
+P11_WEIGHT_BUDGET = 32  # largest weight total verify_p11_batch tries per tangle
+
+
 class InducingError(ValueError):
     pass
 
@@ -240,7 +243,6 @@ def verify_p11_batch(
     k: int,
     max_set_size=None,
     compute_weights: bool = False,
-    weight_budget: int = 32,
     checkpoint_path=None,
 ):
     """Per-graph inducing-set verdicts over a stream of (id, Graph) pairs.
@@ -267,7 +269,7 @@ def verify_p11_batch(
                 continue
             set_sizes.append(len(x))
             if compute_weights:
-                w = find_inducing_weights(tau, weight_budget)
+                w = find_inducing_weights(tau, P11_WEIGHT_BUDGET)
                 weight_totals.append(w.total if w is not None else None)
         row = {
             "id": gid,

@@ -33,6 +33,7 @@ from .tangles import (
     extends,
     format_tangle,
     is_tangle,
+    subgraph_cover,
 )
 
 
@@ -115,13 +116,16 @@ def _next_step(g: Graph, t: Tangle):
     return None
 
 
-def reduce(g: Graph, t: Tangle, max_steps: int = 10_000) -> ReductionTrace:
-    """Run the driver until no step succeeds; every step is re-verified."""
+def reduce(g: Graph, t: Tangle) -> ReductionTrace:
+    """Reduce until no step succeeds; every step is re-verified.
+
+    Each step deletes an edge, suppresses a vertex or drops a component, so
+    |V| + |E| falls with every step and stays >= 1: it bounds the steps."""
     if not is_tangle(g, t.k, t.members):
         raise PipelineError("input is not a tangle")
     steps = []
     cur_g, cur_t = g, t
-    for _ in range(max_steps):
+    for _ in range(len(g.vertices) + len(g.edges)):
         step = _next_step(cur_g, cur_t)
         if step is None:
             break
@@ -164,13 +168,8 @@ def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
     """
     if not (h.vertex_set() <= g.vertex_set() and h.edges <= g.edges):
         return True
-    n = len(g.vertices)
-    target = g.mask_of(h.vertices)
-    for i, e in enumerate(g.sorted_edges()):
-        if e in h.edges:
-            target |= 1 << (n + i)
-    pool = tau.maximal_members()
-    return covering_triple(cover_masks(g, pool), target) is None
+    pool = cover_masks(g, tau.maximal_members())
+    return covering_triple(pool, subgraph_cover(g, h)) is None
 
 
 def witness_subgraph(trace: ReductionTrace) -> Graph:
@@ -236,12 +235,17 @@ def parse_trace(text: str) -> ReductionTrace:
             raise PipelineError(f"{where} has no {name} section")
         return d[name][0], "\n".join(d[name][1:])
 
+    def parsed(d, name, where, parse, *args):
+        """parse of a section's body; a malformed body raises naming where."""
+        try:
+            return parse(section(d, name, where)[1], *args)
+        except (G.GraphError, TangleError) as err:
+            raise PipelineError(f"{where}: {err}") from None
+
     # side text -> frozenset: consecutive tangles of a trace share most sides
     sides = {}
-    root_graph = G.parse_edgelist(section(root, "ROOT-GRAPH", "trace")[1])
-    root_tangle = _parse_tangle(
-        section(root, "ROOT-TANGLE", "trace")[1], root_graph, sides
-    )
+    root_graph = parsed(root, "ROOT-GRAPH", "trace", G.parse_edgelist)
+    root_tangle = parsed(root, "ROOT-TANGLE", "trace", _parse_tangle, root_graph, sides)
     out, prev = [], root_graph
     for n, d in enumerate(steps, start=1):
         where = f"step {n}"
@@ -257,7 +261,7 @@ def parse_trace(text: str) -> ReductionTrace:
                 f"{where}: {kind} needs {arity} vertex label(s), got {detail}"
             )
         detail = tuple(map(int, detail))
-        graph = G.parse_edgelist(section(d, "GRAPH", where)[1])
+        graph = parsed(d, "GRAPH", where, G.parse_edgelist)
         try:
             replayed = _replay(prev, kind, detail)
         except G.GraphError as err:
@@ -270,7 +274,7 @@ def parse_trace(text: str) -> ReductionTrace:
             kind=kind,
             detail=detail,
             rule=section(d, "RULE", where)[0][len("RULE "):],
-            tangle=_parse_tangle(section(d, "TANGLE", where)[1], graph, sides),
+            tangle=parsed(d, "TANGLE", where, _parse_tangle, graph, sides),
         ))
         prev = graph
     return ReductionTrace(root_graph, root_tangle, tuple(out))

@@ -159,16 +159,17 @@ class CrossingInfo:
         return self.direction != "none"
 
 
-def _clockwise_indices(rc: RCDecomposition, a_strict, b_strict, k: int):
-    """Minimal early bag inside a_strict and maximal late bag inside b_strict."""
+def _clockwise_indices(rc: RCDecomposition, a, b, k: int):
+    """Minimal early bag inside a - b and maximal late bag inside b - a, for
+    the sides a, b of a separation of rc.graph: a bag missing b lies in a - b."""
     M = rc.length
     i_min = next(
-        (i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict), None
+        (i for i in range(0, min(2 * k, M) + 1) if rc.bags[i].isdisjoint(b)), None
     )
     if i_min is None:
         return None
     j_max = next(
-        (j for j in range(M, max(M - 2 * k, 0) - 1, -1) if rc.bags[j] <= b_strict),
+        (j for j in range(M, max(M - 2 * k, 0) - 1, -1) if rc.bags[j].isdisjoint(a)),
         None,
     )
     if j_max is None:
@@ -182,16 +183,16 @@ def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k=None) -> Cro
     "Clockwise" puts an early bag strictly inside the small side and a late
     bag strictly inside the big side; the reverse orientation is
     counterclockwise.  A crossing separation must carry the whole sun in its
-    separator; one that does not raises RainbowError.
+    separator; one that does not raises RainbowError.  s is a separation
+    of rc.graph.
     """
     if k is None:
         k = s.order
-    a_strict, b_strict = s.small - s.big, s.big - s.small
-    fwd = _clockwise_indices(rc, a_strict, b_strict, k)
-    bwd = None if fwd is not None else _clockwise_indices(rc, b_strict, a_strict, k)
+    fwd = _clockwise_indices(rc, s.small, s.big, k)
+    bwd = None if fwd is not None else _clockwise_indices(rc, s.big, s.small, k)
     if fwd is None and bwd is None:
         return CrossingInfo("none")
-    if not rc.sun <= s.small & s.big:
+    if not (rc.sun <= s.small and rc.sun <= s.big):
         raise RainbowError("crossing separator misses the sun")
     if fwd is not None:
         return CrossingInfo("clockwise", *fwd)
@@ -249,18 +250,18 @@ def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
 
 def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k=None) -> bool:
     """True when an early and a late bag sit strictly on one side while some
-    bag between them sits strictly on the other."""
+    bag between them sits strictly on the other.  s is a separation of
+    rc.graph, so a bag sits strictly on one side when it misses the other."""
     if k is None:
         k = s.order
     M = rc.length
-    a, b = s.small - s.big, s.big - s.small
-    for a_strict, b_strict in ((a, b), (b, a)):
-        early = [i for i in range(0, min(2 * k, M) + 1) if rc.bags[i] <= a_strict]
-        late = [j for j in range(max(M - 2 * k, 0), M + 1) if rc.bags[j] <= a_strict]
+    for a, b in ((s.small, s.big), (s.big, s.small)):
+        early = [i for i in range(0, min(2 * k, M) + 1) if rc.bags[i].isdisjoint(b)]
+        late = [j for j in range(max(M - 2 * k, 0), M + 1) if rc.bags[j].isdisjoint(b)]
         if not early or not late:
             continue
         i, j = min(early), max(late)
-        if any(rc.bags[h] <= b_strict for h in range(i + 1, j)):
+        if any(rc.bags[h].isdisjoint(a) for h in range(i + 1, j)):
             return True
     return False
 
@@ -274,13 +275,12 @@ def classify_cross_or_slice(rc: RCDecomposition, s: OrientedSeparation, k=None) 
 
 
 def bags_outside_strict_sides(rc: RCDecomposition, s: OrientedSeparation):
-    """Indices of bags contained in neither strict side of s."""
-    a_strict = s.small - s.big
-    b_strict = s.big - s.small
+    """Indices of bags contained in neither strict side of s, a separation
+    of rc.graph: the bags that meet both sides."""
     return [
         i
         for i, bag in enumerate(rc.bags)
-        if not bag <= a_strict and not bag <= b_strict
+        if not bag.isdisjoint(s.small) and not bag.isdisjoint(s.big)
     ]
 
 

@@ -187,10 +187,9 @@ def survive_with_extending_supertangle(
     g2 = delete_edge(g, e)
     members = []
     for s in enumerate_separations(g2, tau.k):
-        if s.canonical_key() in tau._by_key:
-            if tau.orients(s) == s:
-                members.append(s)
-        elif orientation_across_edge(tau_tilde, s, e):
+        if s in tau.members or (
+            s.inverse() not in tau.members and orientation_across_edge(tau_tilde, s, e)
+        ):
             members.append(s)
     return Tangle(g2, tau.k, members)
 

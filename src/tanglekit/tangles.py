@@ -51,6 +51,13 @@ def full_cover(g: Graph) -> int:
     return (1 << (len(g.vertices) + len(g.edges))) - 1
 
 
+def subgraph_cover(g: Graph, h: Graph) -> int:
+    """The cover mask of a subgraph h of g: its vertex and edge bits."""
+    n = len(g.vertices)
+    edges = (1 << (n + i) for i, e in enumerate(g.sorted_edges()) if e in h.edges)
+    return g.mask_of(h.vertices) | sum(edges)  # distinct bits: the sum is the union
+
+
 def covering_triple(covers, target):
     """First (i, j, l), i <= j <= l, whose masks together contain target.
 
@@ -98,20 +105,24 @@ def maximal_members(g: Graph, seps):
     ]
 
 
-def find_forbidden_triple(g: Graph, seps, restrict_to_maximal=True):
+def find_forbidden_triple(g: Graph, seps):
     """A forbidden triple among seps (repetition allowed), or None.
 
     Cover is monotone in the small side, so any triple among arbitrary
-    members yields one among <=-maximal members; restricting the scan to
-    those is an optimization, not an approximation.
+    members yields one among <=-maximal members, the only ones scanned.
     """
-    pool = maximal_members(g, seps) if restrict_to_maximal else sorted(
-        set(seps), key=OrientedSeparation.sort_key
-    )
+    pool = maximal_members(g, seps)
     hit = covering_triple(cover_masks(g, pool), full_cover(g))
     if hit is None:
         return None
     return tuple(pool[x] for x in hit)
+
+
+def _both_orientations(members):
+    """A member whose inverse, a different separation, is a member too."""
+    return next(
+        (s for s in members if s.inverse() in members and s.small != s.big), None
+    )
 
 
 # -- the Tangle object ----------------------------------------------------
@@ -128,12 +139,9 @@ class Tangle:
         self.k = k
         self.members = frozenset(members)
         self._maximal = None  # <=-maximal members, filled by maximal_members()
-        self._by_key = {}
-        for s in self.members:
-            key = s.canonical_key()
-            if key in self._by_key and self._by_key[key] != s:
-                raise TangleError(f"both orientations of {s} present")
-            self._by_key[key] = s
+        s = _both_orientations(self.members)
+        if s is not None:
+            raise TangleError(f"both orientations of {s} present")
 
     def __contains__(self, s: OrientedSeparation):
         return s in self.members
@@ -157,7 +165,11 @@ class Tangle:
 
     def orients(self, s: OrientedSeparation):
         """The orientation this tangle gives s's underlying separation."""
-        return self._by_key[s.canonical_key()]
+        if s in self.members:
+            return s
+        if s.inverse() in self.members:
+            return s.inverse()
+        raise KeyError(s)
 
     def sorted_members(self):
         return sorted(self.members, key=OrientedSeparation.sort_key)
@@ -180,33 +192,22 @@ class Tangle:
 
 
 def is_orientation(g: Graph, k: int, members) -> bool:
-    """Does members pick exactly one orientation of each order-< k separation?"""
-    members = set(members)
-    want = {}
-    for s in enumerate_separations(g, k):
-        want.setdefault(s.canonical_key(), []).append(s)
-    if len(members) != len(want):
-        return False
-    seen = set()
-    for s in members:
-        key = s.canonical_key()
-        if key not in want or s not in want[key] or key in seen:
-            return False
-        seen.add(key)
-    return True
+    """Does members pick exactly one orientation of each order-< k separation?
 
-
-def is_tangle(g: Graph, k: int, members, mode: str = "maximal") -> bool:
-    """Validate a k-tangle: full orientation, no covering triple.
-
-    mode="maximal" scans only <=-maximal members (sound and complete since
-    cover is monotone); mode="full" scans all members.
+    enumerate_separations lists both orientations of each separation; only
+    (V, V), of order |V|, is its own inverse and listed once.
     """
-    if mode not in ("maximal", "full"):
-        raise TangleError(f"unknown mode {mode!r}")
-    if not is_orientation(g, k, members):
+    members = frozenset(members)
+    seps = enumerate_separations(g, k)
+    count = (len(seps) + (len(g.vertices) < k)) // 2
+    if len(members) != count or sum(s in members for s in seps) != count:
         return False
-    return find_forbidden_triple(g, members, mode == "maximal") is None
+    return _both_orientations(members) is None
+
+
+def is_tangle(g: Graph, k: int, members) -> bool:
+    """Validate a k-tangle: full orientation, no covering triple."""
+    return is_orientation(g, k, members) and find_forbidden_triple(g, members) is None
 
 
 def check_axioms(tangle: Tangle) -> dict:
@@ -223,15 +224,10 @@ def check_axioms(tangle: Tangle) -> dict:
         for s in enumerate_separations(g, k)
         if s.big == V and s.small != V
     )
-    profile = True
-    for s in mem:
-        for t in mem:
-            j = s.join(t)
-            if j.order < k and tangle.orients(j) != j:
-                profile = False
-                break
-        if not profile:
-            break
+    profile = all(
+        j.order >= k or j in tangle.members
+        for j in (s.join(t) for s in mem for t in mem)
+    )
     return {
         "consistency": consistency,
         "regularity": regularity,
@@ -260,8 +256,8 @@ def _completes_triple(c, front, full):
 def _search(g: Graph, k: int, fixed, find_all: bool):
     """Depth-first orientation search avoiding covering triples.
 
-    fixed maps canonical separation keys to a required orientation.
-    Returns the member-frozensets of the k-tangles found, in search order.
+    fixed is a set of separations that must be chosen.  Returns the
+    member-frozensets of the k-tangles found, in search order.
 
     Depth i orients the i-th unoriented separation, in the sort-key order
     of its first orientation.  The search runs on an explicit stack, so its
@@ -278,6 +274,14 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
     the frontier member t' has t <= t'.  Every vertex and every edge of g
     lies inside small(t) or big(t), hence inside small(t') or small(s);
     so the triple (s, t', t') covers g and rejects s.
+
+    Results come in ascending order of their sorted member lists, so
+    callers need no sort.  Each depth tries its first orientation first.
+    If two results first differ at depth i, the one found first took that
+    depth's first orientation s.  A member of either that comes before s in
+    sort-key order orients an earlier depth, where the two agree; s's
+    inverse and all orientations of later depths come after s.  So the
+    sorted lists agree up to s, and there the first result's is smaller.
     """
     seps = enumerate_separations(g, k)
     full = full_cover(g)
@@ -285,10 +289,12 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
     rows = {}
     for s, c in zip(seps, cover_masks(g, seps)):
         rows.setdefault(s.canonical_key(), []).append((s, c, g.mask_of(s.big)))
-    levels = [
-        [x for x in row if x[0] == fixed[key]] if key in fixed else row
-        for key, row in rows.items()
-    ]
+    levels = []
+    for row in rows.values():
+        kept = [x for x in row if x[0] in fixed]
+        if len(kept) > 1:
+            return []  # fixed holds both orientations
+        levels.append(kept or row)
 
     depth = len(levels)
     chosen = [None] * depth
@@ -325,28 +331,16 @@ def _search(g: Graph, k: int, fixed, find_all: bool):
 
 
 def enumerate_tangles(g: Graph, k: int):
-    """All k-tangles of g, deterministically ordered."""
-    found = _search(g, k, {}, find_all=True)
-    tangles = [Tangle(g, k, m) for m in found]
-    tangles.sort(key=lambda t: tuple(s.sort_key() for s in t.sorted_members()))
-    return tangles
+    """All k-tangles of g, in ascending sorted-member order (see _search)."""
+    return [Tangle(g, k, m) for m in _search(g, k, frozenset(), find_all=True)]
 
 
 def search_extension(g2: Graph, k: int, fixed, find_all=False):
     """k-tangles of g2 whose orientation agrees with fixed.
 
-    fixed: iterable of oriented separations of g2 that must be chosen.
+    fixed: separations that must be chosen; any that g2 lacks at order < k is ignored.
     """
-    fx = {}
-    for s in fixed:
-        key = s.canonical_key()
-        if key in fx and fx[key] != s:
-            return []
-        fx[key] = s
-    found = _search(g2, k, fx, find_all=find_all)
-    tangles = [Tangle(g2, k, m) for m in found]
-    tangles.sort(key=lambda t: tuple(s.sort_key() for s in t.sorted_members()))
-    return tangles
+    return [Tangle(g2, k, m) for m in _search(g2, k, frozenset(fixed), find_all)]
 
 
 def extends(tau: Tangle, tau2: Tangle) -> bool:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import networkx as nx
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from tanglekit.graphs import Graph
 from tanglekit.rainbow_cloud import RCDecomposition, synth_rc
+from tanglekit.separations import enumerate_separations
 
 
 def nx_to_graph(h) -> Graph:
@@ -70,3 +72,37 @@ def synth_rc_instances(draw, max_length=5):
     vs = sorted(g.vertices)
     perm = dict(zip(vs, draw(st.permutations(vs))))
     return relabel_rc(g, rc, clique, perm)
+
+
+# -- independent tangle checks ---------------------------------------------------
+
+
+def reference_is_orientation(g, k, members):
+    """One orientation per order-< k separation, grouped by canonical key."""
+    members = set(members)
+    want = {}
+    for s in enumerate_separations(g, k):
+        want.setdefault(s.canonical_key(), []).append(s)
+    if len(members) != len(want):
+        return False
+    seen = set()
+    for s in members:
+        key = s.canonical_key()
+        if key not in want or s not in want[key] or key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def reference_is_tangle(g, k, members):
+    """reference_is_orientation, then every triple of members (repetition
+    allowed) tested on frozensets for covering all vertices and edges."""
+    if not reference_is_orientation(g, k, members):
+        return False
+    V = g.vertex_set()
+    edges = [frozenset(e) for e in g.edges]
+    smalls = {s.small for s in members}
+    return not any(
+        a | b | c == V and all(e <= a or e <= b or e <= c for e in edges)
+        for a, b, c in itertools.combinations_with_replacement(smalls, 3)
+    )

@@ -1,5 +1,6 @@
 """The reduction driver, witnessing subgraphs, traces, and the CLI."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglekit.cli import main
 from tanglekit.graphs import (
@@ -38,6 +41,8 @@ from tanglekit.rainbow_cloud import (
     synth_rc,
 )
 from tanglekit.tangles import Tangle, enumerate_tangles, extends, is_tangle
+
+from conftest import reference_is_tangle
 
 
 def subdivided_k4(times=1):
@@ -267,6 +272,43 @@ def test_step_graph_is_its_tangles_graph():
         assert step.graph is step.tangle.graph
 
 
+@st.composite
+def labelled_graphs(draw):
+    """Up to 6 vertices with distinct labels that need not be contiguous.
+    The edges, or for dense graphs the missing edges, are any subset of
+    the pairs, so the graph may be disconnected."""
+    labels = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+    pairs = list(itertools.combinations(sorted(labels), 2))
+    if not pairs:
+        return Graph(labels, [])
+    picked = set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    if draw(st.booleans()):
+        picked = set(pairs) - picked
+    return Graph(labels, picked)
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelled_graphs(), st.integers(1, 3))
+def test_reduction_chain_property(g, k):
+    """reduce -> weights -> transfer -> witness -> trace text, on every
+    k-tangle, with each step's tangle checked by the independent reference."""
+    for tau in enumerate_tangles(g, k):
+        trace = reduce(g, tau)
+        prev = tau
+        for step in trace.steps:
+            assert reference_is_tangle(step.graph, k, step.tangle.members)
+            if step.kind == "delete_edge":
+                assert prev.members <= step.tangle.members
+            prev = step.tangle
+        term = trace.terminal_tangle
+        w = find_inducing_weights(term, len(term.graph.vertices))
+        assert w is not None and induces_weight(term, w)
+        assert induces_weight(tau, transfer_terminal_weights(trace, w))
+        assert is_witness(g, tau, witness_subgraph(trace))
+        text = format_trace(trace)
+        assert format_trace(parse_trace(text)) == text
+
+
 def test_parse_trace_rejects_garbage():
     with pytest.raises(PipelineError):
         parse_trace("0 1\n1 2\n")
@@ -479,6 +521,8 @@ STEP_EDITS = {
     "component of all": ("KIND suppress_vertex 4", "KIND take_component 0", "GRAPH is not what"),
     # GRAPH loses the edge 0 5, which suppressing vertex 4 keeps
     "graph not replayed": ("\nGRAPH\n0 1\n0 5\n", "\nGRAPH\n0 1\n", "GRAPH is not what"),
+    "bad separation line": ("\nTANGLE\norder 3\n[] [", "\nTANGLE\norder 3\n[x] [", "step 1"),
+    "graph line not integers": ("\nGRAPH\n0 1\n", "\nGRAPH\n0 one\n", "step 1"),
 }
 
 

@@ -43,11 +43,7 @@ def extends(small: Tangle, host: Tangle) -> bool:
 
 
 def agree_on_shared(t1: Tangle, t2: Tangle) -> bool:
-    for s in t1.members:
-        got = t2._by_key.get(s.canonical_key())
-        if got is not None and got != s:
-            return False
-    return True
+    return all(s in t2.members or s.inverse() not in t2.members for s in t1.members)
 
 
 # -- order-1 and order-2 constructions ----------------------------------------

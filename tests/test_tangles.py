@@ -27,6 +27,7 @@ from tanglekit.tangles import (
     enumerate_tangles,
     extends,
     is_forbidden_triple,
+    is_orientation,
     is_tangle,
     lift_subgraph,
     lift_suppression,
@@ -35,7 +36,12 @@ from tanglekit.tangles import (
     search_extension,
 )
 
-from conftest import atlas_graphs, nx_to_graph
+from conftest import (
+    atlas_graphs,
+    nx_to_graph,
+    reference_is_orientation,
+    reference_is_tangle,
+)
 
 
 def _nx(g: Graph):
@@ -68,8 +74,6 @@ def test_is_tangle_examples():
     k2 = complete_graph(2)
     ms = [s if len(s.big) == 2 else s.inverse() for s in enumerate_separations(k2, 2)]
     assert is_tangle(k2, 2, ms)
-    with pytest.raises(TangleError):
-        is_tangle(k4, 3, members, mode="bogus")
 
 
 def test_enumerate_small_counts():
@@ -114,12 +118,12 @@ def test_maximal_mode_agrees_with_full():
     for g in atlas_graphs(5):
         for k in (1, 2, 3):
             for t in enumerate_tangles(g, k):
-                assert is_tangle(g, k, t.members, mode="full")
-                # single-orientation flips agree across modes
+                assert reference_is_tangle(g, k, t.members)
+                # single-orientation flips agree with the all-members oracle
                 for s in t.maximal_members():
                     members = (t.members - {s}) | {s.inverse()}
-                    assert is_tangle(g, k, members, mode="maximal") == is_tangle(
-                        g, k, members, mode="full"
+                    assert is_tangle(g, k, members) == reference_is_tangle(
+                        g, k, members
                     )
 
 
@@ -311,3 +315,38 @@ def test_search_matches_reference_property(g, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_search_matches_reference_seeded(g, k):
     check_against_reference(g, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(), st.integers(1, 4), st.data())
+def test_verdicts_match_reference_on_perturbed_orientations(g, k, data):
+    """is_orientation and is_tangle against the canonical-key and all-triples
+    references, on tangles and random orientations with members dropped,
+    added, flipped or replaced by the inverse of another member.  Graphs
+    with fewer than k vertices have the self-inverse separation (V, V)."""
+    pairs = {}
+    for s in enumerate_separations(g, k):
+        pairs.setdefault(s.canonical_key(), []).append(s)
+    tangles = enumerate_tangles(g, k)
+    if tangles and data.draw(st.booleans()):
+        members = set(data.draw(st.sampled_from(tangles)).members)
+    else:
+        members = {data.draw(st.sampled_from(row)) for row in pairs.values()}
+    # separations of order k, too: none of them belongs to an orientation
+    extra = enumerate_separations(g, k + 1)
+    ops = st.lists(st.sampled_from(["drop", "add", "flip", "double"]), max_size=3)
+    for op in data.draw(ops):
+        if op == "add":
+            members.add(data.draw(st.sampled_from(extra)))
+            continue
+        if not members:
+            continue
+        ordered = sorted(members, key=lambda s: s.sort_key())
+        s = data.draw(st.sampled_from(ordered))
+        members.discard(s)
+        if op == "flip":
+            members.add(s.inverse())
+        elif op == "double":  # one separation oriented both ways, one not at all
+            members.add(data.draw(st.sampled_from(ordered)).inverse())
+    assert is_orientation(g, k, members) == reference_is_orientation(g, k, members)
+    assert is_tangle(g, k, members) == reference_is_tangle(g, k, members)
