@@ -3,10 +3,8 @@
 from .graphs import (
     Graph,
     GraphError,
-    MinorProvenance,
     complete_graph,
     components,
-    compose_provenance,
     cycle_graph,
     delete_edge,
     graph6_decode,
@@ -82,7 +80,6 @@ from .inducing import (
     find_inducing_weights,
     induces_set,
     induces_weight,
-    transfer_by_zero,
     verify_p11_batch,
 )
 from .pipeline import (

@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 when a requested property fails to hold
 (no tangle, no inducing set, a failed verification), 2 on usage errors
-and on inputs that cannot be handled (unreadable or malformed files, or a
+and on inputs that cannot be handled (unreadable or malformed files, a
+given tangle or trace root tangle that is not a tangle of its order, or a
 run out of recursion depth or memory), reported without a traceback.
+`verify` reports a non-tangle with exit code 1 instead.
 """
 
 from __future__ import annotations
@@ -53,7 +55,12 @@ def _read_tangle(path, g):
 
 def _pick_tangle(args, g):
     if args.tangle is not None:
-        return _read_tangle(args.tangle, g)
+        t = _read_tangle(args.tangle, g)
+        if t.k != args.k:
+            raise ValueError(f"{args.tangle} has order {t.k}, not --k {args.k}")
+        if not is_tangle(g, t.k, t.members):
+            raise ValueError(f"{args.tangle} is not a {t.k}-tangle of the graph")
+        return t
     found = enumerate_tangles(g, args.k)
     if not found:
         return None
@@ -62,6 +69,15 @@ def _pick_tangle(args, g):
             f"--tangle-index {args.tangle_index} is outside 0..{len(found) - 1}"
         )
     return found[args.tangle_index]
+
+
+def _read_trace(path):
+    with open(path) as fh:
+        trace = parse_trace(fh.read())
+    root = trace.root_tangle
+    if not is_tangle(trace.root_graph, root.k, root.members):
+        raise ValueError(f"{path}: ROOT-TANGLE is not a tangle of ROOT-GRAPH")
+    return trace
 
 
 def _write(path, text):
@@ -128,8 +144,7 @@ def cmd_induce(args):
 
 
 def cmd_transfer(args):
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    trace = _read_trace(args.trace)
     with open(args.weights) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -141,8 +156,7 @@ def cmd_transfer(args):
 
 
 def cmd_witness(args):
-    with open(args.trace) as fh:
-        trace = parse_trace(fh.read())
+    trace = _read_trace(args.trace)
     h = witness_subgraph(trace)
     _write(args.out, format_edgelist(h))
     return 0

@@ -9,7 +9,6 @@ topological minors by label identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
@@ -191,93 +190,6 @@ def components(g: Graph) -> list:
     Deterministic order: by smallest contained label.
     """
     return [g.induced(vs) for vs in g.component_vertex_sets()]
-
-
-# -- topological-minor provenance --------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorProvenance:
-    """Tracks how a topological minor sits inside its original graph.
-
-    ``edge_paths`` maps each edge of the current graph to the vertex
-    sequence of the path it represents in the original graph.  Paths of
-    distinct edges are internally disjoint and their endpoints are branch
-    vertices (= vertices of the current graph).
-    """
-
-    original: Graph
-    current: Graph
-    edge_paths: dict = field(compare=False)
-
-    @property
-    def branch_vertices(self):
-        return frozenset(self.current.vertices)
-
-    def path_of(self, e):
-        return self.edge_paths[_norm_edge(e)]
-
-    def validate(self):
-        for e in self.current.edges:
-            p = self.edge_paths[e]
-            if frozenset((p[0], p[-1])) != frozenset(e):
-                raise GraphError(f"path endpoints of {e} are not the edge's ends")
-            for a, b in zip(p, p[1:]):
-                if not self.original.has_edge(a, b):
-                    raise GraphError(f"path of {e} uses non-edge ({a},{b})")
-        # internal disjointness
-        seen = {}
-        for e in self.current.edges:
-            for x in self.edge_paths[e][1:-1]:
-                if x in self.branch_vertices:
-                    raise GraphError(f"branch vertex {x} interior to path of {e}")
-                if x in seen:
-                    raise GraphError(f"paths of {seen[x]} and {e} share vertex {x}")
-                seen[x] = e
-        return True
-
-
-def identity_provenance(g: Graph) -> MinorProvenance:
-    return MinorProvenance(g, g, {e: (e[0], e[1]) for e in g.edges})
-
-
-def provenance_delete_edge(g: Graph, e) -> MinorProvenance:
-    h = delete_edge(g, e)
-    return MinorProvenance(g, h, {f: (f[0], f[1]) for f in h.edges})
-
-
-def provenance_suppress_vertex(g: Graph, v) -> MinorProvenance:
-    h = suppress_vertex(g, v)
-    u, w = sorted(g.neighbors(v))
-    paths = {f: (f[0], f[1]) for f in h.edges}
-    if not g.has_edge(u, w):
-        # the joined edge stands for the path u-v-w
-        paths[_norm_edge((u, w))] = (u, v, w) if u < w else (w, v, u)
-    return MinorProvenance(g, h, paths)
-
-
-def provenance_component(g: Graph, comp: Graph) -> MinorProvenance:
-    return MinorProvenance(g, comp, {e: (e[0], e[1]) for e in comp.edges})
-
-
-def compose_provenance(outer: MinorProvenance, inner: MinorProvenance) -> MinorProvenance:
-    """Provenance of the composed reduction outer-then-inner."""
-    if inner.original != outer.current:
-        raise GraphError("provenance mismatch: inner.original != outer.current")
-    paths = {}
-    for e in inner.current.edges:
-        expanded = []
-        p = inner.edge_paths[e]
-        for a, b in zip(p, p[1:]):
-            q = outer.edge_paths[_norm_edge((a, b))]
-            if q[0] != a:
-                q = q[::-1]
-            if expanded:
-                expanded.extend(q[1:])
-            else:
-                expanded.extend(q)
-        paths[e] = tuple(expanded)
-    return MinorProvenance(outer.original, inner.current, paths)
 
 
 # -- file formats -------------------------------------------------------

@@ -3,7 +3,8 @@
 A vertex set X induces a tangle when every member (A, B) satisfies
 |X cap A| < |X cap B|; a weight function does the same with weighted sums.
 Weights survive graph reductions by extension with zeros, which lets a
-small terminal certificate be pulled back to the original graph.
+small terminal certificate be pulled back to the original graph; that
+transfer along a reduction trace is ``pipeline.transfer_terminal_weights``.
 """
 
 from __future__ import annotations
@@ -180,29 +181,6 @@ def find_inducing_weights(tau: Tangle, budget):
         if got is not None:
             return WeightFunction(zip(g.vertices, got))
     return None
-
-
-# -- transfer along a reduction trace -------------------------------------------
-
-
-def transfer_by_zero(trace, w_terminal) -> WeightFunction:
-    """Pull a terminal inducing weight back to the trace's root graph.
-
-    Every reduction step preserves vertex labels, so extending by zero is
-    the identity on the stored weights; each intermediate tangle is checked
-    to be induced on the way back.
-    """
-    w = WeightFunction(w_terminal)
-    if not w.support <= trace.terminal_graph.vertex_set():
-        raise InducingError("weight support leaves the terminal graph")
-    if not induces_weight(trace.terminal_tangle, w):
-        raise InducingError("weights do not induce the terminal tangle")
-    for step in reversed(trace.steps[:-1]):
-        if not induces_weight(step.tangle, w):
-            raise InducingError(f"transfer broke at step {step.rule!r}")
-    if not induces_weight(trace.root_tangle, w):
-        raise InducingError("transfer failed to induce the root tangle")
-    return w
 
 
 # -- batch verification ------------------------------------------------------------

@@ -3,9 +3,9 @@
 Each step deletes an edge, suppresses a degree-2 vertex, or restricts to a
 component, always carrying the tangle along by one of the survival
 constructions and re-verifying the result.  The finished trace supports two
-derived artifacts: a weight function pulled back from the terminal graph,
-and a small witnessing subgraph assembled from the topological-minor
-provenance of the terminal edges.
+derived artifacts: a weight function pulled back from the terminal graph to
+the root, and a small witnessing subgraph of the root graph assembled from
+the root path that each terminal edge stands for.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import graphs as G
-from .graphs import Graph, MinorProvenance
-from .inducing import transfer_by_zero
+from .graphs import Graph
+from .inducing import InducingError, WeightFunction, induces_weight
 from .survival import (
     brute_force_extensions,
     restrict_to_component,
@@ -68,7 +68,7 @@ class ReductionTrace:
         return self.steps[-1].tangle if self.steps else self.root_tangle
 
 
-def _verify_step(prev_g, prev_t, step: ReductionStep):
+def _verify_step(prev_t, step: ReductionStep):
     if not is_tangle(step.graph, prev_t.k, step.tangle.members):
         raise PipelineError(f"step {step.rule!r} produced a non-tangle")
     if step.kind == "delete_edge" and not extends(prev_t, step.tangle):
@@ -129,7 +129,7 @@ def reduce(g: Graph, t: Tangle) -> ReductionTrace:
         step = _next_step(cur_g, cur_t)
         if step is None:
             break
-        _verify_step(cur_g, cur_t, step)
+        _verify_step(cur_t, step)
         steps.append(step)
         cur_g, cur_t = step.graph, step.tangle
     else:
@@ -137,27 +137,55 @@ def reduce(g: Graph, t: Tangle) -> ReductionTrace:
     return ReductionTrace(g, t, tuple(steps))
 
 
-def transfer_terminal_weights(trace: ReductionTrace, w_terminal):
-    """Pull the terminal inducing weights back to the root graph."""
-    return transfer_by_zero(trace, w_terminal)
+def transfer_terminal_weights(trace: ReductionTrace, w_terminal) -> WeightFunction:
+    """Pull a terminal inducing weight back to the trace's root graph.
+
+    Every reduction step preserves vertex labels, so extending by zero is
+    the identity on the stored weights; each intermediate tangle is checked
+    to be induced on the way back.
+    """
+    w = WeightFunction(w_terminal)
+    if not w.support <= trace.terminal_graph.vertex_set():
+        raise InducingError("weight support leaves the terminal graph")
+    if not induces_weight(trace.terminal_tangle, w):
+        raise InducingError("weights do not induce the terminal tangle")
+    for step in reversed(trace.steps[:-1]):
+        if not induces_weight(step.tangle, w):
+            raise InducingError(f"transfer broke at step {step.rule!r}")
+    if not induces_weight(trace.root_tangle, w):
+        raise InducingError("transfer failed to induce the root tangle")
+    return w
 
 
 # -- witnessing subgraph -----------------------------------------------------------
 
 
-def trace_provenance(trace: ReductionTrace) -> MinorProvenance:
-    prov = G.identity_provenance(trace.root_graph)
-    cur = trace.root_graph
+def trace_provenance(trace: ReductionTrace) -> dict:
+    """The root-graph path each terminal edge stands for, by edge.
+
+    A path runs from the edge's smaller end to its larger end.  Deleting an
+    edge drops its path; suppressing v between u < w joins the paths of uv
+    and vw into the path of uw, unless uw was already an edge, which keeps
+    its own path; restricting to a component keeps that component's paths.
+    """
+    paths = {e: e for e in trace.root_graph.edges}
+    prev = trace.root_graph
     for step in trace.steps:
         if step.kind == "delete_edge":
-            inner = G.provenance_delete_edge(cur, step.detail)
+            del paths[tuple(sorted(step.detail))]  # a parsed trace may say "v u"
         elif step.kind == "suppress_vertex":
-            inner = G.provenance_suppress_vertex(cur, step.detail[0])
+            (v,) = step.detail
+            u, w = sorted(prev.neighbors(v))
+            to_v = paths.pop((u, v) if u < v else (v, u))
+            from_v = paths.pop((v, w) if v < w else (w, v))
+            if not prev.has_edge(u, w):
+                to_v = to_v if u < v else to_v[::-1]
+                from_v = from_v if v < w else from_v[::-1]
+                paths[(u, w)] = to_v + from_v[1:]
         else:
-            inner = G.provenance_component(cur, step.graph)
-        prov = G.compose_provenance(prov, inner)
-        cur = step.graph
-    return prov
+            paths = {e: paths[e] for e in step.graph.edges}
+        prev = step.graph
+    return paths
 
 
 def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
@@ -175,16 +203,12 @@ def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
 def witness_subgraph(trace: ReductionTrace) -> Graph:
     """A small subgraph of the root graph certifying the root tangle.
 
-    Branch vertices of the terminal graph plus, per terminal edge, the end
-    edge of its subdivision path; at most one edge per terminal edge.
+    The terminal graph's vertices (the branch vertices) plus, per terminal
+    edge, the first edge of its root path; one edge per terminal edge.
     """
-    prov = trace_provenance(trace)
-    vertices = set(prov.branch_vertices)
-    edges = []
-    for e in sorted(trace.terminal_graph.edges, key=lambda e: tuple(sorted(e))):
-        path = prov.path_of(e)
-        edges.append(tuple(sorted(path[:2])))
-        vertices.update(path[:2])
+    paths = trace_provenance(trace)
+    edges = [paths[e][:2] for e in trace.terminal_graph.sorted_edges()]
+    vertices = set(trace.terminal_graph.vertices).union(*edges)
     h = Graph(sorted(vertices), edges)
     if not is_witness(trace.root_graph, trace.root_tangle, h):
         raise PipelineError("assembled subgraph fails the witness scan")

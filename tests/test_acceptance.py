@@ -32,7 +32,6 @@ from tanglekit.graphs import (
 from tanglekit.inducing import (
     find_inducing_weights,
     induces_weight,
-    transfer_by_zero,
     verify_p11_batch,
 )
 from tanglekit.pipeline import (
@@ -40,6 +39,7 @@ from tanglekit.pipeline import (
     is_witness,
     parse_trace,
     reduce,
+    transfer_terminal_weights,
     witness_subgraph,
 )
 from tanglekit.rainbow_cloud import (
@@ -433,7 +433,7 @@ def test_c10_weight_transfer_along_traces(traces_7):
         if w_term is None:
             ok = False
             continue
-        w = transfer_by_zero(trace, w_term)
+        w = transfer_terminal_weights(trace, w_term)
         if not induces_weight(tau, w):
             ok = False
     report(10, f"terminal weights transfer to the root on {len(traces_7)} traces", ok)

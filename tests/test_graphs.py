@@ -8,16 +8,13 @@ from tanglekit.graphs import (
     GraphError,
     complete_graph,
     components,
-    compose_provenance,
     cycle_graph,
     delete_edge,
     format_edgelist,
     graph6_decode,
     graph6_encode,
-    identity_provenance,
     parse_edgelist,
     path_graph,
-    provenance_suppress_vertex,
     subdivide_edge,
     suppress_vertex,
 )
@@ -57,36 +54,6 @@ def test_components_examples():
     assert comps[0].vertices == (0, 1, 2)  # smallest-label order
     assert len(components(complete_graph(4))) == 1
     assert components(Graph()) == []
-
-
-def test_compose_provenance_examples():
-    p3 = path_graph(3)
-    ident = identity_provenance(p3)
-    assert compose_provenance(ident, ident).edge_paths == ident.edge_paths
-    sup = provenance_suppress_vertex(p3, 1)
-    out = compose_provenance(ident, sup)
-    assert out.path_of((0, 2)) == (0, 1, 2)
-    # two consecutive suppressions on P4
-    p4 = path_graph(4)
-    first = provenance_suppress_vertex(p4, 1)
-    second = provenance_suppress_vertex(first.current, 2)
-    combined = compose_provenance(first, second)
-    assert combined.path_of((0, 3)) == (0, 1, 2, 3)
-    combined.validate()
-
-
-def test_provenance_disjointness_exhaustive():
-    g = complete_graph(4)
-    for e in list(g.sorted_edges()):
-        g = subdivide_edge(g, e, 1)
-    prov = identity_provenance(g)
-    cur = g
-    for v in [v for v in cur.vertices if cur.degree(v) == 2]:
-        inner = provenance_suppress_vertex(cur, v)
-        prov = compose_provenance(prov, inner)
-        cur = inner.current
-    assert prov.validate()
-    assert cur == complete_graph(4)
 
 
 def test_edgelist_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
 from tanglekit.tangles import Tangle, enumerate_tangles
-from tanglekit.pipeline import reduce as reduce_tangle
+from tanglekit.pipeline import reduce as reduce_tangle, transfer_terminal_weights
 from tanglekit.inducing import (
     InducingError,
     WeightFunction,
@@ -19,7 +19,6 @@ from tanglekit.inducing import (
     format_p11_report,
     induces_set,
     induces_weight,
-    transfer_by_zero,
     verify_p11_batch,
 )
 
@@ -313,7 +312,7 @@ def test_transfer_by_zero_along_subdivided_k4():
     trace = reduce_tangle(g, tau)
     w_term = find_inducing_weights(trace.terminal_tangle, budget=8)
     assert w_term is not None
-    w_root = transfer_by_zero(trace, w_term)
+    w_root = transfer_terminal_weights(trace, w_term)
     assert w_root == w_term
     assert induces_weight(tau, w_root)
 
@@ -323,7 +322,7 @@ def test_transfer_by_zero_rejects_foreign_support():
     (tau,) = enumerate_tangles(g, 3)
     trace = reduce_tangle(g, tau)
     with pytest.raises(InducingError):
-        transfer_by_zero(trace, {99: 1})
+        transfer_terminal_weights(trace, {99: 1})
 
 
 def test_transfer_by_zero_rejects_non_inducing():
@@ -331,7 +330,7 @@ def test_transfer_by_zero_rejects_non_inducing():
     (tau,) = enumerate_tangles(g, 3)
     trace = reduce_tangle(g, tau)
     with pytest.raises(InducingError):
-        transfer_by_zero(trace, {0: 1})  # a single vertex cannot outvote
+        transfer_terminal_weights(trace, {0: 1})  # a single vertex cannot outvote
 
 
 # -- batch verification --------------------------------------------------------------------

@@ -19,11 +19,14 @@ from tanglekit.graphs import (
     delete_edge,
     format_edgelist,
     parse_edgelist,
+    path_graph,
     subdivide_edge,
+    suppress_vertex,
 )
 from tanglekit.inducing import find_inducing_weights, induces_weight
 from tanglekit.pipeline import (
     PipelineError,
+    ReductionStep,
     ReductionTrace,
     format_trace,
     is_witness,
@@ -156,6 +159,77 @@ def test_transfer_terminal_weights_round_trip():
     assert induces_weight(tau, w_root)
 
 
+# -- terminal edges' root paths ----------------------------------------------------------
+
+
+def check_root_paths(root, terminal, paths):
+    """Each terminal edge's path runs from its smaller end to its larger end
+    along root edges; the interiors are pairwise disjoint and avoid the
+    terminal vertices."""
+    assert paths.keys() == terminal.edges
+    used = set(terminal.vertices)
+    for (u, w), path in paths.items():
+        assert (path[0], path[-1]) == (u, w)
+        assert all(root.has_edge(a, b) for a, b in zip(path, path[1:]))
+        inner = path[1:-1]
+        assert len(set(inner)) == len(inner) and used.isdisjoint(inner)
+        used.update(inner)
+
+
+def suppressions(g, *vertices):
+    """The trace of suppressing vertices of g in turn.  Its tangles are empty
+    placeholders: trace_provenance reads only kinds, details and graphs."""
+    root, steps = g, []
+    for v in vertices:
+        g = suppress_vertex(g, v)
+        steps.append(ReductionStep("suppress_vertex", (v,), "hand", Tangle(g, 3, [])))
+    return ReductionTrace(root, Tangle(root, 3, []), tuple(steps))
+
+
+def test_trace_provenance_of_suppressions():
+    assert trace_provenance(suppressions(path_graph(3), 1)) == {(0, 2): (0, 1, 2)}
+    p4 = suppressions(path_graph(4), 1, 2)
+    assert trace_provenance(p4) == {(0, 3): (0, 1, 2, 3)}
+    # the suppressed vertex is the smallest label: both halves turn round
+    star = Graph([0, 1, 2], [(0, 1), (0, 2)])
+    assert trace_provenance(suppressions(star, 0)) == {(1, 2): (1, 0, 2)}
+
+
+def test_trace_provenance_keeps_the_path_of_an_existing_edge():
+    # suppressing 3 makes the edge 0 2 of path 0 3 2; suppressing 1 then
+    # finds 0 and 2 adjacent, so 0 2 keeps that path
+    trace = suppressions(cycle_graph(4), 3, 1)
+    assert trace.terminal_graph == Graph([0, 2], [(0, 2)])
+    assert trace_provenance(trace) == {(0, 2): (0, 3, 2)}
+
+
+def test_trace_provenance_of_subdivided_k4():
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    assert trace.terminal_graph == complete_graph(4)
+    paths = trace_provenance(trace)
+    check_root_paths(g, trace.terminal_graph, paths)
+    assert all(len(p) == 3 for p in paths.values())
+
+
+def test_witness_does_not_depend_on_the_order_of_a_deleted_edge():
+    # K5 with 2 3 subdivided: suppress 5, delete 0 1 and 0 2, suppress 0
+    g = subdivide_edge(complete_graph(5), (2, 3))
+    (tau,) = enumerate_tangles(g, 3)
+    text = format_trace(reduce(g, tau))
+    swapped = text.replace("KIND delete_edge 0 1\n", "KIND delete_edge 1 0\n")
+    swapped = swapped.replace("KIND delete_edge 0 2\n", "KIND delete_edge 2 0\n")
+    assert swapped.count("KIND delete_edge 1 0\n") == swapped.count("delete_edge 2 0") == 1
+    trace = parse_trace(swapped)
+    assert trace.steps[1].detail == (1, 0)
+    assert trace_provenance(trace) == trace_provenance(parse_trace(text))
+    assert trace_provenance(trace)[(2, 3)] == (2, 5, 3)
+    assert witness_subgraph(trace) == Graph(
+        range(1, 6), [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4)]
+    )
+
+
 # -- witnessing subgraph ----------------------------------------------------------------
 
 
@@ -170,8 +244,7 @@ def test_witness_subgraph_of_subdivided_k4():
     assert is_witness(g, tau, h)
     # one edge per terminal edge
     assert len(h.edges) == len(trace.terminal_graph.edges) == 6
-    prov = trace_provenance(trace)
-    assert prov.branch_vertices == frozenset({0, 1, 2, 3})
+    assert trace.terminal_graph.vertex_set() == frozenset({0, 1, 2, 3})
 
 
 def test_witness_of_trivial_trace_is_the_graph_itself():
@@ -304,6 +377,7 @@ def test_reduction_chain_property(g, k):
         w = find_inducing_weights(term, len(term.graph.vertices))
         assert w is not None and induces_weight(term, w)
         assert induces_weight(tau, transfer_terminal_weights(trace, w))
+        check_root_paths(g, trace.terminal_graph, trace_provenance(trace))
         assert is_witness(g, tau, witness_subgraph(trace))
         text = format_trace(trace)
         assert format_trace(parse_trace(text)) == text
@@ -526,33 +600,62 @@ STEP_EDITS = {
 }
 
 
+# inputs that parse but do not hold a tangle: case -> part of the error message
+NOT_TANGLES = {
+    "root tangle lacks a member": "ROOT-TANGLE is not a tangle",
+    "transfer from a root tangle that lacks a member": "ROOT-TANGLE is not a tangle",
+    "tangle file lacks members": "is not a 3-tangle",
+    "tangle file of another order": "has order 3, not --k 2",
+}
+
+
 @pytest.mark.parametrize(
     "case",
     ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
-     "weights not an object", "tangle index too large", "negative tangle index"],
+     "weights not an object", "tangle index too large", "negative tangle index",
+     *NOT_TANGLES],
 )
 def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
+    from tanglekit.tangles import format_tangle
+
     g = subdivided_k4()
     (tau,) = enumerate_tangles(g, 3)
-    text = format_trace(reduce(g, tau))
+    trace = reduce(g, tau)
+    text = format_trace(trace)
+    root = "ROOT-TANGLE\norder 3\n"
+    head, tail = text.split(root)
     traces = {
         "empty trace": "",
         "no root tangle": "ROOT-GRAPH\n0 1\n",
         "step without kind": "".join(
             l for l in text.splitlines(True) if not l.startswith("KIND")
         ),
+        "root tangle lacks a member": head + root + tail.split("\n", 1)[1],
     }
     for name, (old, new, _) in STEP_EDITS.items():
         assert old in text
         traces[name] = text.replace(old, new, 1)
     tr, wt, tri = tmp_path / "trace.txt", tmp_path / "w.json", tmp_path / "tri.edges"
+    gp, tp = tmp_path / "g.edges", tmp_path / "g.tangle"
     tr.write_text(traces.get(case, text))
     wt.write_text("[1, 2]")
     tri.write_text(format_edgelist(complete_graph(3)))
+    gp.write_text(format_edgelist(g))
+    tp.write_text(format_tangle(tau))
     if case in traces:
         argv = ["witness", "--trace", str(tr)]
     elif case == "weights not an object":
         argv = ["transfer", "--trace", str(tr), "--weights", str(wt)]
+    elif case.startswith("transfer"):
+        tr.write_text(traces["root tangle lacks a member"])
+        w = find_inducing_weights(trace.terminal_tangle, budget=8)
+        wt.write_text(json.dumps({str(v): c for v, c in w.weights.items()}))
+        argv = ["transfer", "--trace", str(tr), "--weights", str(wt)]
+    elif case.startswith("tangle file"):
+        if case == "tangle file lacks members":
+            tp.write_text(format_tangle(Tangle(g, 3, tau.sorted_members()[3:])))
+        k = "3" if case == "tangle file lacks members" else "2"
+        argv = ["induce", str(gp), "--k", k, "--tangle", str(tp)]
     else:
         index = "5" if case == "tangle index too large" else "-1"
         argv = ["reduce", str(tri), "--k", "1", "--tangle-index", index]
@@ -560,6 +663,19 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
+    assert NOT_TANGLES.get(case, "") in err
+
+
+def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):
+    from tanglekit.tangles import format_tangle
+
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    gp, tp = tmp_path / "g.edges", tmp_path / "bad.tangle"
+    gp.write_text(format_edgelist(g))
+    tp.write_text(format_tangle(Tangle(g, 3, tau.sorted_members()[3:])))
+    assert main(["verify", str(gp), "--tangle", str(tp)]) == 1
+    assert capsys.readouterr().out == "tangle: False\n"
 
 
 def test_cli_usage_errors():
