@@ -268,7 +268,6 @@ def graph6_decode(line: str) -> Graph:
 def graph6_encode(g: Graph) -> str:
     """Encode with vertices relabelled 0..n-1 in sorted label order."""
     n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
     bits = []
     for col in range(1, n):
         for row in range(col):

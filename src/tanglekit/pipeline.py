@@ -104,11 +104,10 @@ def _next_step(g: Graph, t: Tangle):
         if deg2 is not None:
             t2 = survive_suppress_vertex(g, t, deg2)
             return ReductionStep("suppress_vertex", (deg2,), "degree-2 suppression", t2)
-        try:
-            e, t2 = survive_edge_deletion_via_supertangle(g, t)
+        found = survive_edge_deletion_via_supertangle(g, t)
+        if found is not None:
+            e, t2 = found
             return ReductionStep("delete_edge", e, "higher-order tangle", t2)
-        except (TangleError, ValueError):
-            pass  # no (k+1)-tangle, or no construction applies
         for e in g.sorted_edges():
             found = brute_force_extensions(g, t, e, find_all=False)
             if found:

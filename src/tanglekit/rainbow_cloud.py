@@ -79,6 +79,10 @@ class RCDecomposition:
         """Vertices of bags i..j inclusive."""
         return frozenset().union(*self.bags[i : j + 1], frozenset())
 
+    def outside(self, i, j) -> frozenset:
+        """The cloud plus every bag outside i..j."""
+        return self.cloud.union(*self.bags[:i], *self.bags[j + 1 :])
+
 
 def validate_rc(g: Graph, rc: RCDecomposition) -> dict:
     """Per-clause report; every flag is true on a genuine decomposition."""
@@ -132,8 +136,7 @@ def slice_rc(rc: RCDecomposition, i: int, j: int) -> RCDecomposition:
     M = rc.length
     if not 0 <= i <= j <= M:
         raise RainbowError(f"slice indices ({i},{j}) out of range 0..{M}")
-    cloud = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, M)
-    return RCDecomposition(rc.graph, rc.bags[i : j + 1], rc.sun, cloud)
+    return RCDecomposition(rc.graph, rc.bags[i : j + 1], rc.sun, rc.outside(i, j))
 
 
 def rainbow_separation(rc: RCDecomposition, i: int, j: int) -> OrientedSeparation:
@@ -141,9 +144,7 @@ def rainbow_separation(rc: RCDecomposition, i: int, j: int) -> OrientedSeparatio
     M = rc.length
     if not 0 <= i <= j <= M:
         raise RainbowError(f"indices ({i},{j}) out of range 0..{M}")
-    small = rc.bag_union(i, j) | rc.sun
-    big = rc.cloud | rc.bag_union(0, i - 1) | rc.bag_union(j + 1, M)
-    return sep(small, big)
+    return sep(rc.bag_union(i, j) | rc.sun, rc.outside(i, j))
 
 
 # -- crossing and slicing classification ----------------------------------------
@@ -159,68 +160,63 @@ class CrossingInfo:
         return self.direction != "none"
 
 
-def _clockwise_indices(rc: RCDecomposition, a, b, k: int):
-    """Minimal early bag inside a - b and maximal late bag inside b - a, for
-    the sides a, b of a separation of rc.graph: a bag missing b lies in a - b."""
-    M = rc.length
-    i_min = next(
-        (i for i in range(0, min(2 * k, M) + 1) if rc.bags[i].isdisjoint(b)), None
-    )
-    if i_min is None:
+def _end_bags(rc: RCDecomposition, k: int, early_misses, late_misses):
+    """The first bag among 0..min(2k, M) disjoint from early_misses and the
+    last bag among max(M - 2k, 0)..M disjoint from late_misses, or None
+    unless both exist.  For a side b of a separation of rc.graph, a bag
+    disjoint from b lies strictly inside the other side."""
+    M, bags = rc.length, rc.bags
+    early = range(min(2 * k, M) + 1)
+    i = next((i for i in early if bags[i].isdisjoint(early_misses)), None)
+    if i is None:
         return None
-    j_max = next(
-        (j for j in range(M, max(M - 2 * k, 0) - 1, -1) if rc.bags[j].isdisjoint(a)),
-        None,
-    )
-    if j_max is None:
-        return None
-    return i_min, j_max
+    late = range(M, max(M - 2 * k, 0) - 1, -1)
+    j = next((j for j in late if bags[j].isdisjoint(late_misses)), None)
+    return None if j is None else (i, j)
 
 
-def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k=None) -> CrossingInfo:
+def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k: int) -> CrossingInfo:
     """Whether s runs across the rainbow, and between which extremal bags.
 
     "Clockwise" puts an early bag strictly inside the small side and a late
     bag strictly inside the big side; the reverse orientation is
     counterclockwise.  A crossing separation must carry the whole sun in its
     separator; one that does not raises RainbowError.  s is a separation
-    of rc.graph.
+    of rc.graph and k the tangle order, which sets the end windows.
     """
-    if k is None:
-        k = s.order
-    fwd = _clockwise_indices(rc, s.small, s.big, k)
-    bwd = None if fwd is not None else _clockwise_indices(rc, s.big, s.small, k)
-    if fwd is None and bwd is None:
+    fwd = _end_bags(rc, k, s.big, s.small)
+    ends = fwd or _end_bags(rc, k, s.small, s.big)
+    if ends is None:
         return CrossingInfo("none")
     if not (rc.sun <= s.small and rc.sun <= s.big):
         raise RainbowError("crossing separator misses the sun")
-    if fwd is not None:
-        return CrossingInfo("clockwise", *fwd)
-    return CrossingInfo("counterclockwise", *bwd)
+    return CrossingInfo("clockwise" if fwd else "counterclockwise", *ends)
 
 
-def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k=None):
+def _clockwise_window(rc: RCDecomposition, s: OrientedSeparation, k: int):
+    """(i_min, j_max) of a clockwise crossing; anything else raises."""
+    info = classify_crossing(rc, s, k)
+    if info.direction != "clockwise":
+        raise RainbowError("separation does not cross clockwise")
+    return info.i_min, info.j_max
+
+
+def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k: int):
     """The h-th member of the increasing family refining a clockwise crossing.
 
     Everything before bag h moves to the small side, bag h onwards to the
     big side; outside the extremal window the crossing separation itself
     decides.  Valid for h in i_min+1 .. j_max.
     """
-    info = classify_crossing(rc, s, k)
-    if info.direction != "clockwise":
-        raise RainbowError("separation does not cross clockwise")
-    i, j = info.i_min, info.j_max
+    i, j = _clockwise_window(rc, s, k)
     if not i + 1 <= h <= j:
         raise RainbowError(f"split index {h} out of range {i + 1}..{j}")
     return _splits(rc, s, i, j, range(h, h + 1))[h]
 
 
-def split_family(rc: RCDecomposition, s: OrientedSeparation, k=None):
+def split_family(rc: RCDecomposition, s: OrientedSeparation, k: int):
     """All splits of a clockwise crossing, indexed i_min+1 .. j_max."""
-    info = classify_crossing(rc, s, k)
-    if info.direction != "clockwise":
-        raise RainbowError("separation does not cross clockwise")
-    i, j = info.i_min, info.j_max
+    i, j = _clockwise_window(rc, s, k)
     return _splits(rc, s, i, j, range(i + 1, j + 1))
 
 
@@ -233,7 +229,7 @@ def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
     every small side and one from the right every big side.
     """
     bags = rc.bags
-    outer = rc.cloud.union(*bags[:i], *bags[j + 1 :])
+    outer = rc.outside(i, j)
     small = ((s.small & outer) | rc.sun).union(*bags[i : hs.start - 1])
     big = ((s.big & outer) | rc.sun).union(*bags[hs.stop : j + 1])
     smalls = []
@@ -248,25 +244,20 @@ def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
     return {h: sep(a, b) for h, a, b in zip(hs, smalls, bigs)}
 
 
-def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k=None) -> bool:
+def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k: int) -> bool:
     """True when an early and a late bag sit strictly on one side while some
     bag between them sits strictly on the other.  s is a separation of
     rc.graph, so a bag sits strictly on one side when it misses the other."""
-    if k is None:
-        k = s.order
-    M = rc.length
     for a, b in ((s.small, s.big), (s.big, s.small)):
-        early = [i for i in range(0, min(2 * k, M) + 1) if rc.bags[i].isdisjoint(b)]
-        late = [j for j in range(max(M - 2 * k, 0), M + 1) if rc.bags[j].isdisjoint(b)]
-        if not early or not late:
-            continue
-        i, j = min(early), max(late)
-        if any(rc.bags[h].isdisjoint(a) for h in range(i + 1, j)):
+        ends = _end_bags(rc, k, b, b)
+        if ends is not None and any(
+            rc.bags[h].isdisjoint(a) for h in range(ends[0] + 1, ends[1])
+        ):
             return True
     return False
 
 
-def classify_cross_or_slice(rc: RCDecomposition, s: OrientedSeparation, k=None) -> str:
+def classify_cross_or_slice(rc: RCDecomposition, s: OrientedSeparation, k: int) -> str:
     if classify_crossing(rc, s, k):
         return "crossing"
     if slices_rainbow(rc, s, k):
@@ -303,11 +294,12 @@ class LivingVerdict:
     turning_point: int | None = None
 
 
-def _flip_point(rc: RCDecomposition, tau: Tangle, s: OrientedSeparation, k):
-    """Last forward-oriented split index h with h+1 oriented backward."""
-    fam = split_family(rc, s, k)
-    hs = sorted(fam)
-    for h in hs[:-1]:
+def _flip_point(rc: RCDecomposition, tau: Tangle, s: OrientedSeparation, info):
+    """Last forward-oriented split index h with h+1 oriented backward, for a
+    clockwise crossing s whose CrossingInfo is info."""
+    i, j = info.i_min, info.j_max
+    fam = _splits(rc, s, i, j, range(i + 1, j + 1))
+    for h in range(i + 1, j):
         if fam[h] in tau and fam[h + 1].inverse() in tau:
             return h
     return None
@@ -324,9 +316,10 @@ def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
         for cand in (s, s.inverse()):
             if cand not in tau:
                 continue
-            if classify_crossing(rc, cand, k).direction != "clockwise":
+            info = classify_crossing(rc, cand, k)
+            if info.direction != "clockwise":
                 continue
-            h = _flip_point(rc, tau, cand, k)
+            h = _flip_point(rc, tau, cand, info)
             if h is not None:
                 return LivingVerdict("flip", witness=cand, turning_point=h)
     return LivingVerdict("no")
@@ -516,6 +509,9 @@ def clique_tangle(g: Graph, clique, k: int) -> Tangle:
     together miss at least one clique vertex, hence no forbidden triple.
     """
     q = frozenset(clique)
+    unknown = sorted(q - g.vertex_set())
+    if unknown:
+        raise TangleError(f"clique vertices not in the graph: {unknown}")
     if len(q) < 3 * k - 2:
         raise TangleError(f"need at least 3k-2 = {3 * k - 2} clique vertices")
     if any(not g.has_edge(a, b) for a in q for b in q if a < b):
@@ -629,4 +625,7 @@ def parse_rc(text: str, g: Graph) -> RCDecomposition:
             raise RainbowError("data before any section header")
     if not bags:
         raise RainbowError("no bags found")
+    unknown = sorted(sun.union(cloud, *bags) - g.vertex_set())
+    if unknown:
+        raise RainbowError(f"bag, sun or cloud vertices not in the graph: {unknown}")
     return RCDecomposition(g, tuple(bags), sun, cloud)

@@ -258,15 +258,16 @@ def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle)
 
 
 def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
-    """Drop one edge, keeping tau, assuming some (k+1)-tangle exists.
+    """Drop one edge, keeping tau, by way of a (k+1)-tangle.
 
-    Returns (edge, tangle in g - e).  Tries a refining higher-order tangle
-    first (then any edge works; the smallest is taken), otherwise uses a
-    diverging one.
+    Returns (edge, tangle in g - e), or None when g has no (k+1)-tangle.
+    Tries a refining higher-order tangle first (then any edge works; the
+    smallest is taken), otherwise uses a diverging one.
     """
     _require(tau.k >= 2, "needs order >= 2")
     supers = enumerate_tangles(g, tau.k + 1)
-    _require(bool(supers), "no higher-order tangle exists")
+    if not supers:
+        return None
     for tt in supers:
         if tau.members <= tt.members:
             e = min(g.edges)

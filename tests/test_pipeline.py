@@ -43,7 +43,7 @@ from tanglekit.rainbow_cloud import (
     format_rc,
     synth_rc,
 )
-from tanglekit.tangles import Tangle, enumerate_tangles, extends, is_tangle
+from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, extends, is_tangle
 
 from conftest import reference_is_tangle
 
@@ -130,6 +130,17 @@ def test_reduce_k5_uses_higher_order_route():
     )
     # the terminal graph still carries the 3-tangle but sheds edges
     assert len(trace.terminal_graph.edges) < len(g.edges)
+
+
+def test_reduce_lets_a_failed_supertangle_construction_through(monkeypatch):
+    def broken(g, t):
+        raise TangleError("agreement across the edge failed")
+
+    monkeypatch.setattr("tanglekit.pipeline.survive_edge_deletion_via_supertangle", broken)
+    g = complete_graph(4)
+    (tau,) = enumerate_tangles(g, 3)
+    with pytest.raises(TangleError, match="agreement across the edge failed"):
+        reduce(g, tau)
 
 
 def test_reduce_rejects_non_tangle():
@@ -608,12 +619,21 @@ NOT_TANGLES = {
     "tangle file of another order": "has order 3, not --k 2",
 }
 
+# rc inputs naming vertex 999, outside the graph: case -> rc section that
+# gains it (None: the --clique of rc extend names it)
+UNKNOWN_RC_VERTEX = {
+    "rc bag outside the graph": "RAINBOW-BAGS",
+    "rc sun outside the graph": "SUN",
+    "rc cloud outside the graph": "CLOUD-VERTICES",
+    "clique outside the graph": None,
+}
+
 
 @pytest.mark.parametrize(
     "case",
     ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
      "weights not an object", "tangle index too large", "negative tangle index",
-     *NOT_TANGLES],
+     *NOT_TANGLES, *UNKNOWN_RC_VERTEX],
 )
 def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     from tanglekit.tangles import format_tangle
@@ -656,6 +676,16 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
             tp.write_text(format_tangle(Tangle(g, 3, tau.sorted_members()[3:])))
         k = "3" if case == "tangle file lacks members" else "2"
         argv = ["induce", str(gp), "--k", k, "--tangle", str(tp)]
+    elif case in UNKNOWN_RC_VERTEX:
+        rg, rc, _ = synth_rc(8, 1, 1, k=1)
+        section, rp, text = UNKNOWN_RC_VERTEX[case], tmp_path / "rc.txt", format_rc(rc)
+        gp.write_text(format_edgelist(rg))
+        argv = ["rc", "validate", "--graph", str(gp), "--rc", str(rp)]
+        if section is None:
+            argv = ["rc", "extend", *argv[2:], "--k", "1", "--clique", "999"]
+        else:
+            text = text.replace(f"{section}\n", f"{section}\n999 ", 1)
+        rp.write_text(text)
     else:
         index = "5" if case == "tangle index too large" else "-1"
         argv = ["reduce", str(tri), "--k", "1", "--tangle-index", index]
@@ -664,6 +694,7 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
     assert NOT_TANGLES.get(case, "") in err
+    assert case not in UNKNOWN_RC_VERTEX or "not in the graph: [999]" in err
 
 
 def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):

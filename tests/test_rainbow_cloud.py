@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import synth_rc_instances
-from tanglekit.graphs import Graph, delete_edge
+from tanglekit.cli import main
+from tanglekit.graphs import Graph, delete_edge, format_edgelist
 from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
 from tanglekit.tangles import Tangle, TangleError, extends, is_tangle
 from tanglekit.survival import brute_force_extensions
@@ -237,9 +238,7 @@ def ref_clockwise_indices(rc, s, k):
     return i_min, j_max
 
 
-def ref_classify_crossing(rc, s, k=None):
-    if k is None:
-        k = s.order
+def ref_classify_crossing(rc, s, k):
     fwd = ref_clockwise_indices(rc, s, k)
     bwd = None if fwd is not None else ref_clockwise_indices(rc, s.inverse(), k)
     if fwd is None and bwd is None:
@@ -258,15 +257,13 @@ def ref_splits(rc, s, i, j, hs):
     return {h: sep(small | rc.bag_union(i, h - 1), rc.bag_union(h, j) | big) for h in hs}
 
 
-def ref_split_family(rc, s, k=None):
+def ref_split_family(rc, s, k):
     info = ref_classify_crossing(rc, s, k)
     assert info.direction == "clockwise"
     return ref_splits(rc, s, info.i_min, info.j_max, range(info.i_min + 1, info.j_max + 1))
 
 
-def ref_slices_rainbow(rc, s, k=None):
-    if k is None:
-        k = s.order
+def ref_slices_rainbow(rc, s, k):
     M = rc.length
     for a_strict, b_strict in (
         (s.small - s.big, s.big - s.small),
@@ -282,7 +279,7 @@ def ref_slices_rainbow(rc, s, k=None):
     return False
 
 
-def ref_classify_cross_or_slice(rc, s, k=None):
+def ref_classify_cross_or_slice(rc, s, k):
     if ref_classify_crossing(rc, s, k):
         return "crossing"
     if ref_slices_rainbow(rc, s, k):
@@ -293,7 +290,6 @@ def ref_classify_cross_or_slice(rc, s, k=None):
 def assert_matches_reference(rc, s, k):
     info = classify_crossing(rc, s, k)
     assert info == ref_classify_crossing(rc, s, k)
-    assert classify_crossing(rc, s) == ref_classify_crossing(rc, s)
     assert classify_cross_or_slice(rc, s, k) == ref_classify_cross_or_slice(rc, s, k)
     assert slices_rainbow(rc, s, k) == ref_slices_rainbow(rc, s, k)
     if info.direction != "clockwise":
@@ -466,3 +462,64 @@ def test_parse_rc_rejects_garbage():
         parse_rc("1 2 3\n", g)
     with pytest.raises(RainbowError):
         parse_rc("SUN\n1\n", g)
+
+
+RC_SECTIONS = ("RAINBOW-BAGS", "SUN", "CLOUD-VERTICES", "LINKAGE")
+
+
+@settings(max_examples=30, deadline=None)
+@given(synth_rc_instances(), st.sampled_from(RC_SECTIONS[:3]))
+def test_format_parse_round_trip_refuses_unknown_vertices(instance, section):
+    g, rc, _ = instance
+    text = format_rc(rc)
+    assert parse_rc(text, g) == rc
+    outside = max(g.vertices) + 1
+    with pytest.raises(RainbowError, match=f"not in the graph: \\[{outside}\\]"):
+        parse_rc(text.replace(f"{section}\n", f"{section}\n{outside} ", 1), g)
+
+
+FUZZ_GRAPH, FUZZ_RC, _ = synth_rc(3, 1, 1, k=1)
+FUZZ_LINES = format_rc(FUZZ_RC).splitlines()
+
+
+def rc_line_edits(real_lines):
+    """A few line insertions, replacements and deletions for an rc text.  New
+    lines are section headers, comments, blank lines, integer labels in and
+    outside the graph, and junk tokens."""
+    label = st.integers(-2, 12)
+    line = st.one_of(
+        st.sampled_from(RC_SECTIONS + ("# a comment", "")),
+        st.lists(label, min_size=1, max_size=5).map(lambda xs: " ".join(map(str, xs))),
+        st.lists(
+            st.sampled_from(["x", "1.5", "-", "#", "0x1", "SUN", "[]"]) | label.map(str),
+            min_size=1,
+            max_size=4,
+        ).map(" ".join),
+    )
+    edit = st.tuples(st.integers(0, len(real_lines)), st.sampled_from((0, 1, 2)), line)
+    return st.lists(edit, max_size=6)
+
+
+def apply_line_edits(lines, edits):
+    lines = list(lines)
+    for pos, op, new in edits:  # op 0 inserts, 1 replaces, 2 deletes
+        lines[pos : pos + (op > 0)] = [] if op == 2 else [new]
+    return "".join(f"{x}\n" for x in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_graph_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rc-fuzz") / "g.edges"
+    path.write_text(format_edgelist(FUZZ_GRAPH))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(rc_line_edits(FUZZ_LINES))
+# a sun vertex outside the graph once ended validate_rc in a KeyError
+@example([(FUZZ_LINES.index("SUN") + 1, 0, "-1")])
+def test_cli_rc_validate_fuzz(fuzz_graph_file, edits):
+    rc_path = fuzz_graph_file.parent / "rc.txt"
+    rc_path.write_text(apply_line_edits(FUZZ_LINES, edits))
+    argv = ["rc", "validate", "--graph", str(fuzz_graph_file), "--rc", str(rc_path)]
+    assert main(argv) in (0, 1, 2)

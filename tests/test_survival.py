@@ -324,15 +324,22 @@ def test_survive_edge_deletion_via_supertangle_small_graphs(small_graphs):
     for g in small_graphs:
         for k in (2, 3):
             for tau in enumerate_tangles(g, k):
-                try:
-                    e, t2 = survive_edge_deletion_via_supertangle(g, tau)
-                except TangleError:
+                found = survive_edge_deletion_via_supertangle(g, tau)
+                if found is None:
                     continue
+                e, t2 = found
                 g2 = delete_edge(g, e)
                 assert is_tangle(g2, k, t2.members)
                 assert agree_on_shared(t2, tau)
                 oracle = brute_force_extensions(g, tau, e)
                 assert any(t2.members == o.members for o in oracle)
+
+
+def test_survive_edge_deletion_via_supertangle_none_without_higher_order_tangle():
+    g = cycle_graph(5)
+    (tau,) = enumerate_tangles(g, 2)
+    assert enumerate_tangles(g, 3) == []
+    assert survive_edge_deletion_via_supertangle(g, tau) is None
 
 
 def test_brute_force_extensions_finds_all():
