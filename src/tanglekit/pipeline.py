@@ -109,7 +109,7 @@ def _next_step(g: Graph, t: Tangle):
             e, t2 = found
             return ReductionStep("delete_edge", e, "higher-order tangle", t2)
         for e in g.sorted_edges():
-            found = brute_force_extensions(g, t, e, find_all=False)
+            found = brute_force_extensions(g, t, e)
             if found:
                 return ReductionStep("delete_edge", e, "edge search", found[0])
     return None

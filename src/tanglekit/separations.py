@@ -87,49 +87,68 @@ def check_submodular_equality(s: OrientedSeparation, t: OrientedSeparation) -> b
     return s.meet(t).order + s.join(t).order == s.order + t.order
 
 
+MAX_SEPARATIONS = 500_000  # enumerate_separations refuses longer lists
+
+
+def separator_components(g: Graph, k: int):
+    """Yield each separator mask S with |S| < k and the component masks of g - S.
+
+    Separators come by size, then by the combination of their vertex
+    indices; components come in Graph.components order.
+    """
+    n = len(g.vertices)
+    full = g.full_mask()
+    for size in range(min(k, n + 1)):
+        for S in itertools.combinations(range(n), size):
+            sm = sum(1 << i for i in S)
+            yield sm, g.components(full & ~sm)
+
+
 def enumerate_separations(g: Graph, k: int):
     """All oriented separations of order < k, both orientations.
 
     Sorted by (order, sorted small side, sorted big side).  The first call
     for a given k stores the result on g, so the separations live exactly
-    as long as g; every call returns a fresh list.
+    as long as g; every call returns a fresh list.  A list longer than
+    MAX_SEPARATIONS is refused with a GraphError before it is built.
     """
     if k < 0:
         raise GraphError("negative order bound")
     memo = g._seps
     if k not in memo:
-        memo[k] = _enumerate_separations(g, k)
+        splits = list(separator_components(g, k))
+        count = sum(1 << len(comps) for _, comps in splits)
+        if count > MAX_SEPARATIONS:
+            raise GraphError(
+                f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}"
+            )
+        memo[k] = _enumerate_separations(g, splits)
     return list(memo[k])
 
 
-def _enumerate_separations(g: Graph, k):
+def _enumerate_separations(g: Graph, splits):
     """Enumeration on vertex-index bitmasks.
 
-    For each candidate separator S with |S| < k, the components of g - S
-    are found as masks and distributed over the two sides in every way.
-    The components are disjoint from S and each goes to exactly one side,
-    so every split has separator exactly S, and distinct splits or
-    distinct S give distinct separations: nothing comes out twice.  Each
-    distinct side mask becomes one frozenset, shared by every separation
-    with that side, so a separation and its inverse share both sides.
+    splits holds each separator mask S with the components of g - S, as
+    separator_components yields them; the components are distributed over
+    the two sides in every way.  They are disjoint from S and each goes to
+    exactly one side, so every split has separator exactly S, and distinct
+    splits or distinct S give distinct separations: nothing comes out
+    twice.  Each distinct side mask becomes one frozenset, shared by every
+    separation with that side, so a separation and its inverse share both
+    sides.
     """
-    n = len(g.vertices)
-    full = g.full_mask()
     pairs = []
-    for size in range(min(k, n + 1)):
-        for S in itertools.combinations(range(n), size):
-            sm = 0
-            for i in S:
-                sm |= 1 << i
-            comps = g.components(full & ~sm)
-            for pick in itertools.product((0, 1), repeat=len(comps)):
-                small = big = sm
-                for side, comp in zip(pick, comps):
-                    if side:
-                        big |= comp
-                    else:
-                        small |= comp
-                pairs.append((size, small, big))
+    for sm, comps in splits:
+        size = sm.bit_count()
+        for pick in itertools.product((0, 1), repeat=len(comps)):
+            small = big = sm
+            for side, comp in zip(pick, comps):
+                if side:
+                    big |= comp
+                else:
+                    small |= comp
+            pairs.append((size, small, big))
     vs = g.vertices
     labels = {}
     for _, small, big in pairs:

@@ -278,7 +278,7 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
 # -- brute-force reference ----------------------------------------------------
 
 
-def brute_force_extensions(g: Graph, tau: Tangle, e, find_all=True):
+def brute_force_extensions(g: Graph, tau: Tangle, e):
     """All k-tangles of g - e that agree with tau, by exhaustive search."""
     g2 = delete_edge(g, e)
-    return search_extension(g2, tau.k, tau.members, find_all=find_all)
+    return search_extension(g2, tau.k, tau.members)

@@ -17,6 +17,7 @@ from .separations import (
     enumerate_separations,
     format_separation,
     restrict_to_subgraph,
+    separator_components,
 )
 
 
@@ -243,104 +244,92 @@ def _completes_triple(c, front, full):
     miss = full & ~c
     if not miss:
         return True
-    misses = [miss & ~a for a, _ in front]
-    if 0 in misses:
-        return True
-    for x, m in enumerate(misses):
-        for a, _ in front[x + 1:]:
+    for x, m in enumerate([miss & ~a for a in front]):
+        for a in front[x:]:  # a = front[x] first: m & a == m iff m == 0
             if m & a == m:
                 return True
     return False
 
 
-def _search(g: Graph, k: int, fixed, find_all: bool):
-    """Depth-first orientation search avoiding covering triples.
+def _search(g: Graph, k: int, fixed):
+    """Member-frozensets of g's k-tangles that hold every separation in
+    fixed, in ascending order of their sorted member lists.
 
-    fixed is a set of separations that must be chosen.  Returns the
-    member-frozensets of the k-tangles found, in search order.
+    A k-tangle points each separator X (|X| < k) at one component C(X) of
+    g - X, and (A, B) with separator X is a member iff C(X) lies in B - A.
+    The search picks C(X) per separator, and each k-tangle is exactly one
+    choice in which no three rows (V - C(X), C(X) | X) cover g:
 
-    Depth i orients the i-th unoriented separation, in the sort-key order
-    of its first orientation.  The search runs on an explicit stack, so its
-    depth is not bounded by the interpreter's recursion limit.  The frame
-    of each depth carries the frontier: the <=-maximal members chosen so
-    far, as (cover, big) int pairs.  Cover is monotone along <=, so a
-    candidate with cover c completes a covering triple iff c == full,
-    c | a == full or c | a | b == full for frontier covers a, b.  Its
-    small side lies inside that of a member exactly when its cover does,
-    so the pairs also decide <=.
+    - every member lies <= the row of its separator, and that row is itself
+      a member; cover is monotone, so the rows decide every triple;
+    - two rows of distinct components of one g - X cover g;
+    - a tangle with no row for X holds every (C | X, V - C).  Merging the
+      components one at a time, each union U gives the member
+      (U | X, V - U), or else its inverse and the two merged parts cover g;
+      so (V, X), which covers g alone, would be a member.
 
-    No separate consistency check is needed.  Suppose a chosen t has
-    inv(s) <= t, that is big(t) <= small(s) and big(s) <= small(t), and
-    the frontier member t' has t <= t'.  Every vertex and every edge of g
-    lies inside small(t) or big(t), hence inside small(t') or small(s);
-    so the triple (s, t', t') covers g and rejects s.
-
-    Results come in ascending order of their sorted member lists, so
-    callers need no sort.  Each depth tries its first orientation first.
-    If two results first differ at depth i, the one found first took that
-    depth's first orientation s.  A member of either that comes before s in
-    sort-key order orients an earlier depth, where the two agree; s's
-    inverse and all orientations of later depths come after s.  So the
-    sorted lists agree up to s, and there the first result's is smaller.
+    X = V (when |V| < k) has no component, and then there is no tangle.  A
+    fixed (A, B) confines C(A & B) to B - A; one that is not a separation
+    of g of order < k is ignored.  The search runs on an explicit stack,
+    whose entries carry the frontier: the cover-maximal rows chosen so far,
+    the only ones a new row is tested against.
     """
-    seps = enumerate_separations(g, k)
     full = full_cover(g)
-    # seps come sorted, so each key enters with its first orientation's rank
-    rows = {}
-    for s, c in zip(seps, cover_masks(g, seps)):
-        rows.setdefault(s.canonical_key(), []).append((s, c, g.mask_of(s.big)))
-    levels = []
-    for row in rows.values():
-        kept = [x for x in row if x[0] in fixed]
-        if len(kept) > 1:
-            return []  # fixed holds both orientations
-        levels.append(kept or row)
-
-    depth = len(levels)
-    chosen = [None] * depth
-    fronts = [()] * (depth + 1)  # fronts[i]: frontier of chosen[:i]
-    tried = [0] * depth  # candidates already tried at each depth
-    results = []
-    i = 0
-    while i >= 0:
-        if i == depth:
-            results.append(frozenset(chosen))
-            if not find_all:
-                break
-            i -= 1
+    vmask = g.full_mask()
+    ends = [(em, 1 << (len(g.vertices) + i)) for i, em in enumerate(g.edge_masks())]
+    splits = list(separator_components(g, k))
+    allowed = {}  # separator mask -> intersection of the big sides fixed there
+    if fixed:
+        V, comps_of = g.vertex_set(), dict(splits)
+        for s in fixed:
+            if s.small | s.big != V:
+                continue
+            a, b = g.mask_of(s.small), g.mask_of(s.big)
+            comps = comps_of.get(a & b)
+            if comps is not None and all(c & ~a == 0 or c & ~b == 0 for c in comps):
+                allowed[a & b] = allowed.get(a & b, vmask) & b
+    levels = [  # per separator: the allowed components with their row covers
+        [
+            (c, sum((bit for em, bit in ends if em & c == 0), vmask & ~c))
+            for c in comps
+            if c & ~allowed.get(x, vmask) == 0
+        ]
+        for x, comps in splits
+    ]
+    found = []
+    stack = [((), ())]  # (components chosen for the first levels, their frontier)
+    while stack:
+        chosen, front = stack.pop()
+        if len(chosen) == len(levels):
+            found.append(chosen)
             continue
-        j = tried[i]
-        if j == len(levels[i]):
-            tried[i] = 0
-            i -= 1
-            continue
-        tried[i] = j + 1
-        s, c, b = levels[i][j]
-        front = fronts[i]
-        if _completes_triple(c, front, full):
-            continue
-        chosen[i] = s
-        if any(c & ~a == 0 and x & ~b == 0 for a, x in front):
-            fronts[i + 1] = front
-        else:
-            fronts[i + 1] = tuple(
-                (a, x) for a, x in front if a & ~c or b & ~x
-            ) + ((c, b),)
-        i += 1
-    return results
+        for comp, c in levels[len(chosen)]:
+            if _completes_triple(c, front, full):
+                continue
+            grown = front
+            if not any(c & ~a == 0 for a in front):
+                grown = tuple(a for a in front if a & ~c) + (c,)
+            stack.append((chosen + (comp,), grown))
+    if not found:
+        return []
+    seps = enumerate_separations(g, k)
+    sides = [(g.mask_of(s.small), g.mask_of(s.big)) for s in seps]
+    rows = []
+    for choice in found:
+        pick = {x: c for (x, _), c in zip(splits, choice)}
+        rows.append([n for n, (a, b) in enumerate(sides) if pick[a & b] & ~b == 0])
+    return [frozenset(seps[n] for n in row) for row in sorted(rows)]
 
 
 def enumerate_tangles(g: Graph, k: int):
     """All k-tangles of g, in ascending sorted-member order (see _search)."""
-    return [Tangle(g, k, m) for m in _search(g, k, frozenset(), find_all=True)]
+    return [Tangle(g, k, m) for m in _search(g, k, ())]
 
 
-def search_extension(g2: Graph, k: int, fixed, find_all=False):
-    """k-tangles of g2 whose orientation agrees with fixed.
-
-    fixed: separations that must be chosen; any that g2 lacks at order < k is ignored.
-    """
-    return [Tangle(g2, k, m) for m in _search(g2, k, frozenset(fixed), find_all)]
+def search_extension(g2: Graph, k: int, fixed):
+    """All k-tangles of g2 that hold every separation in fixed, in _search's
+    order; a fixed separation that g2 lacks at order < k is ignored."""
+    return [Tangle(g2, k, m) for m in _search(g2, k, fixed)]
 
 
 def extends(tau: Tangle, tau2: Tangle) -> bool:

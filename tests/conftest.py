@@ -106,3 +106,10 @@ def reference_is_tangle(g, k, members):
         a | b | c == V and all(e <= a or e <= b or e <= c for e in edges)
         for a, b, c in itertools.combinations_with_replacement(smalls, 3)
     )
+
+
+def apply_line_edits(lines, edits):
+    lines = list(lines)
+    for pos, op, new in edits:  # op 0 inserts, 1 replaces, 2 deletes
+        lines[pos : pos + (op > 0)] = [] if op == 2 else [new]
+    return "".join(f"{x}\n" for x in lines)

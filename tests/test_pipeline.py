@@ -1,5 +1,7 @@
 """The reduction driver, witnessing subgraphs, traces, and the CLI."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -45,7 +47,7 @@ from tanglekit.rainbow_cloud import (
 )
 from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, extends, is_tangle
 
-from conftest import reference_is_tangle
+from conftest import apply_line_edits, reference_is_tangle
 
 
 def subdivided_k4(times=1):
@@ -633,7 +635,7 @@ UNKNOWN_RC_VERTEX = {
     "case",
     ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
      "weights not an object", "tangle index too large", "negative tangle index",
-     *NOT_TANGLES, *UNKNOWN_RC_VERTEX],
+     *NOT_TANGLES, *UNKNOWN_RC_VERTEX, "too many separations"],
 )
 def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     from tanglekit.tangles import format_tangle
@@ -686,6 +688,9 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
         else:
             text = text.replace(f"{section}\n", f"{section}\n999 ", 1)
         rp.write_text(text)
+    elif case == "too many separations":
+        gp.write_text(format_edgelist(synth_rc(20, 0, 1, 2)[0]))
+        argv = ["tangles", str(gp), "--k", "2"]
     else:
         index = "5" if case == "tangle index too large" else "-1"
         argv = ["reduce", str(tri), "--k", "1", "--tangle-index", index]
@@ -695,6 +700,45 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
     assert NOT_TANGLES.get(case, "") in err
     assert case not in UNKNOWN_RC_VERTEX or "not in the graph: [999]" in err
+
+
+@pytest.fixture(scope="module")
+def tangle_fuzz_files(tmp_path_factory):
+    """The subdivided K4's edge file, and its 3-tangle's lines as printed by
+    tanglekit tangles."""
+    gp = tmp_path_factory.mktemp("tangle-fuzz") / "g.edges"
+    gp.write_text(format_edgelist(subdivided_k4()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tangles", str(gp), "--k", "3"]) == 0
+    head, body = out.getvalue().split("-- tangle 0\n")
+    assert head == "1 tangle(s) of order 3\n"
+    return gp, body.splitlines()
+
+
+def tangle_line_edits(real_lines):
+    """A few line insertions, replacements and deletions for a tangle text.
+    New lines are copies of its lines, separation lines over labels in and
+    outside the graph, order lines, and junk."""
+    side = st.lists(st.integers(-1, 11), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    line = st.one_of(
+        st.sampled_from(real_lines),
+        st.tuples(side, side).map(lambda p: f"[{p[0]}] [{p[1]}]"),
+        st.integers(-1, 5).map(lambda k: f"order {k}"),
+        st.sampled_from(["", "order", "order x", "[0,1]", "[] [] []", "[x] []"]),
+    )
+    edit = st.tuples(st.integers(0, len(real_lines)), st.sampled_from((0, 1, 2)), line)
+    return st.lists(edit, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_tangle_file_fuzz(tangle_fuzz_files, data):
+    gp, lines = tangle_fuzz_files
+    tp = gp.parent / "t.tangle"
+    tp.write_text(apply_line_edits(lines, data.draw(tangle_line_edits(lines))))
+    assert main(["verify", str(gp), "--tangle", str(tp)]) in (0, 1, 2)
+    assert main(["reduce", str(gp), "--k", "3", "--tangle", str(tp)]) in (0, 1, 2)
 
 
 def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):

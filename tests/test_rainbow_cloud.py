@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import synth_rc_instances
+from conftest import apply_line_edits, synth_rc_instances
 from tanglekit.cli import main
 from tanglekit.graphs import Graph, delete_edge, format_edgelist
 from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
@@ -498,13 +498,6 @@ def rc_line_edits(real_lines):
     )
     edit = st.tuples(st.integers(0, len(real_lines)), st.sampled_from((0, 1, 2)), line)
     return st.lists(edit, max_size=6)
-
-
-def apply_line_edits(lines, edits):
-    lines = list(lines)
-    for pos, op, new in edits:  # op 0 inserts, 1 replaces, 2 deletes
-        lines[pos : pos + (op > 0)] = [] if op == 2 else [new]
-    return "".join(f"{x}\n" for x in lines)
 
 
 @pytest.fixture(scope="module")

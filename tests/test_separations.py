@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.graphs import Graph, GraphError, complete_graph, cycle_graph, delete_edge, path_graph
+from tanglekit.rainbow_cloud import synth_rc
 from tanglekit.separations import (
     OrientedSeparation,
     are_crossing,
@@ -82,6 +83,14 @@ def test_enumeration_lives_with_its_graph():
     finally:
         tracemalloc.stop()
     assert grown < 1 << 20, f"{grown / 2**20:.2f} MB still held"
+
+
+def test_enumeration_refuses_an_oversized_list():
+    # 4,194,482 separations: building them once got the process killed
+    g = synth_rc(20, 0, 1, 2)[0]
+    with pytest.raises(GraphError, match="^4194482 separations of order < 2"):
+        enumerate_separations(g, 2)
+    assert g._seps == {}
 
 
 def test_returned_list_is_the_callers():

@@ -264,11 +264,9 @@ def check_against_reference(g: Graph, k: int):
         g2 = delete_edge(g, e)
         below = reference_tangles(g2, k)
         for t in got:
-            ext = search_extension(g2, k, t.members, find_all=True)
+            ext = search_extension(g2, k, t.members)
             agree = sorted(_output_key(m) for m in below if t.members <= m)
             assert [_output_key(x.members) for x in ext] == agree
-            first = search_extension(g2, k, t.members)
-            assert len(first) == min(1, len(ext)) and set(first) <= set(ext)
             for x in ext:
                 assert check_axioms(x)["consistency"]
 
@@ -282,7 +280,7 @@ def random_graphs(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_graphs(), st.sampled_from([3, 4]))
+@given(random_graphs(), st.integers(1, 5))
 def test_search_matches_reference_property(g, k):
     check_against_reference(g, k)
 
@@ -309,8 +307,9 @@ def test_search_matches_reference_property(g, k):
             range(6),
             [(0, v) for v in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
         ),
+        Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
     ],
-    ids=["K5", "K6", "C5", "K4-subdivided", "two-K4", "prism", "W5"],
+    ids=["K5", "K6", "C5", "K4-subdivided", "two-K4", "prism", "W5", "two-triangles"],
 )
 @pytest.mark.parametrize("k", [3, 4])
 def test_search_matches_reference_seeded(g, k):
