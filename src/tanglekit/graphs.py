@@ -42,7 +42,7 @@ class Graph:
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
-        self._seps = {}  # k -> separations of order < k, filled by separations.py
+        self._seps = {}  # k -> (separations of order < k, side masks), filled by separations.py
         self._nbrs = None  # per-vertex neighbour masks, filled by components()
 
     # -- basic queries -------------------------------------------------

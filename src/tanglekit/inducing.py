@@ -75,12 +75,7 @@ def induces_set(tau: Tangle, x) -> bool:
 
 def _maximal_sides(tau: Tangle):
     """(small - big, big - small) as vertex-index masks, per <=-maximal member."""
-    g = tau.graph
-    out = []
-    for s in tau.maximal_members():
-        a, b = g.mask_of(s.small), g.mask_of(s.big)
-        out.append((a & ~b, b & ~a))
-    return out
+    return [(a & ~b, b & ~a) for a, b in tau.maximal_masks()]
 
 
 def find_inducing_set(tau: Tangle, max_size=None):

@@ -537,10 +537,15 @@ def synth_rc(M: int, ell: int, z: int, k: int = 3):
     ell = 0, a row of disjoint triangles), bag i spanning columns i and i+1.
     The sun is z apex vertices adjacent to the top of every column, and the
     cloud is a clique of 3k-2 vertices joined completely to both end columns
-    and the sun.  Returns (graph, decomposition, clique vertices).
+    and the sun.  Returns (graph, decomposition, clique vertices).  M < 1,
+    a negative ell or z, ell = z = 0, and k < 1 are refused.
     """
     if M < 1:
         raise RainbowError("need length at least 1")
+    if ell < 0 or z < 0:
+        raise RainbowError(f"adhesion {ell} and sun size {z} must be nonnegative")
+    if k < 1:
+        raise RainbowError(f"need order at least 1, not {k}")
     if ell == 0 and z == 0:
         raise RainbowError("a sun is required when the adhesion is zero")
     edges = []
@@ -573,7 +578,7 @@ def synth_rc(M: int, ell: int, z: int, k: int = 3):
     sun = frozenset(range(base, base + z))
     for s in sun:
         edges += [(s, t) for t in tops]
-    qsize = max(3 * k - 2, 1)
+    qsize = 3 * k - 2
     clique = frozenset(range(base + z, base + z + qsize))
     cq = sorted(clique)
     edges += [(a, b) for i, a in enumerate(cq) for b in cq[i + 1 :]]

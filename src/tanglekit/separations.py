@@ -112,22 +112,35 @@ def enumerate_separations(g: Graph, k: int):
     as long as g; every call returns a fresh list.  A list longer than
     MAX_SEPARATIONS is refused with a GraphError before it is built.
     """
+    return list(_separations(g, k)[0])
+
+
+def side_masks(g: Graph, k: int):
+    """The (small, big) vertex-index masks of enumerate_separations(g, k),
+    in its order, as one tuple stored with the separations on g."""
+    return _separations(g, k)[1]
+
+
+def _separations(g: Graph, k: int):
+    """The memo entry for k: (separations, their side masks)."""
     if k < 0:
         raise GraphError("negative order bound")
     memo = g._seps
-    if k not in memo:
+    got = memo.get(k)
+    if got is None:
         splits = list(separator_components(g, k))
         count = sum(1 << len(comps) for _, comps in splits)
         if count > MAX_SEPARATIONS:
             raise GraphError(
                 f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}"
             )
-        memo[k] = _enumerate_separations(g, splits)
-    return list(memo[k])
+        got = memo[k] = _enumerate_separations(g, splits)
+    return got
 
 
 def _enumerate_separations(g: Graph, splits):
-    """Enumeration on vertex-index bitmasks.
+    """Enumeration on vertex-index bitmasks: the separations and their
+    (small, big) side masks, as two tuples in the same order.
 
     splits holds each separator mask S with the components of g - S, as
     separator_components yields them; the components are distributed over
@@ -138,9 +151,8 @@ def _enumerate_separations(g: Graph, splits):
     separation with that side, so a separation and its inverse share both
     sides.
     """
-    pairs = []
+    pairs, masks = [], {}  # masks: each distinct side mask, one int object
     for sm, comps in splits:
-        size = sm.bit_count()
         for pick in itertools.product((0, 1), repeat=len(comps)):
             small = big = sm
             for side, comp in zip(pick, comps):
@@ -148,21 +160,19 @@ def _enumerate_separations(g: Graph, splits):
                     big |= comp
                 else:
                     small |= comp
-            pairs.append((size, small, big))
+            pairs.append((masks.setdefault(small, small), masks.setdefault(big, big)))
     vs = g.vertices
     labels = {}
-    for _, small, big in pairs:
-        for m in (small, big):
-            if m not in labels:
-                out, x = [], m
-                while x:
-                    low = x & -x
-                    out.append(vs[low.bit_length() - 1])
-                    x ^= low
-                labels[m] = tuple(out)  # sorted: bits follow label order
-    pairs.sort(key=lambda p: (p[0], labels[p[1]], labels[p[2]]))
+    for m in masks:
+        out, x = [], m
+        while x:
+            low = x & -x
+            out.append(vs[low.bit_length() - 1])
+            x ^= low
+        labels[m] = tuple(out)  # sorted: bits follow label order
+    pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), labels[p[0]], labels[p[1]]))
     sides = {m: frozenset(t) for m, t in labels.items()}
-    return tuple(OrientedSeparation(sides[a], sides[b]) for _, a, b in pairs)
+    return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs), tuple(pairs)
 
 
 def enumerate_separations_naive(g: Graph, k: int):

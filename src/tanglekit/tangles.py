@@ -10,6 +10,8 @@ whether three masks together contain a target.
 
 from __future__ import annotations
 
+import functools
+
 from .graphs import Graph, GraphError
 from .separations import (
     OrientedSeparation,
@@ -18,6 +20,7 @@ from .separations import (
     format_separation,
     restrict_to_subgraph,
     separator_components,
+    side_masks,
 )
 
 
@@ -97,13 +100,43 @@ def maximal_members(g: Graph, seps):
     """<=-maximal members of a collection, in sort-key order."""
     seps = sorted(set(seps), key=OrientedSeparation.sort_key)
     sides = [(g.mask_of(s.small), g.mask_of(s.big)) for s in seps]
-    return [
-        s
-        for s, (a, b) in zip(seps, sides)
-        if not any(
-            a & ~c == 0 and d & ~b == 0 and (a, b) != (c, d) for c, d in sides
-        )
-    ]
+    out = []
+    for s, (a, b) in zip(seps, sides):
+        for c, d in sides:
+            if a & ~c == 0 and d & ~b == 0 and (a != c or b != d):
+                break
+        else:
+            out.append(s)
+    return out
+
+
+def _maximal_rows(g: Graph, pick):
+    """The <=-maximal rows (V - C, C | X) of a separator-to-component map,
+    as (small, big) mask pairs in sort-key order.
+
+    Distinct separators give distinct rows.  A row strictly below another
+    has a smaller small side or a larger big side, so sorted by small side
+    size descending, then big side size ascending, each row comes after
+    every row above it, maximal ones included: testing it against the
+    maximal rows kept so far is enough.
+    """
+    vmask = g.full_mask()
+    rows = sorted(
+        ((vmask & ~c, c | x) for x, c in pick.items()),
+        key=lambda r: (-r[0].bit_count(), r[1].bit_count()),
+    )
+    tops = []
+    for a, b in rows:
+        for c, d in tops:
+            if a & ~c == 0 and d & ~b == 0:
+                break
+        else:
+            tops.append((a, b))
+    labels = g.labels_of
+    return sorted(
+        tops,
+        key=lambda r: ((r[0] & r[1]).bit_count(), sorted(labels(r[0])), sorted(labels(r[1]))),
+    )
 
 
 def find_forbidden_triple(g: Graph, seps):
@@ -133,16 +166,40 @@ class Tangle:
     """An orientation of all separations of order < k of a graph.
 
     Construction does not validate tanglehood; use is_tangle / check_axioms.
+    A tangle found by the search holds its separator-to-component map
+    instead (see _search): its member set is built on first use, and its
+    maximal members come from the map's rows.
     """
 
     def __init__(self, graph: Graph, k: int, members):
         self.graph = graph
         self.k = k
         self.members = frozenset(members)
+        self._map = None  # {separator mask: component mask}, for searched tangles
         self._maximal = None  # <=-maximal members, filled by maximal_members()
+        self._maximal_masks = None  # their side masks, filled by maximal_masks()
         s = _both_orientations(self.members)
         if s is not None:
             raise TangleError(f"both orientations of {s} present")
+
+    @classmethod
+    def _of_map(cls, graph: Graph, k: int, pick):
+        """The k-tangle that points each separator at the component pick gives."""
+        t = cls.__new__(cls)
+        t.graph, t.k, t._map = graph, k, pick
+        t._maximal = t._maximal_masks = None
+        return t
+
+    @functools.cached_property
+    def members(self) -> frozenset:
+        """The member separations.  Only a tangle that holds a map gets here,
+        on first use: (A, B) is a member iff C(A & B) lies in B - A."""
+        pick = self._map
+        seps = enumerate_separations(self.graph, self.k)
+        return frozenset(
+            s for s, (a, b) in zip(seps, side_masks(self.graph, self.k))
+            if pick[a & b] & ~b == 0
+        )
 
     def __contains__(self, s: OrientedSeparation):
         return s in self.members
@@ -176,10 +233,39 @@ class Tangle:
         return sorted(self.members, key=OrientedSeparation.sort_key)
 
     def maximal_members(self):
-        """<=-maximal members in sort-key order, computed once per tangle."""
+        """<=-maximal members in sort-key order, computed once per tangle.
+
+        A tangle that holds a map takes them from its rows
+        (V - C(X), C(X) | X), one per separator X, and that is exact:
+
+        - every member (A, B) lies <= the row of its separator, because
+          C(A & B) misses A and lies in B;
+        - that row is itself a member;
+        - distinct separators give distinct rows.
+
+        So a member is maximal iff it is a row that no other row lies above.
+        """
         if self._maximal is None:
-            self._maximal = tuple(maximal_members(self.graph, self.members))
+            if self._map is None:
+                self._maximal = tuple(maximal_members(self.graph, self.members))
+            else:
+                labels = self.graph.labels_of
+                self._maximal = tuple(
+                    OrientedSeparation(labels(a), labels(b)) for a, b in self.maximal_masks()
+                )
         return list(self._maximal)
+
+    def maximal_masks(self):
+        """(small, big) vertex-index masks of maximal_members(), in its order."""
+        if self._maximal_masks is None:
+            if self._map is None:
+                mask = self.graph.mask_of
+                self._maximal_masks = tuple(
+                    (mask(s.small), mask(s.big)) for s in self.maximal_members()
+                )
+            else:
+                self._maximal_masks = tuple(_maximal_rows(self.graph, self._map))
+        return list(self._maximal_masks)
 
     def core(self) -> frozenset:
         """Intersection of all big sides.
@@ -206,8 +292,14 @@ def is_orientation(g: Graph, k: int, members) -> bool:
     return _both_orientations(members) is None
 
 
+def _check_order(k: int):
+    if k < 0:
+        raise GraphError(f"negative tangle order {k}")
+
+
 def is_tangle(g: Graph, k: int, members) -> bool:
     """Validate a k-tangle: full orientation, no covering triple."""
+    _check_order(k)
     return is_orientation(g, k, members) and find_forbidden_triple(g, members) is None
 
 
@@ -251,9 +343,26 @@ def _completes_triple(c, front, full):
     return False
 
 
+def _admit(c, front, full):
+    """The frontier once row cover c is chosen, or None if c completes a
+    covering triple with it.
+
+    The frontier holds the cover-maximal rows chosen so far, and no three
+    chosen rows cover g.  A c inside a frontier cover a needs no test: c
+    and any two chosen rows cover no more than a and those two.
+    """
+    for a in front:
+        if c & ~a == 0:
+            return front
+    if _completes_triple(c, front, full):
+        return None
+    return tuple(a for a in front if a & ~c) + (c,)
+
+
 def _search(g: Graph, k: int, fixed):
-    """Member-frozensets of g's k-tangles that hold every separation in
-    fixed, in ascending order of their sorted member lists.
+    """Maps {separator mask: component mask} of g's k-tangles that hold
+    every separation in fixed, in ascending order of their sorted member
+    lists.
 
     A k-tangle points each separator X (|X| < k) at one component C(X) of
     g - X, and (A, B) with separator X is a member iff C(X) lies in B - A.
@@ -271,12 +380,19 @@ def _search(g: Graph, k: int, fixed):
     X = V (when |V| < k) has no component, and then there is no tangle.  A
     fixed (A, B) confines C(A & B) to B - A; one that is not a separation
     of g of order < k is ignored.  The search runs on an explicit stack,
-    whose entries carry the frontier: the cover-maximal rows chosen so far,
-    the only ones a new row is tested against.
+    whose entries carry the frontier (see _admit); a level with one option
+    is taken in place, and the chosen components form a linked list of
+    (component, rest) cells.  Member-index lists are built only to sort two
+    or more results.
     """
+    _check_order(k)
+    n = len(g.vertices)
     full = full_cover(g)
     vmask = g.full_mask()
-    ends = [(em, 1 << (len(g.vertices) + i)) for i, em in enumerate(g.edge_masks())]
+    incident = [0] * n  # per vertex: the cover bits of its edges
+    for i, em in enumerate(g.edge_masks()):
+        for v in (em & -em, em & (em - 1)):
+            incident[v.bit_length() - 1] |= 1 << (n + i)
     splits = list(separator_components(g, k))
     allowed = {}  # separator mask -> intersection of the big sides fixed there
     if fixed:
@@ -288,48 +404,61 @@ def _search(g: Graph, k: int, fixed):
             comps = comps_of.get(a & b)
             if comps is not None and all(c & ~a == 0 or c & ~b == 0 for c in comps):
                 allowed[a & b] = allowed.get(a & b, vmask) & b
-    levels = [  # per separator: the allowed components with their row covers
-        [
-            (c, sum((bit for em, bit in ends if em & c == 0), vmask & ~c))
-            for c in comps
-            if c & ~allowed.get(x, vmask) == 0
-        ]
-        for x, comps in splits
-    ]
+    levels = []  # per separator: the allowed components with their row covers
+    for x, comps in splits:
+        options = []
+        for c in comps:
+            if c & ~allowed.get(x, vmask):
+                continue
+            touched, m = 0, c  # the edges with an end in c
+            while m:
+                low = m & -m
+                touched |= incident[low.bit_length() - 1]
+                m ^= low
+            options.append((c, full & ~c & ~touched))
+        levels.append(options)
     found = []
-    stack = [((), ())]  # (components chosen for the first levels, their frontier)
+    stack = [(0, None, ())]  # (levels decided, their components, frontier)
     while stack:
-        chosen, front = stack.pop()
-        if len(chosen) == len(levels):
+        i, chosen, front = stack.pop()
+        while i < len(levels) and len(levels[i]) == 1:
+            ((comp, c),) = levels[i]
+            front = _admit(c, front, full)
+            if front is None:
+                break
+            i, chosen = i + 1, (comp, chosen)
+        if front is None:
+            continue
+        if i == len(levels):
             found.append(chosen)
             continue
-        for comp, c in levels[len(chosen)]:
-            if _completes_triple(c, front, full):
-                continue
-            grown = front
-            if not any(c & ~a == 0 for a in front):
-                grown = tuple(a for a in front if a & ~c) + (c,)
-            stack.append((chosen + (comp,), grown))
-    if not found:
-        return []
-    seps = enumerate_separations(g, k)
-    sides = [(g.mask_of(s.small), g.mask_of(s.big)) for s in seps]
-    rows = []
-    for choice in found:
-        pick = {x: c for (x, _), c in zip(splits, choice)}
-        rows.append([n for n, (a, b) in enumerate(sides) if pick[a & b] & ~b == 0])
-    return [frozenset(seps[n] for n in row) for row in sorted(rows)]
+        for comp, c in levels[i]:
+            grown = _admit(c, front, full)
+            if grown is not None:
+                stack.append((i + 1, (comp, chosen), grown))
+    picks = []
+    for chosen in found:
+        comps = []
+        while chosen is not None:
+            comp, chosen = chosen
+            comps.append(comp)
+        picks.append(dict(zip((x for x, _ in splits), reversed(comps))))
+    if len(picks) > 1:
+        sides = side_masks(g, k)
+        rows = [[j for j, (a, b) in enumerate(sides) if p[a & b] & ~b == 0] for p in picks]
+        picks = [picks[i] for i in sorted(range(len(picks)), key=rows.__getitem__)]
+    return picks
 
 
 def enumerate_tangles(g: Graph, k: int):
     """All k-tangles of g, in ascending sorted-member order (see _search)."""
-    return [Tangle(g, k, m) for m in _search(g, k, ())]
+    return [Tangle._of_map(g, k, pick) for pick in _search(g, k, ())]
 
 
 def search_extension(g2: Graph, k: int, fixed):
     """All k-tangles of g2 that hold every separation in fixed, in _search's
     order; a fixed separation that g2 lacks at order < k is ignored."""
-    return [Tangle(g2, k, m) for m in _search(g2, k, fixed)]
+    return [Tangle._of_map(g2, k, pick) for pick in _search(g2, k, fixed)]
 
 
 def extends(tau: Tangle, tau2: Tangle) -> bool:

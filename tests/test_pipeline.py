@@ -20,6 +20,7 @@ from tanglekit.graphs import (
     cycle_graph,
     delete_edge,
     format_edgelist,
+    graph6_encode,
     parse_edgelist,
     path_graph,
     subdivide_edge,
@@ -621,6 +622,16 @@ NOT_TANGLES = {
     "tangle file of another order": "has order 3, not --k 2",
 }
 
+# arguments below their range: case -> argv (tangles gets an edge file after
+# the command name, p11 a graph6 stream at the end)
+NEGATIVE_ARGS = {
+    "tangles of negative order": ["tangles", "--k", "-1"],
+    "p11 of negative order": ["p11", "--k", "-1", "--stream"],
+    "rc synth with negative adhesion": ["rc", "synth", "--length", "3", "--adhesion", "-1", "--sun", "0"],
+    "rc synth with negative sun": ["rc", "synth", "--length", "3", "--sun", "-1"],
+    "rc synth of order below one": ["rc", "synth", "--length", "3", "--k", "-2"],
+}
+
 # rc inputs naming vertex 999, outside the graph: case -> rc section that
 # gains it (None: the --clique of rc extend names it)
 UNKNOWN_RC_VERTEX = {
@@ -635,7 +646,7 @@ UNKNOWN_RC_VERTEX = {
     "case",
     ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
      "weights not an object", "tangle index too large", "negative tangle index",
-     *NOT_TANGLES, *UNKNOWN_RC_VERTEX, "too many separations"],
+     *NOT_TANGLES, *UNKNOWN_RC_VERTEX, "too many separations", *NEGATIVE_ARGS],
 )
 def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     from tanglekit.tangles import format_tangle
@@ -688,6 +699,13 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
         else:
             text = text.replace(f"{section}\n", f"{section}\n999 ", 1)
         rp.write_text(text)
+    elif case in NEGATIVE_ARGS:
+        argv = NEGATIVE_ARGS[case]
+        if argv[0] == "tangles":
+            argv = argv[:1] + [str(gp)] + argv[1:]
+        elif argv[0] == "p11":  # K4 and C5
+            gp.write_text("C~\nDhc\n")
+            argv = argv + [str(gp)]
     elif case == "too many separations":
         gp.write_text(format_edgelist(synth_rc(20, 0, 1, 2)[0]))
         argv = ["tangles", str(gp), "--k", "2"]
@@ -695,8 +713,9 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
         index = "5" if case == "tangle index too large" else "-1"
         argv = ["reduce", str(tri), "--k", "1", "--tangle-index", index]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
+    assert case not in NEGATIVE_ARGS or out == ""
     assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
     assert NOT_TANGLES.get(case, "") in err
     assert case not in UNKNOWN_RC_VERTEX or "not in the graph: [999]" in err
@@ -739,6 +758,59 @@ def test_cli_tangle_file_fuzz(tangle_fuzz_files, data):
     tp.write_text(apply_line_edits(lines, data.draw(tangle_line_edits(lines))))
     assert main(["verify", str(gp), "--tangle", str(tp)]) in (0, 1, 2)
     assert main(["reduce", str(gp), "--k", "3", "--tangle", str(tp)]) in (0, 1, 2)
+
+
+# graph6 lines of K4, C5 and the subdivided K4
+GRAPH6_LINES = ["C~", "Dhc", graph6_encode(subdivided_k4())]
+
+
+@st.composite
+def graph6_streams(draw):
+    """Up to four lines: graph6 lines with characters replaced, inserted or
+    deleted, header and blank lines, random printable text."""
+    char = st.characters(min_codepoint=32, max_codepoint=130)
+
+    def edit(line):
+        ops = st.tuples(st.integers(0, len(line)), st.sampled_from((0, 1, 2)), char)
+        for pos, op, c in draw(st.lists(ops, max_size=2)):
+            line = line[:pos] + ("" if op == 2 else c) + line[pos + (op > 0):]
+        return line
+
+    line = st.one_of(
+        st.sampled_from(GRAPH6_LINES).map(edit),
+        st.sampled_from(["", ">>graph6<<", ">>graph6<<C~", "?", "@", "~", "~??"]),
+        st.text(char, max_size=8),
+    )
+    return "".join(f"{x}\n" for x in draw(st.lists(line, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph6_streams(), st.integers(-1, 4))
+def test_cli_graph6_stream_fuzz(tmp_path_factory, text, k):
+    path = tmp_path_factory.mktemp("g6-fuzz") / "stream.g6"
+    path.write_text(text)
+    assert main(["p11", "--k", str(k), "--stream", str(path), "--weights"]) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(-1, 4))
+def test_cli_edge_list_fuzz(tmp_path_factory, data, k):
+    """Edits of the subdivided K4's edge list, run through tangles and
+    through p11 --dir."""
+    lines = format_edgelist(subdivided_k4()).splitlines()
+    label = st.integers(-1, 11).map(str)
+    line = st.one_of(
+        st.sampled_from(lines),
+        st.tuples(label, label).map(" ".join),
+        label,
+        st.sampled_from(["", "# note", "1 2 3", "x y", "1 1", "2.5 3", "0 1 # edge"]),
+    )
+    edit = st.tuples(st.integers(0, len(lines)), st.sampled_from((0, 1, 2)), line)
+    folder = tmp_path_factory.mktemp("edges-fuzz")
+    path = folder / "g.edges"
+    path.write_text(apply_line_edits(lines, data.draw(st.lists(edit, max_size=6))))
+    assert main(["tangles", str(path), "--k", str(k)]) in (0, 1, 2)
+    assert main(["p11", "--k", str(k), "--dir", str(folder)]) in (0, 1, 2)
 
 
 def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):

@@ -60,6 +60,15 @@ def test_synth_rejects_empty_interface():
         synth_rc(0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [((3, -1, 0), "adhesion -1"), ((3, 1, -1), "sun size -1"), ((3, 1, 1, 0), "order")],
+)
+def test_synth_rejects_negative_sizes(args, message):
+    with pytest.raises(RainbowError, match=message):
+        synth_rc(*args)
+
+
 def test_validator_flags_missing_sun_adjacency():
     g, rc, _ = synth_rc(8, 1, 1)
     z = min(rc.sun)

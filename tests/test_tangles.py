@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tanglekit.graphs import (
     Graph,
+    GraphError,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -14,6 +15,7 @@ from tanglekit.graphs import (
     subdivide_edge,
     suppress_vertex,
 )
+from tanglekit.inducing import find_inducing_set, find_inducing_weights
 from tanglekit.separations import (
     enumerate_separations,
     enumerate_separations_naive,
@@ -145,8 +147,8 @@ def test_graphs_above_128_vertices():
 
 
 def test_deep_search_needs_no_recursion():
-    """1199 unoriented separations: one search level each, far past the
-    interpreter's recursion limit."""
+    """601 separators (the empty set and each vertex): one search level
+    each, far past the interpreter's recursion limit."""
     g = path_graph(600)
     tau = tangle_of_block(g, frozenset({300, 301}))
     assert search_extension(g, 2, tau.members) == [tau]
@@ -272,8 +274,8 @@ def check_against_reference(g: Graph, k: int):
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(1, 5))
+def random_graphs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(range(n), edges)
@@ -314,6 +316,40 @@ def test_search_matches_reference_property(g, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_search_matches_reference_seeded(g, k):
     check_against_reference(g, k)
+
+
+def test_negative_order_is_refused():
+    g = complete_graph(4)
+    (tau,) = enumerate_tangles(g, 3)
+    with pytest.raises(GraphError, match="negative tangle order -1"):
+        enumerate_tangles(g, -1)
+    with pytest.raises(GraphError, match="negative tangle order -1"):
+        search_extension(g, -1, tau.members)
+    with pytest.raises(GraphError, match="negative tangle order -2"):
+        is_tangle(g, -2, ())
+    assert [t.members for t in enumerate_tangles(g, 0)] == [frozenset()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(max_n=6), st.integers(1, 5), st.data())
+def test_searched_tangles_match_member_built(g, k, data):
+    """A tangle that holds its search map against the same members built
+    into a Tangle: maximal members in order, inducing sets and weights,
+    equality and hash.  The maps also come from search_extension on g - e."""
+    found = enumerate_tangles(g, k)
+    if found and g.edges:
+        e = data.draw(st.sampled_from(g.sorted_edges()))
+        found += search_extension(delete_edge(g, e), k, found[0].members)
+    for t in found:
+        maximal = t.maximal_members()  # from the map's rows
+        same = Tangle(t.graph, k, t.members)
+        assert is_tangle(t.graph, k, t.members)
+        assert maximal == same.maximal_members()
+        assert t.maximal_masks() == same.maximal_masks()
+        assert find_inducing_set(t) == find_inducing_set(same)
+        budget = len(t.graph.vertices)
+        assert find_inducing_weights(t, budget) == find_inducing_weights(same, budget)
+        assert t == same and same == t and hash(t) == hash(same)
 
 
 @settings(max_examples=150, deadline=None)
