@@ -28,11 +28,12 @@ from .tangles import (
     Tangle,
     TangleError,
     _parse_tangle,
-    cover_masks,
     covering_triple,
     extends,
     format_tangle,
     is_tangle,
+    rows_cover,
+    side_covers,
     subgraph_cover,
 )
 
@@ -69,7 +70,8 @@ class ReductionTrace:
 
 
 def _verify_step(prev_t, step: ReductionStep):
-    if not is_tangle(step.graph, prev_t.k, step.tangle.members):
+    """Step tangles hold maps: no covering triple of rows is tanglehood."""
+    if step.tangle.k != prev_t.k or rows_cover(step.tangle):
         raise PipelineError(f"step {step.rule!r} produced a non-tangle")
     if step.kind == "delete_edge" and not extends(prev_t, step.tangle):
         raise PipelineError(f"step {step.rule!r} lost the tangle")
@@ -195,7 +197,7 @@ def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
     """
     if not (h.vertex_set() <= g.vertex_set() and h.edges <= g.edges):
         return True
-    pool = cover_masks(g, tau.maximal_members())
+    pool = side_covers(g, [a for a, _ in tau.maximal_masks()])
     return covering_triple(pool, subgraph_cover(g, h)) is None
 
 

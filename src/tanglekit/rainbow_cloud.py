@@ -24,7 +24,7 @@ from .decomposition import (
 from .graphs import Graph, delete_edge
 from .separations import OrientedSeparation, enumerate_separations, sep
 from .survival import forced_orientation
-from .tangles import Tangle, TangleError, extends, is_tangle, maximal_members
+from .tangles import Tangle, TangleError, extends, maximal_members, rows_cover
 
 
 class RainbowError(ValueError):
@@ -471,26 +471,25 @@ def extend_after_deletion(
     g2 = delete_edge(g, e)
     full, ends = g2.full_mask(), g2.mask_of(e)
     cloud = g2.mask_of(rc.cloud & g2.vertex_set())
-    members = []
-    for s in enumerate_separations(g2, k):
+
+    def rule(s):
         forced = forced_orientation(tau, s)
         if forced is not None:
-            members.append(forced)
-            continue
+            return forced == s
         small, big = g2.mask_of(s.small), g2.mask_of(s.big)
         comps = g2.components(full & ~(small & big))
         comp_small = next((c for c in comps if c & ends and not c & ~small), None)
         comp_big = next((c for c in comps if c & ends and not c & ~big), None)
         if comp_small is None or comp_big is None:
             raise RainbowError("unforced separation does not isolate the edge ends")
-        small_meets = bool(comp_small & cloud)
         big_meets = bool(comp_big & cloud)
-        if small_meets == big_meets:
+        if bool(comp_small & cloud) == big_meets:
             raise RainbowError("cloud reachability fails to decide an orientation")
-        members.append(s if big_meets else s.inverse())
-    out = Tangle(g2, k, members)
+        return big_meets
+
+    out = Tangle._of_rule(g2, k, rule)
     if verify:
-        if not is_tangle(g2, k, out.members):
+        if rows_cover(out):
             raise TangleError("extension is not a tangle")
         if not extends(tau, out):
             raise TangleError("extension disagrees with the original tangle")
@@ -516,15 +515,7 @@ def clique_tangle(g: Graph, clique, k: int) -> Tangle:
         raise TangleError(f"need at least 3k-2 = {3 * k - 2} clique vertices")
     if any(not g.has_edge(a, b) for a in q for b in q if a < b):
         raise TangleError("vertex set is not a clique")
-    members = []
-    for s in enumerate_separations(g, k):
-        if q <= s.big:
-            members.append(s)
-        elif q <= s.small:
-            members.append(s.inverse())
-        else:
-            raise TangleError("clique split by a small-order separation")
-    return Tangle(g, k, members)
+    return Tangle._of_rule(g, k, lambda s: q <= s.big)
 
 
 # -- synthetic instances --------------------------------------------------------------

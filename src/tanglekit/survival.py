@@ -3,14 +3,14 @@
 A tangle "survives" in a reduced graph (edge deleted, degree-2 vertex
 suppressed, or a component taken) when the reduced graph has a tangle of
 the same order agreeing with it on every shared separation.  Each function
-here builds that smaller tangle constructively; none of them enumerates
-tangles of the reduced graph.
+here states that smaller tangle as a membership test, read off the rows by
+Tangle._of_rule; none of them enumerates tangles of the reduced graph.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, delete_edge, suppress_vertex
-from .separations import OrientedSeparation, enumerate_separations
+from .separations import OrientedSeparation
 from .tangles import (
     Tangle,
     TangleError,
@@ -28,8 +28,7 @@ def _require(cond, msg):
 def tangle_of_component(g: Graph, comp: frozenset) -> Tangle:
     """The order-1 tangle pointing at a component's vertex set."""
     _require(comp in g.component_vertex_sets(), "not a component vertex set")
-    members = [s for s in enumerate_separations(g, 1) if comp <= s.big]
-    return Tangle(g, 1, members)
+    return Tangle._of_rule(g, 1, lambda s: comp <= s.big)
 
 
 def tangle_of_block(g: Graph, block: frozenset) -> Tangle:
@@ -37,8 +36,7 @@ def tangle_of_block(g: Graph, block: frozenset) -> Tangle:
 
     A separation of order < 2 leaves any block entirely inside one side.
     """
-    members = [s for s in enumerate_separations(g, 2) if block <= s.big]
-    return Tangle(g, 2, members)
+    return Tangle._of_rule(g, 2, lambda s: block <= s.big)
 
 
 # -- order-specific edge-deletion survival ---------------------------------
@@ -72,12 +70,7 @@ def survive_delete_edge_k2(g: Graph, tau: Tangle):
     f = core_edges[0]
     e = min(x for x in g.edges if x != f)
     g2 = delete_edge(g, e)
-    members = [
-        s
-        for s in enumerate_separations(g2, 2)
-        if f[0] in s.big and f[1] in s.big
-    ]
-    return e, Tangle(g2, 2, members)
+    return e, Tangle._of_rule(g2, 2, lambda s: f[0] in s.big and f[1] in s.big)
 
 
 # -- restriction to a component ---------------------------------------------
@@ -98,15 +91,9 @@ def restrict_to_component(g: Graph, tau: Tangle):
     _require(comp.is_connected() or not comp.vertices,
              "order-0 members do not single out a component")
     rest = g.vertex_set() - core1
-    members = []
-    for s in enumerate_separations(comp, tau.k):
-        padded = OrientedSeparation(s.small | rest, s.big)
-        if padded in tau.members:
-            members.append(s)
-        else:
-            _require(padded.inverse() in tau.members,
-                     "padded separation not oriented by the tangle")
-    return comp, Tangle(comp, tau.k, members)
+    return comp, Tangle._of_rule(
+        comp, tau.k, lambda s: OrientedSeparation(s.small | rest, s.big) in tau.members
+    )
 
 
 # -- pendant edges and vertex suppression ------------------------------------
@@ -122,17 +109,13 @@ def survive_delete_pendant_edge(g: Graph, tau: Tangle, v) -> Tangle:
     _require(v in g and g.degree(v) == 1, "not a pendant vertex")
     (u,) = g.neighbors(v)
     g2 = delete_edge(g, (u, v))
-    members = []
-    for s in enumerate_separations(g2, tau.k):
+
+    def rule(s):
         A, B = s.small, s.big
-        cands = (
-            s,
-            OrientedSeparation(A - {v}, B | {v}),
-            OrientedSeparation(A | {v}, B - {v}),
-        )
-        if any(c in tau.members for c in cands):
-            members.append(s)
-    return Tangle(g2, tau.k, members)
+        cands = (s, OrientedSeparation(A - {v}, B | {v}), OrientedSeparation(A | {v}, B - {v}))
+        return any(c in tau.members for c in cands)
+
+    return Tangle._of_rule(g2, tau.k, rule)
 
 
 def survive_suppress_vertex(g: Graph, tau: Tangle, v) -> Tangle:
@@ -143,15 +126,10 @@ def survive_suppress_vertex(g: Graph, tau: Tangle, v) -> Tangle:
     """
     _require(tau.k >= 3, "needs order >= 3")
     g2 = suppress_vertex(g, v)
-    members = []
-    for s in enumerate_separations(g2, tau.k):
-        A, B = s.small, s.big
-        if (
-            OrientedSeparation(A | {v}, B) in tau.members
-            or OrientedSeparation(A, B | {v}) in tau.members
-        ):
-            members.append(s)
-    return Tangle(g2, tau.k, members)
+    return Tangle._of_rule(g2, tau.k, lambda s: (
+        OrientedSeparation(s.small | {v}, s.big) in tau.members
+        or OrientedSeparation(s.small, s.big | {v}) in tau.members
+    ))
 
 
 # -- survival helped by a higher-order tangle ---------------------------------
@@ -185,13 +163,9 @@ def survive_with_extending_supertangle(
     _require(tau_tilde.k == tau.k + 1, "order must exceed tau's by one")
     _require(tau.members <= tau_tilde.members, "supertangle must refine tau")
     g2 = delete_edge(g, e)
-    members = []
-    for s in enumerate_separations(g2, tau.k):
-        if s in tau.members or (
-            s.inverse() not in tau.members and orientation_across_edge(tau_tilde, s, e)
-        ):
-            members.append(s)
-    return Tangle(g2, tau.k, members)
+    return Tangle._of_rule(g2, tau.k, lambda s: s in tau.members or (
+        s.inverse() not in tau.members and orientation_across_edge(tau_tilde, s, e)
+    ))
 
 
 def forced_orientation(tau: Tangle, s: OrientedSeparation):
@@ -246,15 +220,14 @@ def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle)
     _require(bool(inside), "no edge strictly inside the divergent side")
     e = inside[0]
     g2 = delete_edge(g, e)
-    members = []
-    for s in enumerate_separations(g2, tau.k):
+
+    def rule(s):
         forced = forced_orientation(tau, s)
         if forced is not None:
-            if forced == s:
-                members.append(s)
-        elif orientation_across_edge(tau_tilde, s, e):
-            members.append(s)
-    return e, Tangle(g2, tau.k, members)
+            return forced == s
+        return orientation_across_edge(tau_tilde, s, e)
+
+    return e, Tangle._of_rule(g2, tau.k, rule)
 
 
 def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):

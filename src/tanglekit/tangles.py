@@ -37,11 +37,15 @@ def cover_masks(g: Graph, seps):
     Bits 0..n-1 are vertices in sorted label order; bit n+i is the i-th
     edge of g.sorted_edges(), set when both its ends lie in the small side.
     """
+    return side_covers(g, [g.mask_of(s.small) for s in seps])
+
+
+def side_covers(g: Graph, smalls):
+    """cover_masks for small sides given as vertex-index masks."""
     n = len(g.vertices)
     ends = g.edge_masks()
     out = []
-    for s in seps:
-        vm = g.mask_of(s.small)
+    for vm in smalls:
         cover = vm
         for i, em in enumerate(ends):
             if vm & em == em:
@@ -166,16 +170,16 @@ class Tangle:
     """An orientation of all separations of order < k of a graph.
 
     Construction does not validate tanglehood; use is_tangle / check_axioms.
-    A tangle found by the search holds its separator-to-component map
-    instead (see _search): its member set is built on first use, and its
-    maximal members come from the map's rows.
+    A tangle found by the search or built from a rule (_search, _of_rule)
+    holds its separator-to-component map instead: its member set is built
+    on first use, and its maximal members come from the map's rows.
     """
 
     def __init__(self, graph: Graph, k: int, members):
         self.graph = graph
         self.k = k
         self.members = frozenset(members)
-        self._map = None  # {separator mask: component mask}, for searched tangles
+        self._map = None  # {separator mask: component mask}, if built from one
         self._maximal = None  # <=-maximal members, filled by maximal_members()
         self._maximal_masks = None  # their side masks, filled by maximal_masks()
         s = _both_orientations(self.members)
@@ -189,6 +193,30 @@ class Tangle:
         t.graph, t.k, t._map = graph, k, pick
         t._maximal = t._maximal_masks = None
         return t
+
+    @classmethod
+    def _of_rule(cls, graph: Graph, k: int, rule):
+        """The k-tangle whose members are the separations s with rule(s),
+        read off the rows: for each separator X, rule is tested on the rows
+        (V - C, C | X), one per component C of graph - X, and the component
+        whose row it accepts is kept.
+
+        If {s : rule(s)} is a k-tangle T, this is exact.  (A, B) is a member
+        of T iff C(A & B) lies in B - A (see _search), so the row of C(X) is
+        a member and the row of any other component is not: exactly one row
+        per separator passes, and the map picks C(X).  The map's members are
+        then T's.  A rule that passes no row or two at some separator defines
+        no k-tangle and raises TangleError.
+        """
+        vmask, labels = graph.full_mask(), graph.labels_of
+        pick = {}
+        for x, comps in separator_components(graph, k):
+            hits = [c for c in comps
+                    if rule(OrientedSeparation(labels(vmask & ~c), labels(c | x)))]
+            if len(hits) != 1:
+                raise TangleError(f"rule passes {len(hits)} components of G - {sorted(labels(x))}")
+            pick[x] = hits[0]
+        return cls._of_map(graph, k, pick)
 
     @functools.cached_property
     def members(self) -> frozenset:
@@ -301,6 +329,17 @@ def is_tangle(g: Graph, k: int, members) -> bool:
     """Validate a k-tangle: full orientation, no covering triple."""
     _check_order(k)
     return is_orientation(g, k, members) and find_forbidden_triple(g, members) is None
+
+
+def rows_cover(t: Tangle) -> bool:
+    """Do three of t's maximal members (repetition allowed) cover its graph?
+
+    For a tangle that holds a map, which orients every separation of order
+    < k by construction, "no" is exactly tanglehood: every member lies <=
+    a row, and cover is monotone (see _search).
+    """
+    smalls = [a for a, _ in t.maximal_masks()]
+    return covering_triple(side_covers(t.graph, smalls), full_cover(t.graph)) is not None
 
 
 def check_axioms(tangle: Tangle) -> dict:
@@ -478,11 +517,7 @@ def lift_subgraph(tau2: Tangle, g: Graph) -> Tangle:
     g2 = tau2.graph
     if not (set(g2.vertices) <= set(g.vertices) and g2.edges <= g.edges):
         raise TangleError("lift_subgraph: not a subgraph")
-    members = []
-    for s in enumerate_separations(g, tau2.k):
-        if restrict_to_subgraph(s, g2) in tau2.members:
-            members.append(s)
-    return Tangle(g, tau2.k, members)
+    return Tangle._of_rule(g, tau2.k, lambda s: restrict_to_subgraph(s, g2) in tau2.members)
 
 
 def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
@@ -492,23 +527,21 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
     if v not in g or g.degree(v) != 2:
         raise TangleError(f"vertex {v} is not suppressible in the host graph")
     u1, u2 = sorted(g.neighbors(v))
-    members = []
-    for s in enumerate_separations(g, tau2.k):
+
+    def rule(s):
         A, B = s.small, s.big
         A1, B1 = A - {v}, B - {v}
         if (u1 in A and u2 in A) or (u1 in B and u2 in B):
-            if OrientedSeparation(A1, B1) in tau2.members:
-                members.append(s)
-        else:
-            # split endpoints: one u in A\B, the other in B\A; then v
-            # separates them, so v lies in A cap B
-            ui, uj = (u1, u2) if u1 in A else (u2, u1)
-            if (
-                OrientedSeparation(A1, B1 | {ui}) in tau2.members
-                or OrientedSeparation(A1 | {uj}, B1) in tau2.members
-            ):
-                members.append(s)
-    return Tangle(g, tau2.k, members)
+            return OrientedSeparation(A1, B1) in tau2.members
+        # split endpoints: one u in A\B, the other in B\A; then v
+        # separates them, so v lies in A cap B
+        ui, uj = (u1, u2) if u1 in A else (u2, u1)
+        return (
+            OrientedSeparation(A1, B1 | {ui}) in tau2.members
+            or OrientedSeparation(A1 | {uj}, B1) in tau2.members
+        )
+
+    return Tangle._of_rule(g, tau2.k, rule)
 
 
 # -- serialization ----------------------------------------------------------

@@ -146,6 +146,37 @@ def test_reduce_lets_a_failed_supertangle_construction_through(monkeypatch):
         reduce(g, tau)
 
 
+def test_reduce_refuses_a_step_that_is_no_tangle(monkeypatch):
+    """A pendant deletion that points the empty separator at the isolated
+    vertex: its row and the row of {3} cover the graph."""
+    g = Graph(range(5), list(complete_graph(4).edges) + [(3, 4)])
+    (tau,) = enumerate_tangles(g, 3)
+
+    def broken(g, t, v):
+        g2 = delete_edge(g, (3, v))
+        (right,) = enumerate_tangles(g2, 3)
+        return Tangle._of_map(g2, 3, {**right._map, 0: g2.mask_of({v})})
+
+    monkeypatch.setattr("tanglekit.pipeline.survive_delete_pendant_edge", broken)
+    with pytest.raises(PipelineError, match="'pendant deletion' produced a non-tangle"):
+        reduce(g, tau)
+
+
+def test_reduce_refuses_a_step_that_loses_the_tangle(monkeypatch):
+    """An order-2 deletion that moves from the tangle of one triangle of a
+    bowtie to a tangle of g - e at a bridge."""
+    g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    tau = next(t for t in enumerate_tangles(g, 2) if t.core() == {0, 1, 2})
+
+    def broken(g, t):
+        g2 = delete_edge(g, (3, 4))
+        return (3, 4), next(t2 for t2 in enumerate_tangles(g2, 2) if not extends(t, t2))
+
+    monkeypatch.setattr("tanglekit.pipeline.survive_delete_edge_k2", broken)
+    with pytest.raises(PipelineError, match="'order-2 deletion' lost the tangle"):
+        reduce(g, tau)
+
+
 def test_reduce_rejects_non_tangle():
     g = complete_graph(4)
     (tau,) = enumerate_tangles(g, 3)
@@ -811,6 +842,44 @@ def test_cli_edge_list_fuzz(tmp_path_factory, data, k):
     path.write_text(apply_line_edits(lines, data.draw(st.lists(edit, max_size=6))))
     assert main(["tangles", str(path), "--k", str(k)]) in (0, 1, 2)
     assert main(["p11", "--k", str(k), "--dir", str(folder)]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def trace_fuzz_files(tmp_path_factory):
+    """The subdivided K4's 3-tangle trace as lines, and a weight file that
+    induces its terminal tangle."""
+    g = subdivided_k4()
+    trace = reduce(g, enumerate_tangles(g, 3)[0])
+    w = find_inducing_weights(trace.terminal_tangle, budget=8)
+    wt = tmp_path_factory.mktemp("trace-fuzz") / "w.json"
+    wt.write_text(json.dumps({str(v): c for v, c in w.weights.items()}))
+    return format_trace(trace).splitlines(), wt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_trace_fuzz(trace_fuzz_files, data):
+    """Line edits of a trace, run through witness and transfer.  New lines
+    are copies of its lines, section and KIND lines, edge and separation
+    lines over labels in and outside the graph, and junk."""
+    lines, wt = trace_fuzz_files
+    label = st.integers(-1, 11).map(str)
+    side = st.lists(label, max_size=4).map(",".join)
+    line = st.one_of(
+        st.sampled_from(lines),
+        st.sampled_from(["ROOT-GRAPH", "ROOT-TANGLE", "STEP 1", "RULE x", "GRAPH", "TANGLE"]),
+        st.tuples(st.sampled_from(["delete_edge", "suppress_vertex", "take_component", ""]),
+                  st.lists(label, max_size=3)).map(lambda p: " ".join(["KIND", p[0], *p[1]])),
+        st.tuples(label, label).map(" ".join),
+        st.tuples(side, side).map(lambda p: f"[{p[0]}] [{p[1]}]"),
+        st.integers(-1, 5).map(lambda k: f"order {k}"),
+        st.sampled_from(["", "STEP", "KIND", "x y", "[0,1]", "[] [] []"]),
+    )
+    edit = st.tuples(st.integers(0, len(lines)), st.sampled_from((0, 1, 2)), line)
+    tr = wt.parent / "trace.txt"
+    tr.write_text(apply_line_edits(lines, data.draw(st.lists(edit, max_size=6))))
+    assert main(["witness", "--trace", str(tr), "--out", str(wt.parent / "h.edges")]) in (0, 1, 2)
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) in (0, 1, 2)
 
 
 def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):

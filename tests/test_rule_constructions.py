@@ -1,0 +1,249 @@
+"""Rule-built tangles against the member loops they replaced.
+
+Every survival, lift, clique and extension construction states membership
+as a test R(s) and reads its tangle off the rows (Tangle._of_rule).  The
+oracles below are the loops over enumerate_separations that built the same
+member sets before; where R defines a tangle, both give the same members.
+"""
+
+import pytest
+
+from conftest import relabel_rc
+from tanglekit.graphs import delete_edge, path_graph, suppress_vertex
+from tanglekit.rainbow_cloud import (
+    RainbowError,
+    choose_edge,
+    clique_tangle,
+    extend_after_deletion,
+    synth_rc,
+)
+from tanglekit.separations import OrientedSeparation, enumerate_separations, restrict_to_subgraph
+from tanglekit.survival import (
+    divergent_witness,
+    forced_orientation,
+    orientation_across_edge,
+    restrict_to_component,
+    survive_delete_pendant_edge,
+    survive_suppress_vertex,
+    survive_with_divergent_supertangle,
+    survive_with_extending_supertangle,
+)
+from tanglekit.tangles import (
+    Tangle,
+    TangleError,
+    enumerate_tangles,
+    lift_subgraph,
+    lift_suppression,
+)
+
+
+# -- the member loops -------------------------------------------------------------
+
+
+def loop_restrict(g, tau):
+    core1 = g.vertex_set()
+    for s in tau.members:
+        if s.order == 0:
+            core1 &= s.big
+    comp, rest = g.induced(core1), g.vertex_set() - core1
+    members = []
+    for s in enumerate_separations(comp, tau.k):
+        padded = OrientedSeparation(s.small | rest, s.big)
+        if padded in tau.members:
+            members.append(s)
+        else:
+            assert padded.inverse() in tau.members
+    return Tangle(comp, tau.k, members)
+
+
+def loop_pendant(g, tau, v):
+    (u,) = g.neighbors(v)
+    members = []
+    for s in enumerate_separations(delete_edge(g, (u, v)), tau.k):
+        A, B = s.small, s.big
+        cands = (s, OrientedSeparation(A - {v}, B | {v}), OrientedSeparation(A | {v}, B - {v}))
+        if any(c in tau.members for c in cands):
+            members.append(s)
+    return Tangle(delete_edge(g, (u, v)), tau.k, members)
+
+
+def loop_suppress(g, tau, v):
+    g2 = suppress_vertex(g, v)
+    members = []
+    for s in enumerate_separations(g2, tau.k):
+        A, B = s.small, s.big
+        if (
+            OrientedSeparation(A | {v}, B) in tau.members
+            or OrientedSeparation(A, B | {v}) in tau.members
+        ):
+            members.append(s)
+    return Tangle(g2, tau.k, members)
+
+
+def loop_extending(g, tau, tau_tilde, e):
+    g2 = delete_edge(g, e)
+    members = []
+    for s in enumerate_separations(g2, tau.k):
+        if s in tau.members or (
+            s.inverse() not in tau.members and orientation_across_edge(tau_tilde, s, e)
+        ):
+            members.append(s)
+    return Tangle(g2, tau.k, members)
+
+
+def loop_divergent(g, tau, tau_tilde):
+    ba = divergent_witness(tau, tau_tilde)
+    e = sorted(g.edges_within(ba.big - ba.small))[0]
+    g2 = delete_edge(g, e)
+    members = []
+    for s in enumerate_separations(g2, tau.k):
+        forced = forced_orientation(tau, s)
+        if forced is not None:
+            if forced == s:
+                members.append(s)
+        elif orientation_across_edge(tau_tilde, s, e):
+            members.append(s)
+    return e, Tangle(g2, tau.k, members)
+
+
+def loop_lift_subgraph(tau2, g):
+    members = []
+    for s in enumerate_separations(g, tau2.k):
+        if restrict_to_subgraph(s, tau2.graph) in tau2.members:
+            members.append(s)
+    return Tangle(g, tau2.k, members)
+
+
+def loop_lift_suppression(tau2, g, v):
+    u1, u2 = sorted(g.neighbors(v))
+    members = []
+    for s in enumerate_separations(g, tau2.k):
+        A, B = s.small, s.big
+        A1, B1 = A - {v}, B - {v}
+        if (u1 in A and u2 in A) or (u1 in B and u2 in B):
+            if OrientedSeparation(A1, B1) in tau2.members:
+                members.append(s)
+        else:
+            ui, uj = (u1, u2) if u1 in A else (u2, u1)
+            if (
+                OrientedSeparation(A1, B1 | {ui}) in tau2.members
+                or OrientedSeparation(A1 | {uj}, B1) in tau2.members
+            ):
+                members.append(s)
+    return Tangle(g, tau2.k, members)
+
+
+def loop_clique(g, clique, k):
+    q = frozenset(clique)
+    members = []
+    for s in enumerate_separations(g, k):
+        if q <= s.big:
+            members.append(s)
+        elif q <= s.small:
+            members.append(s.inverse())
+        else:
+            raise TangleError("clique split by a small-order separation")
+    return Tangle(g, k, members)
+
+
+def loop_extend(g, tau, rc, e):
+    g2 = delete_edge(g, e)
+    full, ends = g2.full_mask(), g2.mask_of(e)
+    cloud = g2.mask_of(rc.cloud & g2.vertex_set())
+    members = []
+    for s in enumerate_separations(g2, tau.k):
+        forced = forced_orientation(tau, s)
+        if forced is not None:
+            members.append(forced)
+            continue
+        small, big = g2.mask_of(s.small), g2.mask_of(s.big)
+        comps = g2.components(full & ~(small & big))
+        comp_small = next((c for c in comps if c & ends and not c & ~small), None)
+        comp_big = next((c for c in comps if c & ends and not c & ~big), None)
+        if comp_small is None or comp_big is None:
+            raise RainbowError("unforced separation does not isolate the edge ends")
+        if bool(comp_small & cloud) == bool(comp_big & cloud):
+            raise RainbowError("cloud reachability fails to decide an orientation")
+        members.append(s if comp_big & cloud else s.inverse())
+    return Tangle(g2, tau.k, members)
+
+
+# -- the differential tests -----------------------------------------------------------
+
+
+def same_members(built, oracle):
+    assert built.members == oracle.members
+
+
+def test_survival_rules_match_member_loops(medium_graphs):
+    """Restriction, pendant deletion, suppression and both supertangle rules
+    on every tangle of order 1 to 3 of the atlas graphs with <= 6 vertices."""
+    counts = dict.fromkeys(["restrict", "pendant", "suppress", "extending", "divergent"], 0)
+    for g in medium_graphs:
+        for k in (1, 2, 3):
+            for tau in enumerate_tangles(g, k):
+                if not g.is_connected() and len(g.vertices) > 1:
+                    same_members(restrict_to_component(g, tau)[1], loop_restrict(g, tau))
+                    counts["restrict"] += 1
+                for v in g.vertices if k >= 3 else ():
+                    if g.degree(v) == 1:
+                        same_members(survive_delete_pendant_edge(g, tau, v), loop_pendant(g, tau, v))
+                        counts["pendant"] += 1
+                    elif g.degree(v) == 2:
+                        same_members(survive_suppress_vertex(g, tau, v), loop_suppress(g, tau, v))
+                        counts["suppress"] += 1
+                for tt in enumerate_tangles(g, k + 1) if k >= 2 else ():
+                    if tau.members <= tt.members:
+                        for e in g.sorted_edges():
+                            built = survive_with_extending_supertangle(g, tau, tt, e)
+                            same_members(built, loop_extending(g, tau, tt, e))
+                            counts["extending"] += 1
+                    else:
+                        e, built = survive_with_divergent_supertangle(g, tau, tt)
+                        e2, oracle = loop_divergent(g, tau, tt)
+                        assert e == e2
+                        same_members(built, oracle)
+                        counts["divergent"] += 1
+    assert min(counts.values()) >= 20, counts
+
+
+def test_lifts_match_member_loops(medium_graphs):
+    """lift_subgraph from g - e at orders 1 to 3, and lift_suppression from
+    every suppression at order 3, on the atlas graphs with <= 6 vertices."""
+    lifts = 0
+    for g in medium_graphs:
+        for e in g.sorted_edges():
+            for k in (1, 2, 3):
+                for t2 in enumerate_tangles(delete_edge(g, e), k):
+                    same_members(lift_subgraph(t2, g), loop_lift_subgraph(t2, g))
+        for v in g.vertices:
+            if g.degree(v) != 2:
+                continue
+            for t2 in enumerate_tangles(suppress_vertex(g, v), 3):
+                same_members(lift_suppression(t2, g, v), loop_lift_suppression(t2, g, v))
+                lifts += 1
+    assert lifts >= 20
+
+
+@pytest.mark.parametrize("M, ell, z, k, relaxed", [
+    (18, 1, 1, 1, False), (18, 2, 0, 1, False), (20, 1, 1, 2, True), (18, 1, 1, 3, True),
+])
+def test_clique_and_extension_match_member_loops(M, ell, z, k, relaxed):
+    g, rc, clique = synth_rc(M, ell, z, k)
+    vs = sorted(g.vertices)
+    g, rc, clique = relabel_rc(g, rc, clique, dict(zip(vs, reversed(vs))))
+    tau = clique_tangle(g, clique, k)
+    same_members(tau, loop_clique(g, clique, k))
+    e, merged = choose_edge(rc, tau)
+    built = extend_after_deletion(g, tau, merged, e, relaxed=relaxed)
+    same_members(built, loop_extend(g, tau, merged, e))
+
+
+def test_rule_must_pass_one_component_per_separator():
+    g = path_graph(3)  # G - {1} has the components {0} and {2}
+    with pytest.raises(TangleError, match=r"rule passes 2 components of G - \[1\]"):
+        Tangle._of_rule(g, 2, lambda s: True)
+    with pytest.raises(TangleError, match=r"rule passes 0 components of G - \[\]"):
+        Tangle._of_rule(g, 2, lambda s: False)
+    # at order 1 the only separator is the empty one, and G is connected
+    assert Tangle._of_rule(g, 1, lambda s: True).members == enumerate_tangles(g, 1)[0].members
