@@ -40,6 +40,7 @@ from .rainbow_cloud import (
     validate_rc,
 )
 from .tangles import (
+    TangleError,
     check_axioms,
     enumerate_tangles,
     format_tangle,
@@ -100,8 +101,11 @@ def cmd_tangles(args):
 
 def cmd_verify(args):
     g = read_edgelist(args.graph)
-    t = _read_tangle(args.tangle, g)
-    ok = is_tangle(g, t.k, t.members)
+    try:
+        t = _read_tangle(args.tangle, g)
+    except TangleError:  # both orientations of a separation: not a tangle
+        t = None
+    ok = t is not None and is_tangle(g, t.k, t.members)
     print(f"tangle: {ok}")
     if ok:
         for name, flag in check_axioms(t).items():

@@ -25,7 +25,7 @@ def _norm_edge(e):
 class Graph:
     """Simple undirected graph.  No loops, no parallel edges."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_index", "_hash", "_seps", "_nbrs")
+    __slots__ = ("vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_nbrs")
 
     def __init__(self, vertices=(), edges=()):
         es = frozenset(_norm_edge(e) for e in edges)
@@ -40,10 +40,10 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
         self._seps = {}  # k -> (separations of order < k, side masks), filled by separations.py
-        self._nbrs = None  # per-vertex neighbour masks, filled by components()
+        self._nbrs = [self.mask_of(ns) for ns in self._adj.values()]  # neighbours, by index
 
     # -- basic queries -------------------------------------------------
 
@@ -105,12 +105,19 @@ class Graph:
         """Vertex sets of components, ordered by smallest contained label."""
         return [self.labels_of(m) for m in self.components()]
 
+    def joins(self, m1, m2):
+        """Does an edge join a vertex of mask m1 to a vertex of mask m2?"""
+        while m1:
+            low = m1 & -m1
+            if self._nbrs[low.bit_length() - 1] & m2:
+                return True
+            m1 ^= low
+        return False
+
     def components(self, mask=None):
         """Component masks of the subgraph induced by mask (default: all
         vertices), ordered by lowest bit, that is by smallest label."""
         nbrs = self._nbrs
-        if nbrs is None:
-            nbrs = self._nbrs = [self.mask_of(self._adj[v]) for v in self.vertices]
         rest = self.full_mask() if mask is None else mask
         comps = []
         while rest:
@@ -132,11 +139,8 @@ class Graph:
     # -- bitmask helpers (positions follow sorted label order) ---------
 
     def mask_of(self, vs):
-        idx = self._index
-        m = 0
-        for v in vs:
-            m |= 1 << idx[v]
-        return m
+        """The mask of distinct labels vs (distinct bits: the sum is the union)."""
+        return sum(map(self._bit.__getitem__, vs))
 
     def labels_of(self, mask):
         vs = self.vertices
@@ -152,8 +156,8 @@ class Graph:
 
     def edge_masks(self):
         """Per-edge masks of the two endpoint bits, in sorted edge order."""
-        idx = self._index
-        return [(1 << idx[u]) | (1 << idx[v]) for u, v in self.sorted_edges()]
+        bit = self._bit
+        return [bit[u] | bit[v] for u, v in self.sorted_edges()]
 
 
 # -- reduction operations ---------------------------------------------

@@ -63,14 +63,17 @@ class WeightFunction:
 
 
 def induces_weight(tau: Tangle, w) -> bool:
-    """Every member's big side strictly outweighs its small side."""
-    w = WeightFunction(w)
-    return all(w.side(s.small) < w.side(s.big) for s in tau.members)
+    """Every member's big side strictly outweighs its small side (see
+    find_inducing_weights for why the maximal members decide it)."""
+    g, w = tau.graph, WeightFunction(w)
+    held = [(g.mask_of((v,)), x) for v, x in w.weights.items() if v in g]
+    return all(sum(x for b, x in held if b & neg) < sum(x for b, x in held if b & pos)
+               for neg, pos in _maximal_sides(tau))
 
 
 def induces_set(tau: Tangle, x) -> bool:
-    x = frozenset(x)
-    return all(len(x & s.small) < len(x & s.big) for s in tau.members)
+    """induces_weight for the indicator of x (see find_inducing_set)."""
+    return induces_weight(tau, WeightFunction.indicator(x))
 
 
 def _maximal_sides(tau: Tangle):

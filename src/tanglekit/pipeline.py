@@ -295,11 +295,15 @@ def parse_trace(text: str) -> ReductionTrace:
             raise PipelineError(
                 f"{where}: GRAPH is not what {kind} makes of the previous graph"
             )
+        tangle = parsed(d, "TANGLE", where, _parse_tangle, graph, sides)
+        V = graph.vertex_set()
+        if not all(s.small <= V and s.big <= V for s in tangle.members):
+            raise PipelineError(f"{where}: TANGLE names a vertex outside its GRAPH")
         out.append(ReductionStep(
             kind=kind,
             detail=detail,
             rule=section(d, "RULE", where)[0][len("RULE "):],
-            tangle=parsed(d, "TANGLE", where, _parse_tangle, graph, sides),
+            tangle=tangle,
         ))
         prev = graph
     return ReductionTrace(root_graph, root_tangle, tuple(out))

@@ -24,7 +24,7 @@ from .decomposition import (
 from .graphs import Graph, delete_edge
 from .separations import OrientedSeparation, enumerate_separations, sep
 from .survival import forced_orientation
-from .tangles import Tangle, TangleError, extends, maximal_members, rows_cover
+from .tangles import Tangle, TangleError, extends, rows_cover
 
 
 class RainbowError(ValueError):
@@ -284,9 +284,10 @@ class LivingVerdict:
 
     kind "no": the tangle stays out of the rainbow.  kind "region": some
     member's big strict side sits inside the rainbow away from the cloud
-    (that member is the witness).  kind "flip": some crossing separation is
-    oriented forward early and backward late; turning_point is the last
-    forward split index, shared by every such separation.
+    (the witness: the first such <=-maximal one).  kind "flip": some
+    crossing separation is oriented forward early and backward late;
+    turning_point is the last forward split index, shared by every such
+    separation.
     """
 
     kind: str
@@ -309,19 +310,17 @@ def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     g, k = tau.graph, tau.k
     rv = rc.rainbow_vertices()
     free = rv - rc.cloud
-    for s in tau.sorted_members():
+    for s in tau.maximal_members():  # big strict sides shrink going up <=
         if s.big - s.small <= free:
             return LivingVerdict("region", witness=s)
     for s in enumerate_separations(g, k):
-        for cand in (s, s.inverse()):
-            if cand not in tau:
-                continue
-            info = classify_crossing(rc, cand, k)
-            if info.direction != "clockwise":
-                continue
-            h = _flip_point(rc, tau, cand, info)
-            if h is not None:
-                return LivingVerdict("flip", witness=cand, turning_point=h)
+        cand = tau.orients(s)
+        info = classify_crossing(rc, cand, k)
+        if info.direction != "clockwise":
+            continue
+        h = _flip_point(rc, tau, cand, info)
+        if h is not None:
+            return LivingVerdict("flip", witness=cand, turning_point=h)
     return LivingVerdict("no")
 
 
@@ -363,12 +362,7 @@ def shorten_to_not_living(rc: RCDecomposition, tau: Tangle) -> RCDecomposition:
                 raise RainbowError("no bag separation oriented inward")
             r = s = h
         else:
-            candidates = [
-                m
-                for m in tau.sorted_members()
-                if m.big - m.small <= rc.rainbow_vertices() - rc.cloud
-            ]
-            r, s = _region_bag_span(rc, maximal_members(tau.graph, candidates)[0])
+            r, s = _region_bag_span(rc, verdict.witness)
         i, j = (0, r - 1) if r > M / 2 - k else (s + 1, M)
     else:  # flip
         h = verdict.turning_point

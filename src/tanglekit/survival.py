@@ -14,8 +14,9 @@ from .separations import OrientedSeparation
 from .tangles import (
     Tangle,
     TangleError,
+    _maximal,
     enumerate_tangles,
-    maximal_members,
+    extends,
     search_extension,
 )
 
@@ -79,20 +80,17 @@ def survive_delete_edge_k2(g: Graph, tau: Tangle):
 def restrict_to_component(g: Graph, tau: Tangle):
     """The unique component the tangle lives in, with its induced tangle.
 
-    Returns (component graph, tangle).  A separation of the component is
-    oriented by padding its first side with all vertices outside the
-    component and reading off the big tangle.
+    Returns (component graph, tangle): C(empty set), or g at k = 0.  A
+    separation of the component is oriented by padding its first side with
+    all vertices outside the component and reading off the big tangle.
     """
-    core1 = g.vertex_set()
-    for s in tau.members:
-        if s.order == 0:
-            core1 &= s.big
+    core1 = g.labels_of(tau._pick.get(0, g.full_mask()))
     comp = g.induced(core1)
     _require(comp.is_connected() or not comp.vertices,
              "order-0 members do not single out a component")
     rest = g.vertex_set() - core1
     return comp, Tangle._of_rule(
-        comp, tau.k, lambda s: OrientedSeparation(s.small | rest, s.big) in tau.members
+        comp, tau.k, lambda s: OrientedSeparation(s.small | rest, s.big) in tau
     )
 
 
@@ -113,7 +111,7 @@ def survive_delete_pendant_edge(g: Graph, tau: Tangle, v) -> Tangle:
     def rule(s):
         A, B = s.small, s.big
         cands = (s, OrientedSeparation(A - {v}, B | {v}), OrientedSeparation(A | {v}, B - {v}))
-        return any(c in tau.members for c in cands)
+        return any(c in tau for c in cands)
 
     return Tangle._of_rule(g2, tau.k, rule)
 
@@ -127,8 +125,8 @@ def survive_suppress_vertex(g: Graph, tau: Tangle, v) -> Tangle:
     _require(tau.k >= 3, "needs order >= 3")
     g2 = suppress_vertex(g, v)
     return Tangle._of_rule(g2, tau.k, lambda s: (
-        OrientedSeparation(s.small | {v}, s.big) in tau.members
-        or OrientedSeparation(s.small, s.big | {v}) in tau.members
+        OrientedSeparation(s.small | {v}, s.big) in tau
+        or OrientedSeparation(s.small, s.big | {v}) in tau
     ))
 
 
@@ -145,8 +143,8 @@ def orientation_across_edge(tau_tilde: Tangle, s: OrientedSeparation, e) -> bool
     ends = frozenset(e)
     plus_small = OrientedSeparation(s.small | ends, s.big)
     plus_big = OrientedSeparation(s.small, s.big | ends)
-    a = plus_small in tau_tilde.members
-    b = plus_big in tau_tilde.members
+    a = plus_small in tau_tilde
+    b = plus_big in tau_tilde
     if a != b and s.order < tau_tilde.k - 1:
         raise TangleError("agreement across the edge failed")
     return a or b
@@ -161,10 +159,10 @@ def survive_with_extending_supertangle(
     higher-order tangle across the rebuilt edge.
     """
     _require(tau_tilde.k == tau.k + 1, "order must exceed tau's by one")
-    _require(tau.members <= tau_tilde.members, "supertangle must refine tau")
+    _require(extends(tau, tau_tilde), "supertangle must refine tau")
     g2 = delete_edge(g, e)
-    return Tangle._of_rule(g2, tau.k, lambda s: s in tau.members or (
-        s.inverse() not in tau.members and orientation_across_edge(tau_tilde, s, e)
+    return Tangle._of_rule(g2, tau.k, lambda s: s in tau or (
+        s.inverse() not in tau and orientation_across_edge(tau_tilde, s, e)
     ))
 
 
@@ -196,14 +194,16 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
 def divergent_witness(tau: Tangle, tau_tilde: Tangle) -> OrientedSeparation:
     """A maximal member (B, A) of the higher tangle with (A, B) in tau.
 
-    Maximality is taken among the distinguishing members; ties go to the
-    deterministic sort order.
+    Maximality is taken among these distinguishing members; ties go to the
+    deterministic sort order.  One at separator X has C~(X), the higher
+    tangle's component, in A - B and C(X) in B - A, so the maps differ at
+    X; and it lies <= the higher tangle's row there, itself distinguishing.
     """
-    distinguishing = [
-        t for t in tau_tilde.members if t.order < tau.k and t.inverse() in tau.members
-    ]
-    _require(bool(distinguishing), "tangles do not diverge")
-    return maximal_members(tau.graph, distinguishing)[0]
+    g, pick, full = tau.graph, tau._pick, tau.graph.full_mask()
+    rows = [(full & ~c, c | x) for x, c in tau_tilde._pick.items() if x in pick and pick[x] != c]
+    _require(bool(rows), "tangles do not diverge")
+    a, b = _maximal(g, rows)[0]
+    return OrientedSeparation(g.labels_of(a), g.labels_of(b))
 
 
 def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle):
@@ -242,7 +242,7 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
     if not supers:
         return None
     for tt in supers:
-        if tau.members <= tt.members:
+        if extends(tau, tt):
             e = min(g.edges)
             return e, survive_with_extending_supertangle(g, tau, tt, e)
     return survive_with_divergent_supertangle(g, tau, supers[0])
@@ -254,4 +254,4 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
 def brute_force_extensions(g: Graph, tau: Tangle, e):
     """All k-tangles of g - e that agree with tau, by exhaustive search."""
     g2 = delete_edge(g, e)
-    return search_extension(g2, tau.k, tau.members)
+    return search_extension(g2, tau)

@@ -102,35 +102,21 @@ def is_forbidden_triple(g: Graph, s1, s2, s3) -> bool:
 
 def maximal_members(g: Graph, seps):
     """<=-maximal members of a collection, in sort-key order."""
-    seps = sorted(set(seps), key=OrientedSeparation.sort_key)
-    sides = [(g.mask_of(s.small), g.mask_of(s.big)) for s in seps]
-    out = []
-    for s, (a, b) in zip(seps, sides):
-        for c, d in sides:
-            if a & ~c == 0 and d & ~b == 0 and (a != c or b != d):
-                break
-        else:
-            out.append(s)
-    return out
+    by_masks = {(g.mask_of(s.small), g.mask_of(s.big)): s for s in seps}
+    return [by_masks[p] for p in _maximal(g, by_masks)]
 
 
-def _maximal_rows(g: Graph, pick):
-    """The <=-maximal rows (V - C, C | X) of a separator-to-component map,
-    as (small, big) mask pairs in sort-key order.
+def _maximal(g: Graph, pairs):
+    """The <=-maximal ones of distinct (small, big) mask pairs, in sort-key order.
 
-    Distinct separators give distinct rows.  A row strictly below another
-    has a smaller small side or a larger big side, so sorted by small side
-    size descending, then big side size ascending, each row comes after
-    every row above it, maximal ones included: testing it against the
-    maximal rows kept so far is enough.
+    A pair strictly below another has a smaller small side or a larger big
+    side, so sorted by small side size descending, then big side size
+    ascending, each pair comes after every pair above it, maximal ones
+    included: testing it against the maximal pairs kept so far is enough.
     """
-    vmask = g.full_mask()
-    rows = sorted(
-        ((vmask & ~c, c | x) for x, c in pick.items()),
-        key=lambda r: (-r[0].bit_count(), r[1].bit_count()),
-    )
+    pairs = sorted(pairs, key=lambda r: (-r[0].bit_count(), r[1].bit_count()))
     tops = []
-    for a, b in rows:
+    for a, b in pairs:
         for c, d in tops:
             if a & ~c == 0 and d & ~b == 0:
                 break
@@ -170,9 +156,10 @@ class Tangle:
     """An orientation of all separations of order < k of a graph.
 
     Construction does not validate tanglehood; use is_tangle / check_axioms.
-    A tangle found by the search or built from a rule (_search, _of_rule)
-    holds its separator-to-component map instead: its member set is built
-    on first use, and its maximal members come from the map's rows.
+    Membership, the core and extends read the separator-to-component map
+    {X: C(X)} (see _search).  A tangle found by the search or built from a
+    rule holds it and builds its member set on first use; one given as
+    members reads the map off them on first use (_pick).
     """
 
     def __init__(self, graph: Graph, k: int, members):
@@ -180,8 +167,6 @@ class Tangle:
         self.k = k
         self.members = frozenset(members)
         self._map = None  # {separator mask: component mask}, if built from one
-        self._maximal = None  # <=-maximal members, filled by maximal_members()
-        self._maximal_masks = None  # their side masks, filled by maximal_masks()
         s = _both_orientations(self.members)
         if s is not None:
             raise TangleError(f"both orientations of {s} present")
@@ -191,7 +176,6 @@ class Tangle:
         """The k-tangle that points each separator at the component pick gives."""
         t = cls.__new__(cls)
         t.graph, t.k, t._map = graph, k, pick
-        t._maximal = t._maximal_masks = None
         return t
 
     @classmethod
@@ -219,6 +203,14 @@ class Tangle:
         return cls._of_map(graph, k, pick)
 
     @functools.cached_property
+    def _pick(self):
+        """The map {separator mask: component mask} the tangle holds, or one
+        read off its members by _of_rule (exact for a tangle)."""
+        if self._map is not None:
+            return self._map
+        return Tangle._of_rule(self.graph, self.k, self.members.__contains__)._map
+
+    @functools.cached_property
     def members(self) -> frozenset:
         """The member separations.  Only a tangle that holds a map gets here,
         on first use: (A, B) is a member iff C(A & B) lies in B - A."""
@@ -230,7 +222,16 @@ class Tangle:
         )
 
     def __contains__(self, s: OrientedSeparation):
-        return s in self.members
+        """A separation (A, B) of the graph of order < k is a member iff
+        C(A & B) lies in B - A; anything else is not."""
+        g = self.graph
+        try:
+            a, b = g.mask_of(s.small), g.mask_of(s.big)
+        except KeyError:  # a label outside the graph
+            return False
+        c = self._pick.get(a & b)  # None for a separator of order >= k
+        return (c is not None and not c & ~b and a | b == g.full_mask()
+                and not g.joins(a & ~b, b & ~a))
 
     def __len__(self):
         return len(self.members)
@@ -247,13 +248,15 @@ class Tangle:
         return hash((self.graph, self.k, self.members))
 
     def __repr__(self):
-        return f"Tangle(k={self.k}, |members|={len(self.members)})"
+        if self._map is None:
+            return f"Tangle(k={self.k}, |members|={len(self.members)})"
+        return f"Tangle(k={self.k}, |V|={len(self.graph.vertices)}, separators={len(self._map)})"
 
     def orients(self, s: OrientedSeparation):
         """The orientation this tangle gives s's underlying separation."""
-        if s in self.members:
+        if s in self:
             return s
-        if s.inverse() in self.members:
+        if s.inverse() in self:
             return s.inverse()
         raise KeyError(s)
 
@@ -263,8 +266,9 @@ class Tangle:
     def maximal_members(self):
         """<=-maximal members in sort-key order, computed once per tangle.
 
-        A tangle that holds a map takes them from its rows
-        (V - C(X), C(X) | X), one per separator X, and that is exact:
+        A tangle given as members scans them.  One that holds a map takes
+        them from its rows (V - C(X), C(X) | X), one per separator X, and
+        that is exact:
 
         - every member (A, B) lies <= the row of its separator, because
           C(A & B) misses A and lies in B;
@@ -273,37 +277,34 @@ class Tangle:
 
         So a member is maximal iff it is a row that no other row lies above.
         """
-        if self._maximal is None:
-            if self._map is None:
-                self._maximal = tuple(maximal_members(self.graph, self.members))
-            else:
-                labels = self.graph.labels_of
-                self._maximal = tuple(
-                    OrientedSeparation(labels(a), labels(b)) for a, b in self.maximal_masks()
-                )
-        return list(self._maximal)
+        return list(self._tops)
 
     def maximal_masks(self):
         """(small, big) vertex-index masks of maximal_members(), in its order."""
-        if self._maximal_masks is None:
-            if self._map is None:
-                mask = self.graph.mask_of
-                self._maximal_masks = tuple(
-                    (mask(s.small), mask(s.big)) for s in self.maximal_members()
-                )
-            else:
-                self._maximal_masks = tuple(_maximal_rows(self.graph, self._map))
-        return list(self._maximal_masks)
+        return list(self._top_masks)
+
+    @functools.cached_property
+    def _tops(self):
+        return tuple(OrientedSeparation(*map(self.graph.labels_of, r)) for r in self._top_masks)
+
+    @functools.cached_property
+    def _top_masks(self):
+        g = self.graph
+        if self._map is None:  # exact for any member set, tangle or not
+            pairs = {(g.mask_of(s.small), g.mask_of(s.big)) for s in self.members}
+        else:  # the rows (V - C, C | X)
+            pairs = [(g.full_mask() & ~c, c | x) for x, c in self._map.items()]
+        return tuple(_maximal(g, pairs))
 
     def core(self) -> frozenset:
-        """Intersection of all big sides.
+        """Intersection of all big sides, that is of the rows' C(X) | X.
 
         For k = 1 this is a component's vertex set, for k = 2 a block's.
         """
-        x = self.graph.vertex_set()
-        for s in self.members:
-            x &= s.big
-        return x
+        x = self.graph.full_mask()
+        for sep, c in self._pick.items():
+            x &= c | sep
+        return self.graph.labels_of(x)
 
 
 def is_orientation(g: Graph, k: int, members) -> bool:
@@ -398,10 +399,10 @@ def _admit(c, front, full):
     return tuple(a for a in front if a & ~c) + (c,)
 
 
-def _search(g: Graph, k: int, fixed):
-    """Maps {separator mask: component mask} of g's k-tangles that hold
-    every separation in fixed, in ascending order of their sorted member
-    lists.
+def _search(g: Graph, k: int, within):
+    """Maps {separator mask: component mask} of g's k-tangles whose
+    component at each separator X in within lies inside within[X], in
+    ascending order of their sorted member lists.
 
     A k-tangle points each separator X (|X| < k) at one component C(X) of
     g - X, and (A, B) with separator X is a member iff C(X) lies in B - A.
@@ -416,13 +417,11 @@ def _search(g: Graph, k: int, fixed):
       (U | X, V - U), or else its inverse and the two merged parts cover g;
       so (V, X), which covers g alone, would be a member.
 
-    X = V (when |V| < k) has no component, and then there is no tangle.  A
-    fixed (A, B) confines C(A & B) to B - A; one that is not a separation
-    of g of order < k is ignored.  The search runs on an explicit stack,
-    whose entries carry the frontier (see _admit); a level with one option
-    is taken in place, and the chosen components form a linked list of
-    (component, rest) cells.  Member-index lists are built only to sort two
-    or more results.
+    X = V (when |V| < k) has no component, and then there is no tangle.
+    The search runs on an explicit stack, whose entries carry the frontier
+    (see _admit); a level with one option is taken in place, and the
+    chosen components form a linked list of (component, rest) cells.
+    Member-index lists are built only to sort two or more results.
     """
     _check_order(k)
     n = len(g.vertices)
@@ -433,21 +432,11 @@ def _search(g: Graph, k: int, fixed):
         for v in (em & -em, em & (em - 1)):
             incident[v.bit_length() - 1] |= 1 << (n + i)
     splits = list(separator_components(g, k))
-    allowed = {}  # separator mask -> intersection of the big sides fixed there
-    if fixed:
-        V, comps_of = g.vertex_set(), dict(splits)
-        for s in fixed:
-            if s.small | s.big != V:
-                continue
-            a, b = g.mask_of(s.small), g.mask_of(s.big)
-            comps = comps_of.get(a & b)
-            if comps is not None and all(c & ~a == 0 or c & ~b == 0 for c in comps):
-                allowed[a & b] = allowed.get(a & b, vmask) & b
     levels = []  # per separator: the allowed components with their row covers
     for x, comps in splits:
         options = []
         for c in comps:
-            if c & ~allowed.get(x, vmask):
+            if c & ~within.get(x, vmask):
                 continue
             touched, m = 0, c  # the edges with an end in c
             while m:
@@ -491,18 +480,29 @@ def _search(g: Graph, k: int, fixed):
 
 def enumerate_tangles(g: Graph, k: int):
     """All k-tangles of g, in ascending sorted-member order (see _search)."""
-    return [Tangle._of_map(g, k, pick) for pick in _search(g, k, ())]
+    return [Tangle._of_map(g, k, pick) for pick in _search(g, k, {})]
 
 
-def search_extension(g2: Graph, k: int, fixed):
-    """All k-tangles of g2 that hold every separation in fixed, in _search's
-    order; a fixed separation that g2 lacks at order < k is ignored."""
-    return [Tangle._of_map(g2, k, pick) for pick in _search(g2, k, fixed)]
+def search_extension(g2: Graph, tau: Tangle):
+    """The tau.k-tangles of g2, a spanning subgraph of tau's graph, that hold
+    every member of tau, in _search's order: those whose C(X) lies inside
+    tau's at every separator X (see extends)."""
+    _spanning(tau.graph, g2)
+    return [Tangle._of_map(g2, tau.k, pick) for pick in _search(g2, tau.k, tau._pick)]
+
+
+def _spanning(g: Graph, g2: Graph):
+    if g2.vertices != g.vertices or not g2.edges <= g.edges:
+        raise TangleError("need a tangle of a spanning subgraph")
 
 
 def extends(tau: Tangle, tau2: Tangle) -> bool:
-    """Does tau2 (in a spanning subgraph) orient everything like tau?"""
-    return tau.members <= tau2.members
+    """Does tau2, a tangle of a spanning subgraph of tau's graph, hold every
+    member of tau?  Those at separator X are separations of the subgraph,
+    and their big strict sides meet in C(X): so iff C2(X) lies in C(X)."""
+    _spanning(tau.graph, tau2.graph)
+    pick2 = tau2._pick
+    return all(x in pick2 and pick2[x] & ~c == 0 for x, c in tau._pick.items())
 
 
 # -- lifts -----------------------------------------------------------------
@@ -517,7 +517,7 @@ def lift_subgraph(tau2: Tangle, g: Graph) -> Tangle:
     g2 = tau2.graph
     if not (set(g2.vertices) <= set(g.vertices) and g2.edges <= g.edges):
         raise TangleError("lift_subgraph: not a subgraph")
-    return Tangle._of_rule(g, tau2.k, lambda s: restrict_to_subgraph(s, g2) in tau2.members)
+    return Tangle._of_rule(g, tau2.k, lambda s: restrict_to_subgraph(s, g2) in tau2)
 
 
 def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
@@ -532,13 +532,13 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
         A, B = s.small, s.big
         A1, B1 = A - {v}, B - {v}
         if (u1 in A and u2 in A) or (u1 in B and u2 in B):
-            return OrientedSeparation(A1, B1) in tau2.members
+            return OrientedSeparation(A1, B1) in tau2
         # split endpoints: one u in A\B, the other in B\A; then v
         # separates them, so v lies in A cap B
         ui, uj = (u1, u2) if u1 in A else (u2, u1)
         return (
-            OrientedSeparation(A1, B1 | {ui}) in tau2.members
-            or OrientedSeparation(A1 | {uj}, B1) in tau2.members
+            OrientedSeparation(A1, B1 | {ui}) in tau2
+            or OrientedSeparation(A1 | {uj}, B1) in tau2
         )
 
     return Tangle._of_rule(g, tau2.k, rule)

@@ -483,6 +483,37 @@ def test_cli_reduce_witness_transfer(tmp_path, capsys):
     assert len(h.edges) == 6
 
 
+def test_cli_verify_reports_both_orientations_as_no_tangle(k4_file, tmp_path, capsys):
+    """A tangle file holding a separation and its inverse is no tangle:
+    verify says so with exit code 1, and a command that needs a tangle
+    refuses the file with exit code 2."""
+    from tanglekit.tangles import format_tangle
+
+    (tau,) = enumerate_tangles(complete_graph(4), 3)
+    tp = tmp_path / "t.tangle"
+    tp.write_text(format_tangle(tau) + "[0,1,2,3] []\n")
+    assert main(["verify", str(k4_file), "--tangle", str(tp)]) == 1
+    assert capsys.readouterr() == ("tangle: False\n", "")
+    assert main(["induce", str(k4_file), "--k", "3", "--tangle", str(tp)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: both orientations of ([], [0, 1, 2, 3]) present\n"
+
+
+def test_cli_transfer_refuses_a_step_tangle_outside_its_graph(tmp_path, capsys):
+    """Vertex 9 in a member of step 1's tangle, which no GRAPH has."""
+    g = subdivide_edge(complete_graph(4), (0, 1))
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    head = "\nTANGLE\norder 3\n"  # step 1's: ROOT-TANGLE has no newline before TANGLE
+    tr, wt = tmp_path / "trace.txt", tmp_path / "w.json"
+    tr.write_text(format_trace(trace).replace(head, head + "[9] [0,1,2,3,9]\n", 1))
+    w = find_inducing_weights(trace.terminal_tangle, budget=8)
+    wt.write_text(json.dumps({str(v): c for v, c in w.weights.items()}))
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: step 1: TANGLE names a vertex outside its GRAPH\n"
+
+
 def test_cli_induce(k4_file, capsys):
     assert main(["induce", str(k4_file), "--k", "3", "--budget", "8"]) == 0
     out = capsys.readouterr().out

@@ -34,6 +34,7 @@ from tanglekit.tangles import (
     enumerate_tangles,
     lift_subgraph,
     lift_suppression,
+    maximal_members,
 )
 
 
@@ -168,6 +169,23 @@ def loop_extend(g, tau, rc, e):
     return Tangle(g2, tau.k, members)
 
 
+def pairwise_maximal(seps):
+    """<=-maximal members of a collection by comparing every pair, in
+    sort-key order."""
+    seps = sorted(set(seps), key=OrientedSeparation.sort_key)
+    return [s for s in seps if not any(s.lt(t) for t in seps)]
+
+
+def scan_divergent_witness(tau, tau_tilde):
+    """The first maximal member (B, A) of tau_tilde with (A, B) in tau."""
+    distinguishing = [
+        t for t in tau_tilde.members if t.order < tau.k and t.inverse() in tau.members
+    ]
+    if not distinguishing:
+        raise TangleError("tangles do not diverge")
+    return pairwise_maximal(distinguishing)[0]
+
+
 # -- the differential tests -----------------------------------------------------------
 
 
@@ -247,3 +265,28 @@ def test_rule_must_pass_one_component_per_separator():
         Tangle._of_rule(g, 2, lambda s: False)
     # at order 1 the only separator is the empty one, and G is connected
     assert Tangle._of_rule(g, 1, lambda s: True).members == enumerate_tangles(g, 1)[0].members
+
+
+def test_divergent_witness_matches_member_scan(medium_graphs):
+    """divergent_witness reads the maximal rows where the two maps differ;
+    the member scan takes the maximal distinguishing members.  Every pair
+    of a k-tangle and a (k + 1)-tangle of the atlas graphs with <= 6
+    vertices at k = 1 to 3, and maximal_members of each k-tangle."""
+    checked = {"diverge": 0, "refine": 0}
+    for g in medium_graphs:
+        for k in (1, 2, 3):
+            supers = enumerate_tangles(g, k + 1)
+            for tau in enumerate_tangles(g, k):
+                assert maximal_members(g, tau.members) == pairwise_maximal(tau.members)
+                assert tau.maximal_members() == pairwise_maximal(tau.members)
+                for tt in supers:
+                    try:
+                        want = scan_divergent_witness(tau, tt)
+                    except TangleError:
+                        with pytest.raises(TangleError, match="do not diverge"):
+                            divergent_witness(tau, tt)
+                        checked["refine"] += 1
+                        continue
+                    assert divergent_witness(tau, tt) == want
+                    checked["diverge"] += 1
+    assert min(checked.values()) >= 20, checked

@@ -151,7 +151,7 @@ def test_deep_search_needs_no_recursion():
     each, far past the interpreter's recursion limit."""
     g = path_graph(600)
     tau = tangle_of_block(g, frozenset({300, 301}))
-    assert search_extension(g, 2, tau.members) == [tau]
+    assert search_extension(g, tau) == [tau]
 
 
 def test_extends_examples():
@@ -266,7 +266,7 @@ def check_against_reference(g: Graph, k: int):
         g2 = delete_edge(g, e)
         below = reference_tangles(g2, k)
         for t in got:
-            ext = search_extension(g2, k, t.members)
+            ext = search_extension(g2, t)
             agree = sorted(_output_key(m) for m in below if t.members <= m)
             assert [_output_key(x.members) for x in ext] == agree
             for x in ext:
@@ -318,13 +318,19 @@ def test_search_matches_reference_seeded(g, k):
     check_against_reference(g, k)
 
 
-def test_negative_order_is_refused():
+def test_repr_reports_what_the_tangle_holds():
     g = complete_graph(4)
     (tau,) = enumerate_tangles(g, 3)
+    assert repr(tau) == "Tangle(k=3, |V|=4, separators=11)"
+    assert repr(Tangle(g, 3, tau.members)) == "Tangle(k=3, |members|=11)"
+
+
+def test_negative_order_is_refused():
+    g = complete_graph(4)
     with pytest.raises(GraphError, match="negative tangle order -1"):
         enumerate_tangles(g, -1)
     with pytest.raises(GraphError, match="negative tangle order -1"):
-        search_extension(g, -1, tau.members)
+        search_extension(g, Tangle(g, -1, ()))
     with pytest.raises(GraphError, match="negative tangle order -2"):
         is_tangle(g, -2, ())
     assert [t.members for t in enumerate_tangles(g, 0)] == [frozenset()]
@@ -339,7 +345,7 @@ def test_searched_tangles_match_member_built(g, k, data):
     found = enumerate_tangles(g, k)
     if found and g.edges:
         e = data.draw(st.sampled_from(g.sorted_edges()))
-        found += search_extension(delete_edge(g, e), k, found[0].members)
+        found += search_extension(delete_edge(g, e), found[0])
     for t in found:
         maximal = t.maximal_members()  # from the map's rows
         same = Tangle(t.graph, k, t.members)
@@ -385,3 +391,90 @@ def test_verdicts_match_reference_on_perturbed_orientations(g, k, data):
             members.add(data.draw(st.sampled_from(ordered)).inverse())
     assert is_orientation(g, k, members) == reference_is_orientation(g, k, members)
     assert is_tangle(g, k, members) == reference_is_tangle(g, k, members)
+
+
+# -- reading the separator-to-component map --------------------------------------
+
+
+def test_membership_matches_the_member_set():
+    """s in tau against s in tau.members on every tangle of the connected
+    atlas graphs with <= 6 vertices at k = 1 to 4, both as found (holding
+    its map) and given as members (reading the map off them).  Probes:
+    every separation of order < k + 1, in both orientations as listed; each
+    with one separator vertex dropped from one side (a separation or not)
+    or from both (no longer covering V); and each with a label outside the
+    graph added to a side."""
+    checked = {"member": 0, "not a separation": 0}
+    for g in atlas_graphs(6, connected_only=True):
+        V = g.vertex_set()
+        for k in range(1, 5):
+            found = enumerate_tangles(g, k)
+            if not found:
+                continue
+            probes = []
+            for s in enumerate_separations(g, k + 1):
+                A, B = s.small, s.big
+                probes += [s, sep(A | {99}, B), sep(A, B | {99})]
+                for v in s.separator:
+                    probes += [sep(A - {v}, B), sep(A, B - {v}), sep(A - {v}, B - {v})]
+            seps = set(enumerate_separations(g, len(V) + 1))
+            checked["not a separation"] += sum(p not in seps for p in probes)
+            for t in found:
+                want = [p in t.members for p in probes]
+                checked["member"] += sum(want)
+                for tau in (t, Tangle(g, k, t.members)):
+                    assert [p in tau for p in probes] == want
+    assert min(checked.values()) > 1000, checked
+
+
+def test_extends_matches_member_subsets():
+    """extends against the member-subset test, for every tangle of the
+    connected atlas graphs with <= 6 vertices at k = 1 to 4: against every
+    k-tangle of each g - e, and every (k + 1)-tangle of g."""
+    verdicts = {True: 0, False: 0}
+    for g in atlas_graphs(6, connected_only=True):
+        for k in range(1, 5):
+            found = enumerate_tangles(g, k)
+            if not found:
+                continue
+            others = enumerate_tangles(g, k + 1)
+            for e in g.sorted_edges():
+                others += enumerate_tangles(delete_edge(g, e), k)
+            for tau in found:
+                for t2 in others:
+                    want = tau.members <= t2.members
+                    assert extends(tau, t2) == want
+                    verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_large_rainbow_tangle_enumerates_no_separations(monkeypatch):
+    """The clique tangle of synth_rc(30, 0, 1, 2) has 98 vertices and too
+    many separations of order < 2 to list; everything but its member set
+    reads its map."""
+    import tanglekit.separations
+    import tanglekit.tangles
+    from tanglekit.rainbow_cloud import clique_tangle, synth_rc
+
+    g, rc, clique = synth_rc(30, 0, 1, 2)
+    tau = clique_tangle(g, clique, 2)
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+    monkeypatch.setattr(tanglekit.tangles, "side_masks", refuse)
+    V = g.vertex_set()
+    assert repr(tau) == "Tangle(k=2, |V|=98, separators=99)"
+    assert tau.core() == clique | rc.sun
+    assert tau.maximal_members() == [sep(V - clique, clique | rc.sun)] + [
+        sep({v}, V) for v in sorted(clique)
+    ]
+    assert extends(tau, tau)
+    tri = rc.bags[15]  # a triangle whose top the sun sees
+    s = sep(tri | rc.sun, V - tri)
+    assert s in tau and s.inverse() not in tau and tau.orients(s.inverse()) == s
+    assert sep(tri, V - tri) not in tau  # the sun edge crosses: no separation
+    with pytest.raises(AssertionError, match="separations enumerated"):
+        tau.members
