@@ -25,7 +25,9 @@ def _norm_edge(e):
 class Graph:
     """Simple undirected graph.  No loops, no parallel edges."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_nbrs")
+    __slots__ = (
+        "vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_sides", "_side_masks", "_nbrs",
+    )
 
     def __init__(self, vertices=(), edges=()):
         es = frozenset(_norm_edge(e) for e in edges)
@@ -43,6 +45,8 @@ class Graph:
         self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
         self._seps = {}  # k -> (separations of order < k, side masks), filled by separations.py
+        self._sides = {}  # side mask -> its frozenset, for every side _seps holds
+        self._side_masks = {}  # the inverse: side frozenset -> its mask
         self._nbrs = [self.mask_of(ns) for ns in self._adj.values()]  # neighbours, by index
 
     # -- basic queries -------------------------------------------------
@@ -106,7 +110,10 @@ class Graph:
         return [self.labels_of(m) for m in self.components()]
 
     def joins(self, m1, m2):
-        """Does an edge join a vertex of mask m1 to a vertex of mask m2?"""
+        """Does an edge join a vertex of mask m1 to a vertex of mask m2?
+        Scans the neighbours of the sparser mask's vertices."""
+        if m1.bit_count() > m2.bit_count():
+            m1, m2 = m2, m1
         while m1:
             low = m1 & -m1
             if self._nbrs[low.bit_length() - 1] & m2:
@@ -150,6 +157,18 @@ class Graph:
             out.append(vs[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
+
+    def side_mask(self, vs):
+        """mask_of(vs) for a frozenset vs, read from the side table when vs
+        is a side of an enumerated separation.  The table does not grow."""
+        m = self._side_masks.get(vs)
+        return self.mask_of(vs) if m is None else m
+
+    def side_of(self, mask):
+        """labels_of(mask), as the side table's shared frozenset when it
+        holds mask.  The table does not grow."""
+        vs = self._sides.get(mask)
+        return self.labels_of(mask) if vs is None else vs
 
     def full_mask(self):
         return (1 << len(self.vertices)) - 1

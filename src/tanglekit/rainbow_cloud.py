@@ -12,6 +12,7 @@ the middle of the rainbow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .decomposition import (
@@ -82,6 +83,41 @@ class RCDecomposition:
     def outside(self, i, j) -> frozenset:
         """The cloud plus every bag outside i..j."""
         return self.cloud.union(*self.bags[:i], *self.bags[j + 1 :])
+
+    # -- the same sets as vertex-index masks of graph, built once --
+
+    @functools.cached_property
+    def _bag_masks(self) -> tuple:
+        return tuple(map(self.graph.mask_of, self.bags))
+
+    @functools.cached_property
+    def _sun_mask(self) -> int:
+        return self.graph.mask_of(self.sun)
+
+    @functools.cached_property
+    def _outer_ends(self):
+        """Per index i, the cloud's mask joined with the bags before i, and
+        with the bags from i on."""
+        before = after = self.graph.mask_of(self.cloud)
+        befores, afters = [before], [after]
+        for m in self._bag_masks:
+            before |= m
+            befores.append(before)
+        for m in reversed(self._bag_masks):
+            after |= m
+            afters.append(after)
+        afters.reverse()
+        return befores, afters
+
+    def _outer(self, i, j) -> int:
+        """The mask of outside(i, j)."""
+        befores, afters = self._outer_ends
+        return befores[i] | afters[j + 1]
+
+    @functools.cached_property
+    def _families(self) -> dict:
+        """split_family's memo: {(i, j, small & outer, big & outer): splits}."""
+        return {}
 
 
 def validate_rc(g: Graph, rc: RCDecomposition) -> dict:
@@ -160,19 +196,61 @@ class CrossingInfo:
         return self.direction != "none"
 
 
-def _end_bags(rc: RCDecomposition, k: int, early_misses, late_misses):
+def _end_bags(rc: RCDecomposition, k: int, early_misses: int, late_misses: int):
     """The first bag among 0..min(2k, M) disjoint from early_misses and the
-    last bag among max(M - 2k, 0)..M disjoint from late_misses, or None
-    unless both exist.  For a side b of a separation of rc.graph, a bag
-    disjoint from b lies strictly inside the other side."""
-    M, bags = rc.length, rc.bags
-    early = range(min(2 * k, M) + 1)
-    i = next((i for i in early if bags[i].isdisjoint(early_misses)), None)
-    if i is None:
+    last bag among max(M - 2k, 0)..M disjoint from late_misses, both masks,
+    or None unless both exist.  For a side mask b of a separation of
+    rc.graph, a bag disjoint from b lies strictly inside the other side."""
+    M, bags = rc.length, rc._bag_masks
+    for i in range(min(2 * k, M) + 1):
+        if not bags[i] & early_misses:
+            break
+    else:
         return None
-    late = range(M, max(M - 2 * k, 0) - 1, -1)
-    j = next((j for j in late if bags[j].isdisjoint(late_misses)), None)
-    return None if j is None else (i, j)
+    for j in range(M, max(M - 2 * k, 0) - 1, -1):
+        if not bags[j] & late_misses:
+            return i, j
+    return None
+
+
+def _masks_of(rc: RCDecomposition, s: OrientedSeparation):
+    """s's (small, big) vertex-index masks, read from rc.graph's side table.
+    A side naming a vertex outside rc.graph raises RainbowError."""
+    g = rc.graph
+    try:
+        return g.side_mask(s.small), g.side_mask(s.big)
+    except KeyError:
+        unknown = sorted((s.small | s.big) - g.vertex_set())
+        raise RainbowError(f"separation names vertices outside the graph: {unknown}") from None
+
+
+_NO_CROSSING = CrossingInfo("none")
+
+
+def _crossing(rc: RCDecomposition, a: int, b: int, k: int) -> CrossingInfo:
+    """classify_crossing for side masks (a, b)."""
+    ends = _end_bags(rc, k, b, a)
+    direction = "clockwise"
+    if ends is None:
+        ends = _end_bags(rc, k, a, b)
+        if ends is None:
+            return _NO_CROSSING
+        direction = "counterclockwise"
+    if rc._sun_mask & ~(a & b):
+        raise RainbowError("crossing separator misses the sun")
+    return CrossingInfo(direction, *ends)
+
+
+def _slices(rc: RCDecomposition, a: int, b: int, k: int) -> bool:
+    """slices_rainbow for side masks (a, b)."""
+    bags = rc._bag_masks
+    for inner, other in ((a, b), (b, a)):
+        ends = _end_bags(rc, k, other, other)
+        if ends is not None:
+            for h in range(ends[0] + 1, ends[1]):
+                if not bags[h] & inner:
+                    return True
+    return False
 
 
 def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k: int) -> CrossingInfo:
@@ -184,18 +262,13 @@ def classify_crossing(rc: RCDecomposition, s: OrientedSeparation, k: int) -> Cro
     separator; one that does not raises RainbowError.  s is a separation
     of rc.graph and k the tangle order, which sets the end windows.
     """
-    fwd = _end_bags(rc, k, s.big, s.small)
-    ends = fwd or _end_bags(rc, k, s.small, s.big)
-    if ends is None:
-        return CrossingInfo("none")
-    if not (rc.sun <= s.small and rc.sun <= s.big):
-        raise RainbowError("crossing separator misses the sun")
-    return CrossingInfo("clockwise" if fwd else "counterclockwise", *ends)
+    return _crossing(rc, *_masks_of(rc, s), k)
 
 
-def _clockwise_window(rc: RCDecomposition, s: OrientedSeparation, k: int):
-    """(i_min, j_max) of a clockwise crossing; anything else raises."""
-    info = classify_crossing(rc, s, k)
+def _clockwise_window(rc: RCDecomposition, a: int, b: int, k: int):
+    """(i_min, j_max) of a clockwise crossing with side masks (a, b);
+    anything else raises."""
+    info = _crossing(rc, a, b, k)
     if info.direction != "clockwise":
         raise RainbowError("separation does not cross clockwise")
     return info.i_min, info.j_max
@@ -208,59 +281,77 @@ def split_crossing(rc: RCDecomposition, s: OrientedSeparation, h: int, k: int):
     big side; outside the extremal window the crossing separation itself
     decides.  Valid for h in i_min+1 .. j_max.
     """
-    i, j = _clockwise_window(rc, s, k)
+    a, b = _masks_of(rc, s)
+    i, j = _clockwise_window(rc, a, b, k)
     if not i + 1 <= h <= j:
         raise RainbowError(f"split index {h} out of range {i + 1}..{j}")
-    return _splits(rc, s, i, j, range(h, h + 1))[h]
+    return _family(rc, a, b, i, j)[h]
 
 
 def split_family(rc: RCDecomposition, s: OrientedSeparation, k: int):
-    """All splits of a clockwise crossing, indexed i_min+1 .. j_max."""
-    i, j = _clockwise_window(rc, s, k)
-    return _splits(rc, s, i, j, range(i + 1, j + 1))
+    """All splits of a clockwise crossing, indexed i_min+1 .. j_max, as a
+    fresh dict on every call.
+
+    The families are memoised on rc, keyed by (i_min, j_max) and the parts
+    of s's sides outside the window, which are all the splits read (see
+    _splits).  The memo holds at most one family per key, and each key
+    comes from a separation passed in: it grows with the distinct
+    crossings classified, not with the calls.
+    """
+    a, b = _masks_of(rc, s)
+    return dict(_family(rc, a, b, *_clockwise_window(rc, a, b, k)))
 
 
-def _splits(rc: RCDecomposition, s: OrientedSeparation, i, j, hs):
-    """The splits h in hs, a range within i+1 .. j, of a clockwise crossing
-    with window (i, j).
+def _family(rc: RCDecomposition, a: int, b: int, i: int, j: int):
+    """The memoised splits {h: separation} of a clockwise crossing with
+    side masks (a, b) and window (i, j); callers must not mutate it."""
+    outer = rc._outer(i, j)
+    key = (i, j, a & outer, b & outer)
+    fam = rc._families.get(key)
+    if fam is None:
+        side = rc.graph.side_of
+        fam = rc._families[key] = {
+            h: OrientedSeparation(side(x), side(y))
+            for h, (x, y) in enumerate(_splits(rc, a, b, i, j), i + 1)
+        }
+    return fam
+
+
+def _splits(rc: RCDecomposition, a: int, b: int, i: int, j: int):
+    """The (small, big) masks of splits h = i+1 .. j of a clockwise crossing
+    with side masks (a, b) and window (i, j).
 
     Split h has bags i..h-1 on its small side and bags h..j on its big
-    side.  Past the bags outside hs, one running union from the left gives
-    every small side and one from the right every big side.
+    side; outside the window it keeps s's sides, with the sun on both.
+    One running union from the left gives every small side and one from
+    the right every big side.
     """
-    bags = rc.bags
-    outer = rc.outside(i, j)
-    small = ((s.small & outer) | rc.sun).union(*bags[i : hs.start - 1])
-    big = ((s.big & outer) | rc.sun).union(*bags[hs.stop : j + 1])
+    bags, outer, sun = rc._bag_masks, rc._outer(i, j), rc._sun_mask
+    small, big = (a & outer) | sun, (b & outer) | sun
     smalls = []
-    for h in hs:
-        small = small | bags[h - 1]
+    for h in range(i + 1, j + 1):
+        small |= bags[h - 1]
         smalls.append(small)
     bigs = []
-    for h in reversed(hs):
-        big = bags[h] | big
+    for h in range(j, i, -1):
+        big |= bags[h]
         bigs.append(big)
     bigs.reverse()
-    return {h: sep(a, b) for h, a, b in zip(hs, smalls, bigs)}
+    return list(zip(smalls, bigs))
 
 
 def slices_rainbow(rc: RCDecomposition, s: OrientedSeparation, k: int) -> bool:
     """True when an early and a late bag sit strictly on one side while some
     bag between them sits strictly on the other.  s is a separation of
     rc.graph, so a bag sits strictly on one side when it misses the other."""
-    for a, b in ((s.small, s.big), (s.big, s.small)):
-        ends = _end_bags(rc, k, b, b)
-        if ends is not None and any(
-            rc.bags[h].isdisjoint(a) for h in range(ends[0] + 1, ends[1])
-        ):
-            return True
-    return False
+    return _slices(rc, *_masks_of(rc, s), k)
 
 
 def classify_cross_or_slice(rc: RCDecomposition, s: OrientedSeparation, k: int) -> str:
-    if classify_crossing(rc, s, k):
+    a, b = _masks_of(rc, s)
+    if _crossing(rc, a, b, k):
         return "crossing"
-    if slices_rainbow(rc, s, k):
+    if _slices(rc, a, b, k):
         return "slicing"
     return "neither"
 
@@ -297,17 +388,20 @@ class LivingVerdict:
 
 def _flip_point(rc: RCDecomposition, tau: Tangle, s: OrientedSeparation, info):
     """Last forward-oriented split index h with h+1 oriented backward, for a
-    clockwise crossing s whose CrossingInfo is info."""
-    i, j = info.i_min, info.j_max
-    fam = _splits(rc, s, i, j, range(i + 1, j + 1))
-    for h in range(i + 1, j):
-        if fam[h] in tau and fam[h + 1].inverse() in tau:
+    clockwise crossing s whose CrossingInfo is info.  The splits stay masks
+    over rc.graph's vertex index, which is tau.graph's."""
+    i = info.i_min
+    splits = _splits(rc, *_masks_of(rc, s), i, info.j_max)
+    for h, (a, b), (c, d) in zip(range(i + 1, info.j_max), splits, splits[1:]):
+        if tau._holds(a, b) and tau._holds(d, c):
             return h
     return None
 
 
 def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     g, k = tau.graph, tau.k
+    if g.vertices != rc.graph.vertices:
+        raise RainbowError("the tangle's graph and the decomposition's have different vertices")
     rv = rc.rainbow_vertices()
     free = rv - rc.cloud
     for s in tau.maximal_members():  # big strict sides shrink going up <=

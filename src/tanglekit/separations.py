@@ -149,7 +149,9 @@ def _enumerate_separations(g: Graph, splits):
     splits or distinct S give distinct separations: nothing comes out
     twice.  Each distinct side mask becomes one frozenset, shared by every
     separation with that side, so a separation and its inverse share both
-    sides.
+    sides.  The frozensets go into g's side table ({mask: frozenset} and its
+    inverse), where a later k finds and shares them too; only enumeration
+    adds to the table, so it holds no side that _seps does not.
     """
     pairs, masks = [], {}  # masks: each distinct side mask, one int object
     for sm, comps in splits:
@@ -171,7 +173,11 @@ def _enumerate_separations(g: Graph, splits):
             x ^= low
         labels[m] = tuple(out)  # sorted: bits follow label order
     pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), labels[p[0]], labels[p[1]]))
-    sides = {m: frozenset(t) for m, t in labels.items()}
+    sides, inverse = g._sides, g._side_masks
+    for m, t in labels.items():
+        if m not in sides:
+            sides[m] = side = frozenset(t)
+            inverse[side] = m
     return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs), tuple(pairs)
 
 

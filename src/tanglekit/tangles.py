@@ -222,13 +222,19 @@ class Tangle:
         )
 
     def __contains__(self, s: OrientedSeparation):
-        """A separation (A, B) of the graph of order < k is a member iff
-        C(A & B) lies in B - A; anything else is not."""
+        """Membership of s, its sides read from the graph's side table."""
         g = self.graph
         try:
-            a, b = g.mask_of(s.small), g.mask_of(s.big)
+            a, b = g.side_mask(s.small), g.side_mask(s.big)
         except KeyError:  # a label outside the graph
             return False
+        return self._holds(a, b)
+
+    def _holds(self, a, b):
+        """Is the pair of vertex-index side masks (a, b) a member?  A
+        separation (A, B) of the graph of order < k is one iff C(A & B) lies
+        in B - A; anything else is not."""
+        g = self.graph
         c = self._pick.get(a & b)  # None for a separator of order >= k
         return (c is not None and not c & ~b and a | b == g.full_mask()
                 and not g.joins(a & ~b, b & ~a))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_line_edits, synth_rc_instances
+from conftest import apply_line_edits, relabel_rc, synth_rc_instances
 from tanglekit.cli import main
 from tanglekit.graphs import Graph, delete_edge, format_edgelist
 from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
@@ -345,6 +345,79 @@ def test_longer_rainbow_matches_reference():
         assert_matches_reference(rc, s, 3)
 
 
+def test_family_memo_matches_reference_under_relabelling():
+    # ell = 0: many crossings share a window and their sides outside it
+    g, rc, clique = synth_rc(8, 0, 1)
+    vs = sorted(g.vertices)
+    g, rc, _ = relabel_rc(g, rc, clique, dict(zip(vs, [3 * v + 1 for v in reversed(vs)])))
+    k = 3
+    crossings = 0
+    for s in enumerate_separations(g, k):
+        info = classify_crossing(rc, s, k)
+        assert info == ref_classify_crossing(rc, s, k)
+        assert classify_cross_or_slice(rc, s, k) == ref_classify_cross_or_slice(rc, s, k)
+        assert slices_rainbow(rc, s, k) == ref_slices_rainbow(rc, s, k)
+        if info.direction == "clockwise":
+            crossings += 1
+            ref = ref_split_family(rc, s, k)
+            assert list(split_family(rc, s, k).items()) == list(ref.items())
+            for h in list(ref)[-1:]:
+                assert split_crossing(rc, s, h, k) == ref[h]
+    assert len(rc._families) * 5 < crossings
+
+
+def test_mutating_a_family_leaves_the_memo_alone():
+    g, rc, _ = synth_rc(16, 1, 0)
+    s = rainbow_separation(rc, 0, 7)
+    fam = split_family(rc, s, 3)
+    want = dict(fam)
+    h = min(fam)
+    fam[h] = fam.pop(max(fam))
+    fam[-1] = s
+    assert split_family(rc, s, 3) == want
+    assert split_crossing(rc, s, h, 3) == want[h]
+
+
+def test_side_table_is_shared_across_orders_and_never_grown_by_lookups():
+    g, rc, clique = synth_rc(8, 1, 1)
+    by_side = {}
+    for k in (3, 4):
+        for s in enumerate_separations(g, k):
+            for side in (s.small, s.big):
+                assert by_side.setdefault(side, side) is side
+    table = dict(g._sides)
+    assert table == {g.mask_of(side): side for side in by_side}
+    tau = clique_tangle(g, clique, 3)
+    for s in enumerate_separations(g, 4):
+        fresh = sep(set(s.small), set(s.big))
+        assert fresh.small is not s.small
+        classify_cross_or_slice(rc, fresh, 3)
+        assert (fresh in tau) == (s in tau)
+        if classify_crossing(rc, fresh, 3).direction == "clockwise":
+            split_family(rc, fresh, 3)
+    assert g._sides == table and len(g._side_masks) == len(table)
+
+
+@pytest.mark.parametrize(
+    "classify",
+    [
+        classify_crossing,
+        slices_rainbow,
+        classify_cross_or_slice,
+        split_family,
+        lambda rc, s, k: split_crossing(rc, s, 1, k),
+    ],
+    ids=["classify_crossing", "slices_rainbow", "classify_cross_or_slice",
+         "split_family", "split_crossing"],
+)
+def test_classifiers_refuse_vertices_outside_the_graph(classify):
+    g, rc, _ = synth_rc(8, 1, 1)
+    s = rainbow_separation(rc, 0, 3)
+    bad = sep(s.small | {1001, 1000}, s.big)
+    with pytest.raises(RainbowError, match=r"outside the graph: \[1000, 1001\]"):
+        classify(rc, bad, 3)
+
+
 # -- living, shortening, edge choice -----------------------------------------------
 
 
@@ -375,6 +448,14 @@ def test_lives_in_rainbow_region_verdict():
     assert verdict.witness.big - verdict.witness.small <= (
         rc.rainbow_vertices() - rc.cloud
     )
+
+
+def test_lives_in_rainbow_refuses_a_tangle_of_other_vertices():
+    g, rc, clique = synth_rc(8, 1, 1)
+    vs = sorted(g.vertices)
+    h, _, image = relabel_rc(g, rc, clique, {v: v + 100 for v in vs})
+    with pytest.raises(RainbowError, match="different vertices"):
+        lives_in_rainbow(rc, clique_tangle(h, image, 3))
 
 
 def test_shorten_to_not_living_no_op_when_already_out():
