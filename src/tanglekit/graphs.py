@@ -160,9 +160,15 @@ class Graph:
 
     def side_mask(self, vs):
         """mask_of(vs) for a frozenset vs, read from the side table when vs
-        is a side of an enumerated separation.  The table does not grow."""
+        is a side of an enumerated separation.  The table does not grow.
+        Labels outside the graph set every bit from |V| up, so the mask is
+        negative: no side of a separation of the graph, and so no row or
+        member of a tangle, holds those bits."""
         m = self._side_masks.get(vs)
-        return self.mask_of(vs) if m is None else m
+        if m is None:
+            held = vs & self._bit.keys()
+            m = self.mask_of(held) | (-1 << len(self.vertices) if len(held) < len(vs) else 0)
+        return m
 
     def side_of(self, mask):
         """labels_of(mask), as the side table's shared frozenset when it

@@ -184,21 +184,31 @@ def find_inducing_weights(tau: Tangle, budget):
 # -- batch verification ------------------------------------------------------------
 
 
-def _load_checkpoint(path):
+_ROW_TYPES = {"id": str, "tangles": int, "failures": int, "max_set_size": int,
+              "max_weight_total": (int, type(None))}  # a p11 row's fields
+
+
+def _load_checkpoint(path, params):
     """Finished p11 rows by id, from a checkpoint of JSON lines.
 
-    A crash mid-append leaves a torn last line.  A last line that does not
-    parse or lacks its newline is dropped, and the file is cut back to the
-    end of the line before it, so that row is computed again and the next
-    append starts a fresh line.  A bad line anywhere else still raises.
+    The first line, {"p11": params}, records the parameters the rows were
+    computed with; a new or empty checkpoint gets it.  A checkpoint
+    written with other parameters, or with none recorded, is refused with
+    a ValueError naming both, and so is a later line that is not a row.
+
+    A crash mid-append leaves a torn last line, header included.  A last
+    line that does not parse or lacks its newline is dropped, and the file
+    is cut back to the end of the line before it, so that row is computed
+    again and the next append starts a fresh line.  A bad line anywhere
+    else still raises.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return {}
+        data = b""
     *lines, tail = data.split(b"\n")
-    done, keep = {}, 0
+    done, keep, header = {}, 0, {"p11": params}
     for i, line in enumerate(lines):
         try:
             row = json.loads(line)
@@ -206,11 +216,23 @@ def _load_checkpoint(path):
             if tail or i < len(lines) - 1:
                 raise
             break
-        done[row["id"]] = row
+        if i == 0:
+            if row != header:
+                got = row.get("p11") if isinstance(row, dict) else None
+                got = json.dumps(got) if got else "no parameters"
+                raise ValueError(f"checkpoint {path} was written with {got},"
+                                 f" not {json.dumps(params)}")
+        elif (isinstance(row, dict) and row.keys() == _ROW_TYPES.keys()
+              and all(isinstance(row[f], t) for f, t in _ROW_TYPES.items())):
+            done[row["id"]] = row
+        else:
+            raise ValueError(f"checkpoint {path}, line {i + 1}: not a p11 row")
         keep += len(line) + 1
-    if keep < len(data):
-        with open(path, "r+b") as fh:
+    if keep < len(data) or not keep:
+        with open(path, "a") as fh:  # creates a missing checkpoint
             fh.truncate(keep)
+            if not keep:
+                fh.write(json.dumps(header) + "\n")
     return done
 
 
@@ -224,9 +246,11 @@ def verify_p11_batch(
     """Per-graph inducing-set verdicts over a stream of (id, Graph) pairs.
 
     Returns {"rows": [...], "summary": {...}}.  With a checkpoint path,
-    finished rows are appended as JSON lines and skipped on rerun.
+    finished rows are appended as JSON lines and skipped on rerun; the
+    checkpoint is bound to k, max_set_size and compute_weights.
     """
-    done = {} if checkpoint_path is None else _load_checkpoint(checkpoint_path)
+    params = {"k": k, "max_set_size": max_set_size, "weights": bool(compute_weights)}
+    done = {} if checkpoint_path is None else _load_checkpoint(checkpoint_path, params)
     rows = []
     for gid, g in graphs:
         gid = str(gid)

@@ -23,8 +23,8 @@ from .decomposition import (
     max_linkage_size,
 )
 from .graphs import Graph, delete_edge
-from .separations import OrientedSeparation, enumerate_separations, sep
-from .survival import forced_orientation
+from .separations import OrientedSeparation, sep, side_masks
+from .survival import _forced
 from .tangles import Tangle, TangleError, extends, rows_cover
 
 
@@ -217,11 +217,11 @@ def _masks_of(rc: RCDecomposition, s: OrientedSeparation):
     """s's (small, big) vertex-index masks, read from rc.graph's side table.
     A side naming a vertex outside rc.graph raises RainbowError."""
     g = rc.graph
-    try:
-        return g.side_mask(s.small), g.side_mask(s.big)
-    except KeyError:
+    a, b = g.side_mask(s.small), g.side_mask(s.big)
+    if a < 0 or b < 0:  # a label outside the graph (see Graph.side_mask)
         unknown = sorted((s.small | s.big) - g.vertex_set())
-        raise RainbowError(f"separation names vertices outside the graph: {unknown}") from None
+        raise RainbowError(f"separation names vertices outside the graph: {unknown}")
+    return a, b
 
 
 _NO_CROSSING = CrossingInfo("none")
@@ -386,12 +386,12 @@ class LivingVerdict:
     turning_point: int | None = None
 
 
-def _flip_point(rc: RCDecomposition, tau: Tangle, s: OrientedSeparation, info):
+def _flip_point(rc: RCDecomposition, tau: Tangle, a: int, b: int, info):
     """Last forward-oriented split index h with h+1 oriented backward, for a
-    clockwise crossing s whose CrossingInfo is info.  The splits stay masks
-    over rc.graph's vertex index, which is tau.graph's."""
+    clockwise crossing with side masks (a, b) whose CrossingInfo is info.
+    The splits stay masks over rc.graph's vertex index, which is tau.graph's."""
     i = info.i_min
-    splits = _splits(rc, *_masks_of(rc, s), i, info.j_max)
+    splits = _splits(rc, a, b, i, info.j_max)
     for h, (a, b), (c, d) in zip(range(i + 1, info.j_max), splits, splits[1:]):
         if tau._holds(a, b) and tau._holds(d, c):
             return h
@@ -399,22 +399,31 @@ def _flip_point(rc: RCDecomposition, tau: Tangle, s: OrientedSeparation, info):
 
 
 def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
+    """Where tau leans into the rainbow (see LivingVerdict), on vertex masks.
+
+    The region scan reads tau's maximal (small, big) masks.  The flip scan
+    walks side_masks(g, k) in enumeration order, orients each pair by
+    membership and classifies it with _crossing; a separation is met in
+    both orientations and classified as its member both times.  Only the
+    returned witness is built as an OrientedSeparation.
+    """
     g, k = tau.graph, tau.k
     if g.vertices != rc.graph.vertices:
         raise RainbowError("the tangle's graph and the decomposition's have different vertices")
-    rv = rc.rainbow_vertices()
-    free = rv - rc.cloud
-    for s in tau.maximal_members():  # big strict sides shrink going up <=
-        if s.big - s.small <= free:
-            return LivingVerdict("region", witness=s)
-    for s in enumerate_separations(g, k):
-        cand = tau.orients(s)
-        info = classify_crossing(rc, cand, k)
+    free, side = g.mask_of(rc.rainbow_vertices() - rc.cloud), g.side_of
+    for a, b in tau.maximal_masks():  # big strict sides shrink going up <=
+        if not b & ~a & ~free:
+            return LivingVerdict("region", witness=OrientedSeparation(side(a), side(b)))
+    for a, b in side_masks(g, k):
+        if not tau._holds(a, b):
+            a, b = b, a
+        info = _crossing(rc, a, b, k)
         if info.direction != "clockwise":
             continue
-        h = _flip_point(rc, tau, cand, info)
+        h = _flip_point(rc, tau, a, b, info)
         if h is not None:
-            return LivingVerdict("flip", witness=cand, turning_point=h)
+            witness = OrientedSeparation(side(a), side(b))
+            return LivingVerdict("flip", witness=witness, turning_point=h)
     return LivingVerdict("no")
 
 
@@ -432,8 +441,8 @@ def _region_bag_span(rc: RCDecomposition, witness: OrientedSeparation):
 
 def _settled_bag(rc: RCDecomposition, tau: Tangle):
     """A bag index whose one-bag rainbow separation is oriented big-side-in."""
-    for h in range(rc.length + 1):
-        if rainbow_separation(rc, h, h).inverse() in tau:
+    for h in range(rc.length + 1):  # rainbow_separation(rc, h, h), inverted
+        if tau._holds(rc._outer(h, h), rc._bag_masks[h] | rc._sun_mask):
             return h
     return None
 
@@ -560,11 +569,10 @@ def extend_after_deletion(
     full, ends = g2.full_mask(), g2.mask_of(e)
     cloud = g2.mask_of(rc.cloud & g2.vertex_set())
 
-    def rule(s):
-        forced = forced_orientation(tau, s)
-        if forced is not None:
-            return forced == s
-        small, big = g2.mask_of(s.small), g2.mask_of(s.big)
+    def rule(small, big):  # g2 keeps g's bit order
+        fwd = _forced(tau, small, big)
+        if fwd is not None:
+            return fwd
         comps = g2.components(full & ~(small & big))
         comp_small = next((c for c in comps if c & ends and not c & ~small), None)
         comp_big = next((c for c in comps if c & ends and not c & ~big), None)
@@ -603,7 +611,8 @@ def clique_tangle(g: Graph, clique, k: int) -> Tangle:
         raise TangleError(f"need at least 3k-2 = {3 * k - 2} clique vertices")
     if any(not g.has_edge(a, b) for a in q for b in q if a < b):
         raise TangleError("vertex set is not a clique")
-    return Tangle._of_rule(g, k, lambda s: q <= s.big)
+    qm = g.mask_of(q)
+    return Tangle._of_rule(g, k, lambda a, b: not qm & ~b)
 
 
 # -- synthetic instances --------------------------------------------------------------

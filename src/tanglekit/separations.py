@@ -227,12 +227,6 @@ def longest_strict_chain(g: Graph, k: int):
     return chain[::-1]
 
 
-def restrict_to_subgraph(s: OrientedSeparation, h: Graph) -> OrientedSeparation:
-    """Intersect both sides with V(h)."""
-    V = h.vertex_set()
-    return OrientedSeparation(s.small & V, s.big & V)
-
-
 # -- serialization -------------------------------------------------------
 
 

@@ -3,8 +3,14 @@
 A tangle "survives" in a reduced graph (edge deleted, degree-2 vertex
 suppressed, or a component taken) when the reduced graph has a tangle of
 the same order agreeing with it on every shared separation.  Each function
-here states that smaller tangle as a membership test, read off the rows by
-Tangle._of_rule; none of them enumerates tangles of the reduced graph.
+here states that smaller tangle as a membership test on the (small, big)
+vertex-index masks of a row, a few bit operations around the old tangle's
+_holds, and reads it off the rows by Tangle._of_rule.  A test that crosses
+to a graph with other vertices moves its masks through their labels, and
+restrict_to_component moves the old tangle's map the same way.  None of
+them enumerates tangles of the reduced graph, and OrientedSeparations
+appear only at the public boundaries: forced_orientation,
+orientation_across_edge and divergent_witness.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ def _require(cond, msg):
 def tangle_of_component(g: Graph, comp: frozenset) -> Tangle:
     """The order-1 tangle pointing at a component's vertex set."""
     _require(comp in g.component_vertex_sets(), "not a component vertex set")
-    return Tangle._of_rule(g, 1, lambda s: comp <= s.big)
+    c = g.mask_of(comp)
+    return Tangle._of_rule(g, 1, lambda a, b: not c & ~b)
 
 
 def tangle_of_block(g: Graph, block: frozenset) -> Tangle:
@@ -37,7 +44,8 @@ def tangle_of_block(g: Graph, block: frozenset) -> Tangle:
 
     A separation of order < 2 leaves any block entirely inside one side.
     """
-    return Tangle._of_rule(g, 2, lambda s: block <= s.big)
+    q = g.side_mask(frozenset(block))
+    return Tangle._of_rule(g, 2, lambda a, b: not q & ~b)
 
 
 # -- order-specific edge-deletion survival ---------------------------------
@@ -50,12 +58,10 @@ def survive_delete_edge_k1(g: Graph, tau: Tangle, e) -> Tangle:
     smallest label is taken.
     """
     _require(tau.k == 1, "order-1 construction")
-    g2 = delete_edge(g, e)
-    core = tau.core()
-    pieces = [c for c in g2.component_vertex_sets() if c <= core]
+    g2, core = delete_edge(g, e), g.mask_of(tau.core())
+    pieces = [c for c in g2.components() if not c & ~core]  # by smallest label
     _require(bool(pieces), "core vanished, which cannot happen")
-    target = min(pieces, key=min)
-    return tangle_of_component(g2, target)
+    return tangle_of_component(g2, g2.labels_of(pieces[0]))
 
 
 def survive_delete_edge_k2(g: Graph, tau: Tangle):
@@ -70,8 +76,8 @@ def survive_delete_edge_k2(g: Graph, tau: Tangle):
     _require(bool(core_edges), "core block carries no edge")
     f = core_edges[0]
     e = min(x for x in g.edges if x != f)
-    g2 = delete_edge(g, e)
-    return e, Tangle._of_rule(g2, 2, lambda s: f[0] in s.big and f[1] in s.big)
+    g2, fm = delete_edge(g, e), g.mask_of(f)
+    return e, Tangle._of_rule(g2, 2, lambda a, b: not fm & ~b)
 
 
 # -- restriction to a component ---------------------------------------------
@@ -83,15 +89,26 @@ def restrict_to_component(g: Graph, tau: Tangle):
     Returns (component graph, tangle): C(empty set), or g at k = 0.  A
     separation of the component is oriented by padding its first side with
     all vertices outside the component and reading off the big tangle.
+
+    That is tau's map restricted to the separators inside C(empty set),
+    with each mask moved to the component's bit order through its labels.
+    For a tangle, C(X) lies in C(empty set): otherwise the rows of X and
+    of the empty set, whose small sides are V - C(X) and V - C(empty set),
+    would cover g together.  The components of g - X inside C(empty set)
+    are those of the component minus X, and the padded separations of the
+    component's rows are tau's rows; so the member at each separator of
+    the component is the padded one's.
     """
-    core1 = g.labels_of(tau._pick.get(0, g.full_mask()))
-    comp = g.induced(core1)
+    c0 = tau._pick.get(0, g.full_mask())
+    comp = g.induced(g.labels_of(c0))
     _require(comp.is_connected() or not comp.vertices,
              "order-0 members do not single out a component")
-    rest = g.vertex_set() - core1
-    return comp, Tangle._of_rule(
-        comp, tau.k, lambda s: OrientedSeparation(s.small | rest, s.big) in tau
-    )
+
+    def inside(m):
+        return comp.mask_of(g.labels_of(m))
+
+    pick = {inside(x): inside(c) for x, c in tau._pick.items() if not x & ~c0}
+    return comp, Tangle._of_map(comp, tau.k, pick)
 
 
 # -- pendant edges and vertex suppression ------------------------------------
@@ -106,28 +123,26 @@ def survive_delete_pendant_edge(g: Graph, tau: Tangle, v) -> Tangle:
     _require(tau.k >= 3, "needs order >= 3")
     _require(v in g and g.degree(v) == 1, "not a pendant vertex")
     (u,) = g.neighbors(v)
-    g2 = delete_edge(g, (u, v))
-
-    def rule(s):
-        A, B = s.small, s.big
-        cands = (s, OrientedSeparation(A - {v}, B | {v}), OrientedSeparation(A | {v}, B - {v}))
-        return any(c in tau for c in cands)
-
-    return Tangle._of_rule(g2, tau.k, rule)
+    g2, x = delete_edge(g, (u, v)), g.mask_of((v,))  # g2 keeps g's bit order
+    return Tangle._of_rule(g2, tau.k, lambda a, b: tau._holds(a, b)
+                           or tau._holds(a & ~x, b | x) or tau._holds(a | x, b & ~x))
 
 
 def survive_suppress_vertex(g: Graph, tau: Tangle, v) -> Tangle:
     """Order >= 3: the tangle survives the suppression of a degree-2 vertex.
 
     A separation of the reduced graph joins the new tangle if the tangle
-    chose it with the suppressed vertex added to either side.
+    chose it with the suppressed vertex added to either side; its sides
+    reach g's bit order through their labels.
     """
     _require(tau.k >= 3, "needs order >= 3")
-    g2 = suppress_vertex(g, v)
-    return Tangle._of_rule(g2, tau.k, lambda s: (
-        OrientedSeparation(s.small | {v}, s.big) in tau
-        or OrientedSeparation(s.small, s.big | {v}) in tau
-    ))
+    g2, x = suppress_vertex(g, v), g.mask_of((v,))
+
+    def rule(a, b):
+        a, b = g.mask_of(g2.labels_of(a)), g.mask_of(g2.labels_of(b))
+        return tau._holds(a | x, b) or tau._holds(a, b | x)
+
+    return Tangle._of_rule(g2, tau.k, rule)
 
 
 # -- survival helped by a higher-order tangle ---------------------------------
@@ -138,16 +153,19 @@ def orientation_across_edge(tau_tilde: Tangle, s: OrientedSeparation, e) -> bool
 
     s separates the reduced graph but e crosses it; adding e's endpoints
     to either side gives two host separations which the higher-order
-    tangle orients the same way.
+    tangle orients the same way.  False if s or e names a vertex outside
+    the graph.
     """
-    ends = frozenset(e)
-    plus_small = OrientedSeparation(s.small | ends, s.big)
-    plus_big = OrientedSeparation(s.small, s.big | ends)
-    a = plus_small in tau_tilde
-    b = plus_big in tau_tilde
-    if a != b and s.order < tau_tilde.k - 1:
+    sides = (s.small, s.big, frozenset(e))
+    return _across_edge(tau_tilde, *map(tau_tilde.graph.side_mask, sides))
+
+
+def _across_edge(tau_tilde: Tangle, a, b, ends) -> bool:
+    """orientation_across_edge for side masks (a, b) and the edge's end mask."""
+    x, y = tau_tilde._holds(a | ends, b), tau_tilde._holds(a, b | ends)
+    if x != y and (a & b).bit_count() < tau_tilde.k - 1:
         raise TangleError("agreement across the edge failed")
-    return a or b
+    return x or y
 
 
 def survive_with_extending_supertangle(
@@ -160,9 +178,9 @@ def survive_with_extending_supertangle(
     """
     _require(tau_tilde.k == tau.k + 1, "order must exceed tau's by one")
     _require(extends(tau, tau_tilde), "supertangle must refine tau")
-    g2 = delete_edge(g, e)
-    return Tangle._of_rule(g2, tau.k, lambda s: s in tau or (
-        s.inverse() not in tau and orientation_across_edge(tau_tilde, s, e)
+    g2, ends = delete_edge(g, e), g.mask_of(e)  # g2 keeps g's bit order
+    return Tangle._of_rule(g2, tau.k, lambda a, b: tau._holds(a, b) or (
+        not tau._holds(b, a) and _across_edge(tau_tilde, a, b, ends)
     ))
 
 
@@ -176,19 +194,22 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
     member t lies below some maximal member m and <= is transitive, so
     s <= t gives s <= m; conversely every maximal member is a member.  So
     both the answer and the "forces both orientations" error are those
-    of a scan over all members.
+    of a scan over all members.  A side naming a vertex outside the graph
+    lies inside no member's side (see Graph.side_mask).
     """
-    inv = s.inverse()
-    maximal = tau.maximal_members()
-    fwd = any(s.le(t) for t in maximal)
-    bwd = any(inv.le(t) for t in maximal)
+    fwd = _forced(tau, tau.graph.side_mask(s.small), tau.graph.side_mask(s.big))
+    return None if fwd is None else s if fwd else s.inverse()
+
+
+def _forced(tau: Tangle, a, b):
+    """forced_orientation for side masks (a, b): True if (a, b) lies below a
+    maximal member, False if (b, a) does, None if neither."""
+    tops = tau._top_masks
+    fwd = any(not a & ~c and not d & ~b for c, d in tops)
+    bwd = any(not b & ~c and not d & ~a for c, d in tops)
     if fwd and bwd:
         raise TangleError("tangle forces both orientations; it is inconsistent")
-    if fwd:
-        return s
-    if bwd:
-        return inv
-    return None
+    return fwd if fwd or bwd else None
 
 
 def divergent_witness(tau: Tangle, tau_tilde: Tangle) -> OrientedSeparation:
@@ -199,11 +220,15 @@ def divergent_witness(tau: Tangle, tau_tilde: Tangle) -> OrientedSeparation:
     tangle's component, in A - B and C(X) in B - A, so the maps differ at
     X; and it lies <= the higher tangle's row there, itself distinguishing.
     """
-    g, pick, full = tau.graph, tau._pick, tau.graph.full_mask()
+    return OrientedSeparation(*map(tau.graph.labels_of, _divergent(tau, tau_tilde)))
+
+
+def _divergent(tau: Tangle, tau_tilde: Tangle):
+    """divergent_witness's (small, big) vertex-index masks."""
+    pick, full = tau._pick, tau.graph.full_mask()
     rows = [(full & ~c, c | x) for x, c in tau_tilde._pick.items() if x in pick and pick[x] != c]
     _require(bool(rows), "tangles do not diverge")
-    a, b = _maximal(g, rows)[0]
-    return OrientedSeparation(g.labels_of(a), g.labels_of(b))
+    return _maximal(tau.graph, rows)[0]
 
 
 def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle):
@@ -214,18 +239,15 @@ def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle)
     rest follow the higher-order tangle.  Returns (edge, tangle in g - e).
     """
     _require(tau_tilde.k == tau.k + 1, "order must exceed tau's by one")
-    ba = divergent_witness(tau, tau_tilde)
-    B, A = ba.small, ba.big
-    inside = sorted(g.edges_within(A - B))
+    small, big = _divergent(tau, tau_tilde)
+    inside = sorted(g.edges_within(g.labels_of(big & ~small)))
     _require(bool(inside), "no edge strictly inside the divergent side")
     e = inside[0]
-    g2 = delete_edge(g, e)
+    g2, ends = delete_edge(g, e), g.mask_of(e)  # g2 keeps g's bit order
 
-    def rule(s):
-        forced = forced_orientation(tau, s)
-        if forced is not None:
-            return forced == s
-        return orientation_across_edge(tau_tilde, s, e)
+    def rule(a, b):
+        fwd = _forced(tau, a, b)
+        return _across_edge(tau_tilde, a, b, ends) if fwd is None else fwd
 
     return e, Tangle._of_rule(g2, tau.k, rule)
 

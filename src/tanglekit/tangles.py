@@ -18,7 +18,6 @@ from .separations import (
     _parse_separation,
     enumerate_separations,
     format_separation,
-    restrict_to_subgraph,
     separator_components,
     side_masks,
 )
@@ -180,23 +179,23 @@ class Tangle:
 
     @classmethod
     def _of_rule(cls, graph: Graph, k: int, rule):
-        """The k-tangle whose members are the separations s with rule(s),
-        read off the rows: for each separator X, rule is tested on the rows
+        """The k-tangle whose members are the separations (A, B) with
+        rule(a, b), where a and b are A's and B's vertex-index masks, read
+        off the rows: for each separator X, rule is tested on the rows
         (V - C, C | X), one per component C of graph - X, and the component
         whose row it accepts is kept.
 
-        If {s : rule(s)} is a k-tangle T, this is exact.  (A, B) is a member
-        of T iff C(A & B) lies in B - A (see _search), so the row of C(X) is
-        a member and the row of any other component is not: exactly one row
-        per separator passes, and the map picks C(X).  The map's members are
-        then T's.  A rule that passes no row or two at some separator defines
-        no k-tangle and raises TangleError.
+        If {(A, B) : rule(a, b)} is a k-tangle T, this is exact.  (A, B) is
+        a member of T iff C(A & B) lies in B - A (see _search), so the row
+        of C(X) is a member and the row of any other component is not:
+        exactly one row per separator passes, and the map picks C(X).  The
+        map's members are then T's.  A rule that passes no row or two at
+        some separator defines no k-tangle and raises TangleError.
         """
         vmask, labels = graph.full_mask(), graph.labels_of
         pick = {}
         for x, comps in separator_components(graph, k):
-            hits = [c for c in comps
-                    if rule(OrientedSeparation(labels(vmask & ~c), labels(c | x)))]
+            hits = [c for c in comps if rule(vmask & ~c, c | x)]
             if len(hits) != 1:
                 raise TangleError(f"rule passes {len(hits)} components of G - {sorted(labels(x))}")
             pick[x] = hits[0]
@@ -205,10 +204,13 @@ class Tangle:
     @functools.cached_property
     def _pick(self):
         """The map {separator mask: component mask} the tangle holds, or one
-        read off its members by _of_rule (exact for a tangle)."""
+        read off its members by _of_rule (exact for a tangle).  A member
+        naming a label outside the graph is no row (see Graph.side_mask)."""
         if self._map is not None:
             return self._map
-        return Tangle._of_rule(self.graph, self.k, self.members.__contains__)._map
+        g = self.graph
+        rows = {(g.side_mask(s.small), g.side_mask(s.big)) for s in self.members}
+        return Tangle._of_rule(g, self.k, lambda a, b: (a, b) in rows)._map
 
     @functools.cached_property
     def members(self) -> frozenset:
@@ -223,17 +225,13 @@ class Tangle:
 
     def __contains__(self, s: OrientedSeparation):
         """Membership of s, its sides read from the graph's side table."""
-        g = self.graph
-        try:
-            a, b = g.side_mask(s.small), g.side_mask(s.big)
-        except KeyError:  # a label outside the graph
-            return False
-        return self._holds(a, b)
+        return self._holds(self.graph.side_mask(s.small), self.graph.side_mask(s.big))
 
     def _holds(self, a, b):
         """Is the pair of vertex-index side masks (a, b) a member?  A
         separation (A, B) of the graph of order < k is one iff C(A & B) lies
-        in B - A; anything else is not."""
+        in B - A; anything else, a pair with bits past the graph's (a
+        negative mask) among them, is not."""
         g = self.graph
         c = self._pick.get(a & b)  # None for a separator of order >= k
         return (c is not None and not c & ~b and a | b == g.full_mask()
@@ -260,10 +258,9 @@ class Tangle:
 
     def orients(self, s: OrientedSeparation):
         """The orientation this tangle gives s's underlying separation."""
-        if s in self:
-            return s
-        if s.inverse() in self:
-            return s.inverse()
+        for t in (s, s.inverse()):
+            if t in self:
+                return t
         raise KeyError(s)
 
     def sorted_members(self):
@@ -283,15 +280,12 @@ class Tangle:
 
         So a member is maximal iff it is a row that no other row lies above.
         """
-        return list(self._tops)
+        g = self.graph
+        return [OrientedSeparation(g.side_of(a), g.side_of(b)) for a, b in self._top_masks]
 
     def maximal_masks(self):
         """(small, big) vertex-index masks of maximal_members(), in its order."""
         return list(self._top_masks)
-
-    @functools.cached_property
-    def _tops(self):
-        return tuple(OrientedSeparation(*map(self.graph.labels_of, r)) for r in self._top_masks)
 
     @functools.cached_property
     def _top_masks(self):
@@ -518,34 +512,38 @@ def lift_subgraph(tau2: Tangle, g: Graph) -> Tangle:
     """Lift a k-tangle from a subgraph back to the host graph.
 
     A separation of the host joins the lift iff its restriction to the
-    subgraph's vertices belongs to the smaller tangle.
+    subgraph's vertices belongs to the smaller tangle; the restricted sides
+    reach the subgraph's bit order through their labels.
     """
     g2 = tau2.graph
     if not (set(g2.vertices) <= set(g.vertices) and g2.edges <= g.edges):
         raise TangleError("lift_subgraph: not a subgraph")
-    return Tangle._of_rule(g, tau2.k, lambda s: restrict_to_subgraph(s, g2) in tau2)
+    sub = g.mask_of(g2.vertices)
+    return Tangle._of_rule(g, tau2.k, lambda a, b: tau2._holds(
+        g2.mask_of(g.labels_of(a & sub)), g2.mask_of(g.labels_of(b & sub))))
 
 
 def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
-    """Lift a k-tangle (k >= 3) across the suppression of degree-2 vertex v."""
+    """Lift a k-tangle (k >= 3) across the suppression of degree-2 vertex v.
+
+    A host separation drops v and reaches the smaller graph's bit order
+    through its labels.  If v's neighbours lie on one side together, the
+    rest is read off the smaller tangle; otherwise v separates them, and
+    either neighbour may join the other side.
+    """
     if tau2.k < 3:
         raise TangleError("suppression lifts need order >= 3")
     if v not in g or g.degree(v) != 2:
         raise TangleError(f"vertex {v} is not suppressible in the host graph")
-    u1, u2 = sorted(g.neighbors(v))
+    g2, keep = tau2.graph, g.full_mask() & ~g.mask_of((v,))
+    u1, u2 = (g2.mask_of((u,)) for u in sorted(g.neighbors(v)))
 
-    def rule(s):
-        A, B = s.small, s.big
-        A1, B1 = A - {v}, B - {v}
-        if (u1 in A and u2 in A) or (u1 in B and u2 in B):
-            return OrientedSeparation(A1, B1) in tau2
-        # split endpoints: one u in A\B, the other in B\A; then v
-        # separates them, so v lies in A cap B
-        ui, uj = (u1, u2) if u1 in A else (u2, u1)
-        return (
-            OrientedSeparation(A1, B1 | {ui}) in tau2
-            or OrientedSeparation(A1 | {uj}, B1) in tau2
-        )
+    def rule(a, b):
+        a, b = g2.mask_of(g.labels_of(a & keep)), g2.mask_of(g.labels_of(b & keep))
+        if not (u1 | u2) & ~a or not (u1 | u2) & ~b:
+            return tau2._holds(a, b)
+        ui, uj = (u1, u2) if u1 & a else (u2, u1)
+        return tau2._holds(a, b | ui) or tau2._holds(a | uj, b)
 
     return Tangle._of_rule(g, tau2.k, rule)
 

@@ -359,11 +359,11 @@ def test_verify_p11_batch_counts():
 def test_verify_p11_batch_checkpoint_resume(tmp_path):
     ck = tmp_path / "rows.jsonl"
     first = verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
-    assert len(ck.read_text().splitlines()) == 2
+    assert len(ck.read_text().splitlines()) == 1 + 2  # the parameter header, then rows
     # rerun over the full input: finished rows are reused, not recomputed
     second = verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
     good = [r for r in second["rows"] if "error" not in r]
-    assert len(ck.read_text().splitlines()) == len(good)
+    assert len(ck.read_text().splitlines()) == 1 + len(good)
     assert second["rows"][:2] == first["rows"]
 
 
@@ -376,16 +376,59 @@ def test_verify_p11_batch_resumes_after_torn_last_line(tmp_path, torn):
     report = verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
     fresh = verify_p11_batch(batch_input(), k=2)
     assert report["rows"] == fresh["rows"]  # the torn p4 row was recomputed
-    lines = ck.read_text().splitlines()
+    header, *lines = ck.read_text().splitlines()
+    assert json.loads(header) == {"p11": {"k": 2, "max_set_size": None, "weights": False}}
     assert [json.loads(line)["id"] for line in lines] == ["k4", "c5", "p4"]
 
 
 def test_verify_p11_batch_rejects_bad_middle_line(tmp_path):
     ck = tmp_path / "rows.jsonl"
     verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
-    text = ck.read_text().splitlines(keepends=True)
-    ck.write_text(text[0] + '{"id": "c5", "tang\n' + text[1])
+    header, k4, c5 = ck.read_text().splitlines(keepends=True)
+    ck.write_text(header + k4 + '{"id": "c5", "tang\n' + c5)
     with pytest.raises(json.JSONDecodeError):
+        verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
+
+
+@pytest.mark.parametrize("torn", ['{"p11": {"k": 2, "max_se', ''])
+def test_verify_p11_batch_resumes_after_torn_header(tmp_path, torn):
+    ck = tmp_path / "rows.jsonl"
+    ck.write_text(torn)  # a crash while the header was written, or before
+    report = verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
+    assert report == verify_p11_batch(batch_input(), k=2)
+    header = ck.read_text().splitlines()[0]
+    assert json.loads(header) == {"p11": {"k": 2, "max_set_size": None, "weights": False}}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k": 3}, {"k": 2, "max_set_size": 2}, {"k": 2, "compute_weights": True},
+])
+def test_verify_p11_batch_refuses_checkpoint_of_other_parameters(tmp_path, kwargs):
+    ck = tmp_path / "rows.jsonl"
+    verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
+    before = ck.read_text()
+    with pytest.raises(ValueError, match=r'written with \{"k": 2, .*\}, not \{"k": '):
+        verify_p11_batch(batch_input(), checkpoint_path=ck, **kwargs)
+    assert ck.read_text() == before
+
+
+def test_verify_p11_batch_refuses_checkpoint_without_parameters(tmp_path):
+    ck = tmp_path / "rows.jsonl"
+    verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
+    ck.write_text("".join(ck.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ValueError, match="written with no parameters, not"):
+        verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
+
+
+@pytest.mark.parametrize("line", ['[1]', '"str"', '{"x": 1}', '{"id": "c5"}',
+                                  '{"p11": {"k": 2, "max_set_size": null, "weights": false}}'])
+@pytest.mark.parametrize("last", [False, True])
+def test_verify_p11_batch_refuses_lines_that_are_not_rows(tmp_path, line, last):
+    ck = tmp_path / "rows.jsonl"
+    verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)
+    header, k4, c5 = ck.read_text().splitlines(keepends=True)
+    ck.write_text(header + k4 + c5 + line + "\n" if last else header + k4 + line + "\n" + c5)
+    with pytest.raises(ValueError, match="line [34]: not a p11 row"):
         verify_p11_batch(batch_input(), k=2, checkpoint_path=ck)
 
 

@@ -589,6 +589,21 @@ def test_cli_p11_stream_and_guards(tmp_path, capsys):
     )
 
 
+def test_cli_p11_refuses_a_checkpoint_of_another_order(tmp_path, capsys):
+    """K4 has one 3-tangle and no 4-tangle: rows written at k = 3 must not
+    be reused at k = 4."""
+    stream, ck = tmp_path / "k4c5.g6", tmp_path / "ck"
+    stream.write_text("C~\nDhc\n")
+    run = ["p11", "--stream", str(stream), "--checkpoint", str(ck), "--k"]
+    assert main(run + ["3"]) == 0
+    assert '"tangles": 1' in capsys.readouterr().out
+    assert main(run + ["4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"k": 3' in err and '"k": 4' in err
+    assert main(["p11", "--stream", str(stream), "--k", "4"]) == 0
+    assert '"tangles": 0' in capsys.readouterr().out
+
+
 def test_cli_rc_synth_validate_extend(tmp_path, capsys):
     gp, rp = tmp_path / "rc.edges", tmp_path / "rc.txt"
     assert (
@@ -852,6 +867,40 @@ def test_cli_graph6_stream_fuzz(tmp_path_factory, text, k):
     path = tmp_path_factory.mktemp("g6-fuzz") / "stream.g6"
     path.write_text(text)
     assert main(["p11", "--k", str(k), "--stream", str(path), "--weights"]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_fuzz_files(tmp_path_factory):
+    """A graph6 stream of GRAPH6_LINES and the lines of its p11 checkpoint."""
+    folder = tmp_path_factory.mktemp("checkpoint-fuzz")
+    stream, ck = folder / "stream.g6", folder / "ck"
+    stream.write_text("".join(f"{x}\n" for x in GRAPH6_LINES))
+    run = ["p11", "--k", "3", "--weights", "--stream", str(stream), "--checkpoint"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(run + [str(ck)]) == 0
+    return run, ck.read_text().splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_p11_checkpoint_fuzz(tmp_path_factory, checkpoint_fuzz_files, data):
+    """Edits of a p11 checkpoint's lines, the last one maybe torn, resumed
+    with the parameters it was written with: every outcome is an exit
+    code, none a traceback."""
+    run, lines = checkpoint_fuzz_files
+    value = st.one_of(st.integers(-1, 3), st.none(), st.booleans(), st.text(max_size=3))
+    fields = ["id", "tangles", "failures", "max_set_size", "max_weight_total", "p11"]
+    line = st.one_of(
+        st.sampled_from(lines),
+        st.dictionaries(st.sampled_from(fields), value).map(json.dumps),
+        st.sampled_from(['[1]', '"str"', '{"x": 1}', '{"id": "s.g6:1"}', "", "{", "null"]),
+        st.text(max_size=8),
+    )
+    edit = st.tuples(st.integers(0, len(lines)), st.sampled_from((0, 1, 2)), line)
+    text = apply_line_edits(lines, data.draw(st.lists(edit, max_size=4)))
+    ck = tmp_path_factory.mktemp("checkpoint") / "ck"
+    ck.write_text(text[:-1] if text and data.draw(st.booleans()) else text)
+    assert main(run + [str(ck)]) in (0, 1, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,15 +1,18 @@
 """Rule-built tangles against the member loops they replaced.
 
 Every survival, lift, clique and extension construction states membership
-as a test R(s) and reads its tangle off the rows (Tangle._of_rule).  The
-oracles below are the loops over enumerate_separations that built the same
-member sets before; where R defines a tangle, both give the same members.
+as a test R(a, b) on a row's (small, big) vertex-index masks and reads its
+tangle off the rows (Tangle._of_rule).  The oracles below are the loops
+over enumerate_separations that built the same member sets before, on
+label sets; where R defines a tangle, both give the same members.
 """
+
+import random
 
 import pytest
 
-from conftest import relabel_rc
-from tanglekit.graphs import delete_edge, path_graph, suppress_vertex
+from conftest import atlas_graphs, relabel_rc
+from tanglekit.graphs import Graph, delete_edge, path_graph, suppress_vertex
 from tanglekit.rainbow_cloud import (
     RainbowError,
     choose_edge,
@@ -17,7 +20,7 @@ from tanglekit.rainbow_cloud import (
     extend_after_deletion,
     synth_rc,
 )
-from tanglekit.separations import OrientedSeparation, enumerate_separations, restrict_to_subgraph
+from tanglekit.separations import OrientedSeparation, enumerate_separations
 from tanglekit.survival import (
     divergent_witness,
     forced_orientation,
@@ -110,7 +113,8 @@ def loop_divergent(g, tau, tau_tilde):
 def loop_lift_subgraph(tau2, g):
     members = []
     for s in enumerate_separations(g, tau2.k):
-        if restrict_to_subgraph(s, tau2.graph) in tau2.members:
+        V2 = tau2.graph.vertex_set()
+        if OrientedSeparation(s.small & V2, s.big & V2) in tau2.members:
             members.append(s)
     return Tangle(g, tau2.k, members)
 
@@ -193,11 +197,25 @@ def same_members(built, oracle):
     assert built.members == oracle.members
 
 
-def test_survival_rules_match_member_loops(medium_graphs):
+def relabelled_atlas_sample():
+    """A seeded sample of the atlas graphs with <= 6 vertices, each vertex v
+    renamed 10 * pi(v) + 3 for a random permutation pi: no label is its
+    bit index, and labels are not consecutive."""
+    rng = random.Random(16)
+    out = []
+    for g in rng.sample(atlas_graphs(6), 100):
+        perm = rng.sample(range(len(g.vertices)), len(g.vertices))
+        name = {v: 10 * p + 3 for v, p in zip(g.vertices, perm)}
+        out.append(Graph(name.values(), [(name[a], name[b]) for a, b in g.edges]))
+    return out
+
+
+def check_survival_rules(graphs):
     """Restriction, pendant deletion, suppression and both supertangle rules
-    on every tangle of order 1 to 3 of the atlas graphs with <= 6 vertices."""
+    against their member loops on every tangle of order 1 to 3 of graphs;
+    returns how often each rule was checked."""
     counts = dict.fromkeys(["restrict", "pendant", "suppress", "extending", "divergent"], 0)
-    for g in medium_graphs:
+    for g in graphs:
         for k in (1, 2, 3):
             for tau in enumerate_tangles(g, k):
                 if not g.is_connected() and len(g.vertices) > 1:
@@ -222,14 +240,15 @@ def test_survival_rules_match_member_loops(medium_graphs):
                         assert e == e2
                         same_members(built, oracle)
                         counts["divergent"] += 1
-    assert min(counts.values()) >= 20, counts
+    return counts
 
 
-def test_lifts_match_member_loops(medium_graphs):
+def check_lifts(graphs):
     """lift_subgraph from g - e at orders 1 to 3, and lift_suppression from
-    every suppression at order 3, on the atlas graphs with <= 6 vertices."""
+    every suppression at order 3, against their member loops; returns the
+    number of suppression lifts checked."""
     lifts = 0
-    for g in medium_graphs:
+    for g in graphs:
         for e in g.sorted_edges():
             for k in (1, 2, 3):
                 for t2 in enumerate_tangles(delete_edge(g, e), k):
@@ -240,7 +259,29 @@ def test_lifts_match_member_loops(medium_graphs):
             for t2 in enumerate_tangles(suppress_vertex(g, v), 3):
                 same_members(lift_suppression(t2, g, v), loop_lift_suppression(t2, g, v))
                 lifts += 1
-    assert lifts >= 20
+    return lifts
+
+
+def test_survival_rules_match_member_loops(medium_graphs):
+    """check_survival_rules on the atlas graphs with <= 6 vertices."""
+    counts = check_survival_rules(medium_graphs)
+    assert min(counts.values()) >= 20, counts
+
+
+def test_survival_rules_match_member_loops_relabelled():
+    """The same on relabelled atlas graphs, where a rule that took a label
+    for its bit index, or moved masks between graphs by index, would fail."""
+    counts = check_survival_rules(relabelled_atlas_sample())
+    assert min(counts.values()) >= 5, counts
+
+
+def test_lifts_match_member_loops(medium_graphs):
+    """check_lifts on the atlas graphs with <= 6 vertices."""
+    assert check_lifts(medium_graphs) >= 20
+
+
+def test_lifts_match_member_loops_relabelled():
+    assert check_lifts(relabelled_atlas_sample()) >= 10
 
 
 @pytest.mark.parametrize("M, ell, z, k, relaxed", [
@@ -260,11 +301,11 @@ def test_clique_and_extension_match_member_loops(M, ell, z, k, relaxed):
 def test_rule_must_pass_one_component_per_separator():
     g = path_graph(3)  # G - {1} has the components {0} and {2}
     with pytest.raises(TangleError, match=r"rule passes 2 components of G - \[1\]"):
-        Tangle._of_rule(g, 2, lambda s: True)
+        Tangle._of_rule(g, 2, lambda a, b: True)
     with pytest.raises(TangleError, match=r"rule passes 0 components of G - \[\]"):
-        Tangle._of_rule(g, 2, lambda s: False)
+        Tangle._of_rule(g, 2, lambda a, b: False)
     # at order 1 the only separator is the empty one, and G is connected
-    assert Tangle._of_rule(g, 1, lambda s: True).members == enumerate_tangles(g, 1)[0].members
+    assert Tangle._of_rule(g, 1, lambda a, b: True).members == enumerate_tangles(g, 1)[0].members
 
 
 def test_divergent_witness_matches_member_scan(medium_graphs):

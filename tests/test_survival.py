@@ -17,7 +17,7 @@ from tanglekit.graphs import (
     subdivide_edge,
     suppress_vertex,
 )
-from tanglekit.separations import OrientedSeparation, enumerate_separations
+from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
 from tanglekit.rainbow_cloud import clique_tangle
 from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, is_tangle
 from tanglekit.survival import (
@@ -260,6 +260,34 @@ def test_forced_orientation_raises_on_members_forcing_both_ways():
     for fn in (forced_orientation, ref_forced_orientation):
         with pytest.raises(TangleError, match="forces both"):
             fn(tau, s)
+
+
+@pytest.mark.parametrize("small, big, want", [
+    # a side naming 9, outside K4, lies inside no member's side: the
+    # orientation that puts it on the big side can still be forced
+    ((), (0, 1, 2, 3, 9), "fwd"),
+    ((0, 1, 2, 3, 9), (), "bwd"),
+    ((0,), (0, 1, 2, 3, 9), "fwd"),
+    ((0, 1), (0, 1, 2, 3, 9), "fwd"),
+    ((0, 1, 2, 3, 9), (0, 1), "bwd"),
+    ((9,), (9,), None),
+    ((0, 9), (0, 1, 2, 3), None),
+])
+def test_forced_orientation_with_labels_outside_the_graph(small, big, want):
+    (tau,) = enumerate_tangles(complete_graph(4), 3)
+    s = sep(small, big)
+    assert forced_orientation(tau, s) == {"fwd": s, "bwd": s.inverse(), None: None}[want]
+    assert forced_orientation(tau, s) == ref_forced_orientation(tau, s)
+
+
+@pytest.mark.parametrize("small, big, e", [
+    ((0, 1, 9), (1, 2, 3, 4), (0, 2)),
+    ((0, 1), (1, 2, 3, 4, 9), (0, 2)),
+    ((0, 1), (1, 2, 3, 4), (0, 9)),
+])
+def test_orientation_across_edge_with_labels_outside_the_graph(small, big, e):
+    tt = enumerate_tangles(complete_graph(5), 4)[0]
+    assert orientation_across_edge(tt, sep(small, big), e) is False
 
 
 # -- supertangle-assisted deletion ----------------------------------------------

@@ -310,8 +310,13 @@ def test_search_matches_reference_property(g, k):
             [(0, v) for v in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
         ),
         Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        # 7 vertices
+        complete_graph(7),
+        # two K4s sharing the vertex 3: two 3-tangles
+        Graph(range(7), list(complete_graph(4).edges) + list(complete_graph(4, offset=3).edges)),
     ],
-    ids=["K5", "K6", "C5", "K4-subdivided", "two-K4", "prism", "W5", "two-triangles"],
+    ids=["K5", "K6", "C5", "K4-subdivided", "two-K4", "prism", "W5", "two-triangles",
+         "K7", "K4-K4-at-a-vertex"],
 )
 @pytest.mark.parametrize("k", [3, 4])
 def test_search_matches_reference_seeded(g, k):
