@@ -28,7 +28,6 @@ from .tangles import (
     check_axioms,
     enumerate_tangles,
     extends,
-    is_forbidden_triple,
     is_tangle,
     lift_subgraph,
     lift_suppression,

@@ -27,13 +27,12 @@ from .survival import (
 from .tangles import (
     Tangle,
     TangleError,
+    _covered,
     _parse_tangle,
-    covering_triple,
     extends,
     format_tangle,
     is_tangle,
     rows_cover,
-    side_covers,
     subgraph_cover,
 )
 
@@ -190,15 +189,13 @@ def trace_provenance(trace: ReductionTrace) -> dict:
 
 
 def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
-    """No three members' small-side subgraphs jointly contain h.
-
-    Scanning maximal members suffices: coverage only grows upward.  An h
-    that is not a subgraph of g is never contained.
+    """No three members' small-side subgraphs jointly contain h (the
+    maximal members decide, see _covered).  An h that is not a subgraph of
+    g is never contained.
     """
     if not (h.vertex_set() <= g.vertex_set() and h.edges <= g.edges):
         return True
-    pool = side_covers(g, [a for a, _ in tau.maximal_masks()])
-    return covering_triple(pool, subgraph_cover(g, h)) is None
+    return not _covered(tau, subgraph_cover(g, h))
 
 
 def witness_subgraph(trace: ReductionTrace) -> Graph:

@@ -30,17 +30,13 @@ class TangleError(ValueError):
 # -- cover masks and the covering-triple scan -------------------------------
 
 
-def cover_masks(g: Graph, seps):
-    """One int per separation: the small side's vertex and edge bits.
+def side_covers(g: Graph, smalls):
+    """One cover mask per small side, given as a vertex-index mask: its
+    vertex and edge bits.
 
     Bits 0..n-1 are vertices in sorted label order; bit n+i is the i-th
     edge of g.sorted_edges(), set when both its ends lie in the small side.
     """
-    return side_covers(g, [g.mask_of(s.small) for s in seps])
-
-
-def side_covers(g: Graph, smalls):
-    """cover_masks for small sides given as vertex-index masks."""
     n = len(g.vertices)
     ends = g.edge_masks()
     out = []
@@ -94,11 +90,6 @@ def covering_triple(covers, target):
     return None
 
 
-def is_forbidden_triple(g: Graph, s1, s2, s3) -> bool:
-    """Do the three small-side induced subgraphs cover g entirely?"""
-    return covering_triple(cover_masks(g, [s1, s2, s3]), full_cover(g)) is not None
-
-
 def maximal_members(g: Graph, seps):
     """<=-maximal members of a collection, in sort-key order."""
     by_masks = {(g.mask_of(s.small), g.mask_of(s.big)): s for s in seps}
@@ -135,7 +126,8 @@ def find_forbidden_triple(g: Graph, seps):
     members yields one among <=-maximal members, the only ones scanned.
     """
     pool = maximal_members(g, seps)
-    hit = covering_triple(cover_masks(g, pool), full_cover(g))
+    covers = side_covers(g, [g.mask_of(s.small) for s in pool])
+    hit = covering_triple(covers, full_cover(g))
     if hit is None:
         return None
     return tuple(pool[x] for x in hit)
@@ -204,13 +196,10 @@ class Tangle:
     @functools.cached_property
     def _pick(self):
         """The map {separator mask: component mask} the tangle holds, or one
-        read off its members by _of_rule (exact for a tangle).  A member
-        naming a label outside the graph is no row (see Graph.side_mask)."""
+        read off its members (see _read_members)."""
         if self._map is not None:
             return self._map
-        g = self.graph
-        rows = {(g.side_mask(s.small), g.side_mask(s.big)) for s in self.members}
-        return Tangle._of_rule(g, self.k, lambda a, b: (a, b) in rows)._map
+        return _read_members(self.graph, self.k, self.members)[1]._map
 
     @functools.cached_property
     def members(self) -> frozenset:
@@ -307,29 +296,47 @@ class Tangle:
         return self.graph.labels_of(x)
 
 
-def is_orientation(g: Graph, k: int, members) -> bool:
-    """Does members pick exactly one orientation of each order-< k separation?
-
-    enumerate_separations lists both orientations of each separation; only
-    (V, V), of order |V|, is its own inverse and listed once.
-    """
-    members = frozenset(members)
-    seps = enumerate_separations(g, k)
-    count = (len(seps) + (len(g.vertices) < k)) // 2
-    if len(members) != count or sum(s in members for s in seps) != count:
-        return False
-    return _both_orientations(members) is None
-
-
 def _check_order(k: int):
     if k < 0:
         raise GraphError(f"negative tangle order {k}")
 
 
+def _read_members(g: Graph, k: int, members):
+    """The members' (small, big) vertex-index mask pairs, and the tangle
+    holding the map _of_rule reads off them (exact for a k-tangle).  A
+    member naming a label outside g is no row (see Graph.side_mask)."""
+    rows = {(g.side_mask(s.small), g.side_mask(s.big)) for s in members}
+    return rows, Tangle._of_rule(g, k, lambda a, b: (a, b) in rows)
+
+
 def is_tangle(g: Graph, k: int, members) -> bool:
-    """Validate a k-tangle: full orientation, no covering triple."""
+    """Validate a k-tangle given as members, through the map read off them;
+    no separation is listed.
+
+    If the members M form a k-tangle, _of_rule reads its map, so where it
+    fails, M is none.  Otherwise let T be that map's member set.  T holds
+    exactly one orientation of each separation of order < k, so |T| is the
+    sum over separators X of 2^(c(X) - 1), c(X) the number of components of
+    g - X.  Every member of M must lie in T (_holds: this refuses a pair
+    that is no separation of g of order < k, a label outside g, and one of
+    two orientations of a separation); a subset of T of T's size is T.  And
+    for a map, tanglehood is that no three rows cover g (see rows_cover).
+    """
     _check_order(k)
-    return is_orientation(g, k, members) and find_forbidden_triple(g, members) is None
+    try:
+        rows, t = _read_members(g, k, members)
+    except TangleError:
+        return False
+    count = sum(1 << (len(comps) - 1) for _, comps in separator_components(g, k))
+    return all(t._holds(a, b) for a, b in rows) and len(rows) == count and not rows_cover(t)
+
+
+def _covered(t: Tangle, target) -> bool:
+    """Do the small sides of three of t's maximal members (repetition
+    allowed) contain the cover mask target?  Cover is monotone in the small
+    side, so a triple among any members gives one among the maximal ones."""
+    smalls = [a for a, _ in t.maximal_masks()]
+    return covering_triple(side_covers(t.graph, smalls), target) is not None
 
 
 def rows_cover(t: Tangle) -> bool:
@@ -339,8 +346,7 @@ def rows_cover(t: Tangle) -> bool:
     < k by construction, "no" is exactly tanglehood: every member lies <=
     a row, and cover is monotone (see _search).
     """
-    smalls = [a for a, _ in t.maximal_masks()]
-    return covering_triple(side_covers(t.graph, smalls), full_cover(t.graph)) is not None
+    return _covered(t, full_cover(t.graph))
 
 
 def check_axioms(tangle: Tangle) -> dict:

@@ -11,7 +11,7 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import atlas_graphs, nx_to_graph
+from conftest import atlas_graphs, nx_to_graph, reference_is_orientation
 from tanglekit.decomposition import (
     bound_chain_refinement,
     bound_linkage_uniformity,
@@ -101,9 +101,7 @@ def test_c01_low_order_tangle_bijections():
 
 def naive_is_tangle(g, k, members):
     """Independent check: full orientation, then all triples with repetition."""
-    from tanglekit.tangles import is_orientation
-
-    if not is_orientation(g, k, members):
+    if not reference_is_orientation(g, k, members):
         return False
     mem = sorted(members, key=lambda s: tuple(sorted(s.small)))
     V, E = g.vertex_set(), set(map(frozenset, g.edges))

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
 from tanglekit.separations import OrientedSeparation, enumerate_separations
 from tanglekit.tangles import (
-    cover_masks,
     covering_triple,
     full_cover,
     maximal_members,
+    side_covers,
 )
 
 
@@ -149,7 +149,7 @@ def test_cover_masks_layout():
         n = len(g.vertices)
         edges = g.sorted_edges()
         seps = enumerate_separations(g, 2)
-        for s, c in zip(seps, cover_masks(g, seps)):
+        for s, c in zip(seps, side_covers(g, [g.mask_of(s.small) for s in seps])):
             assert c & g.full_mask() == g.mask_of(s.small)
             inside = {edges[i] for i in range(len(edges)) if c >> (n + i) & 1}
             assert inside == g.edges_within(s.small)

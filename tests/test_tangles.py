@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -26,24 +27,21 @@ from tanglekit.tangles import (
     Tangle,
     TangleError,
     check_axioms,
+    covering_triple,
     enumerate_tangles,
     extends,
-    is_forbidden_triple,
-    is_orientation,
+    find_forbidden_triple,
+    full_cover,
     is_tangle,
     lift_subgraph,
     lift_suppression,
     parse_tangle,
     format_tangle,
     search_extension,
+    side_covers,
 )
 
-from conftest import (
-    atlas_graphs,
-    nx_to_graph,
-    reference_is_orientation,
-    reference_is_tangle,
-)
+from conftest import atlas_graphs, nx_to_graph, reference_is_tangle
 
 
 def _nx(g: Graph):
@@ -51,6 +49,12 @@ def _nx(g: Graph):
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges)
     return h
+
+
+def is_forbidden_triple(g, *seps):
+    """Do the small-side induced subgraphs of three separations cover g?"""
+    covers = side_covers(g, [g.mask_of(s.small) for s in seps])
+    return covering_triple(covers, full_cover(g)) is not None
 
 
 def test_forbidden_triple_examples():
@@ -65,6 +69,10 @@ def test_forbidden_triple_examples():
     s1 = sep(frozenset({0, 1}), frozenset({1, 2}))
     s2 = s1.inverse()
     assert is_forbidden_triple(p3, s1, s2, sep(frozenset(), p3.vertex_set()))
+    # the same cases through the maximal-member scan
+    assert find_forbidden_triple(k2, [bottom]) is None
+    assert find_forbidden_triple(k2, [a, b, bottom]) is None
+    assert find_forbidden_triple(p3, [s2, sep(frozenset(), p3.vertex_set()), s1]) == (s1, s1, s2)
 
 
 def test_is_tangle_examples():
@@ -364,12 +372,18 @@ def test_searched_tangles_match_member_built(g, k, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_graphs(), st.integers(1, 4), st.data())
-def test_verdicts_match_reference_on_perturbed_orientations(g, k, data):
-    """is_orientation and is_tangle against the canonical-key and all-triples
-    references, on tangles and random orientations with members dropped,
-    added, flipped or replaced by the inverse of another member.  Graphs
-    with fewer than k vertices have the self-inverse separation (V, V)."""
+@given(random_graphs(), st.integers(1, 4), st.booleans(), st.data())
+def test_verdicts_match_reference_on_perturbed_orientations(g, k, relabel, data):
+    """is_tangle against the canonical-key and all-triples reference, on
+    tangles and random orientations with members dropped, added, flipped,
+    replaced by the inverse of another member or by one naming a label
+    outside the graph.  The graph may be relabelled 10 * pi(v) + 3, so that
+    vertex bits do not follow labels 0..n-1.  Graphs with fewer than k
+    vertices have the self-inverse separation (V, V)."""
+    if relabel:
+        perm = data.draw(st.permutations(g.vertices))
+        name = {v: 10 * p + 3 for v, p in zip(g.vertices, perm)}
+        g = Graph([name[v] for v in g.vertices], [(name[u], name[v]) for u, v in g.edges])
     pairs = {}
     for s in enumerate_separations(g, k):
         pairs.setdefault(s.canonical_key(), []).append(s)
@@ -380,7 +394,7 @@ def test_verdicts_match_reference_on_perturbed_orientations(g, k, data):
         members = {data.draw(st.sampled_from(row)) for row in pairs.values()}
     # separations of order k, too: none of them belongs to an orientation
     extra = enumerate_separations(g, k + 1)
-    ops = st.lists(st.sampled_from(["drop", "add", "flip", "double"]), max_size=3)
+    ops = st.lists(st.sampled_from(["drop", "add", "flip", "double", "outside"]), max_size=3)
     for op in data.draw(ops):
         if op == "add":
             members.add(data.draw(st.sampled_from(extra)))
@@ -394,8 +408,36 @@ def test_verdicts_match_reference_on_perturbed_orientations(g, k, data):
             members.add(s.inverse())
         elif op == "double":  # one separation oriented both ways, one not at all
             members.add(data.draw(st.sampled_from(ordered)).inverse())
-    assert is_orientation(g, k, members) == reference_is_orientation(g, k, members)
+        elif op == "outside":  # as many members, one naming label 99
+            members.add(sep(s.small, s.big | {99}))
     assert is_tangle(g, k, members) == reference_is_tangle(g, k, members)
+
+
+def test_is_tangle_enumerates_no_separations(monkeypatch, connected_graphs_6):
+    """is_tangle against the reference on every k-tangle of the connected
+    atlas graphs with <= 6 vertices at k = 1 to 4, and on each with one
+    maximal member flipped, with separation listing refused: the members
+    are built and the reference verdicts taken first."""
+    import tanglekit.separations
+    import tanglekit.tangles
+
+    rng = random.Random(17)
+    cases = []
+    for g in connected_graphs_6:
+        for k in (1, 2, 3, 4):
+            for t in enumerate_tangles(g, k):
+                s = rng.choice(t.maximal_members())
+                for members in (t.members, (t.members - {s}) | {s.inverse()}):
+                    cases.append((g, k, members, reference_is_tangle(g, k, members)))
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+    monkeypatch.setattr(tanglekit.tangles, "side_masks", refuse)
+    for g, k, members, want in cases:
+        assert is_tangle(g, k, members) == want
 
 
 # -- reading the separator-to-component map --------------------------------------
