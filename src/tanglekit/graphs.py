@@ -150,13 +150,18 @@ class Graph:
         return sum(map(self._bit.__getitem__, vs))
 
     def labels_of(self, mask):
+        return frozenset(self.sorted_labels(mask))
+
+    def sorted_labels(self, mask):
+        """The labels of mask's bits as a tuple, ascending: bits follow
+        label order, so the bit walk needs no sort."""
         vs = self.vertices
         out = []
         while mask:
             low = mask & -mask
             out.append(vs[low.bit_length() - 1])
             mask ^= low
-        return frozenset(out)
+        return tuple(out)
 
     def side_mask(self, vs):
         """mask_of(vs) for a frozenset vs, read from the side table when vs

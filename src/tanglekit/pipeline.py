@@ -120,8 +120,9 @@ def reduce(g: Graph, t: Tangle) -> ReductionTrace:
     """Reduce until no step succeeds; every step is re-verified.
 
     Each step deletes an edge, suppresses a vertex or drops a component, so
-    |V| + |E| falls with every step and stays >= 1: it bounds the steps."""
-    if not is_tangle(g, t.k, t.members):
+    |V| + |E| falls with every step and stays >= 1: it bounds the steps.
+    A root that holds a map is checked on its map (see is_tangle)."""
+    if not is_tangle(g, t.k, t):
         raise PipelineError("input is not a tangle")
     steps = []
     cur_g, cur_t = g, t

@@ -128,14 +128,18 @@ def _separations(g: Graph, k: int):
     memo = g._seps
     got = memo.get(k)
     if got is None:
-        splits = list(separator_components(g, k))
-        count = sum(1 << len(comps) for _, comps in splits)
-        if count > MAX_SEPARATIONS:
-            raise GraphError(
-                f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}"
-            )
-        got = memo[k] = _enumerate_separations(g, splits)
+        got = memo[k] = _enumerate_separations(g, _capped_splits(g, k))
     return got
+
+
+def _capped_splits(g: Graph, k: int):
+    """separator_components(g, k) as a list, refused with a GraphError when
+    its separations, in both orientations, number more than MAX_SEPARATIONS."""
+    splits = list(separator_components(g, k))
+    count = sum(1 << len(comps) for _, comps in splits)
+    if count > MAX_SEPARATIONS:
+        raise GraphError(f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}")
+    return splits
 
 
 def _enumerate_separations(g: Graph, splits):
@@ -163,15 +167,7 @@ def _enumerate_separations(g: Graph, splits):
                 else:
                     small |= comp
             pairs.append((masks.setdefault(small, small), masks.setdefault(big, big)))
-    vs = g.vertices
-    labels = {}
-    for m in masks:
-        out, x = [], m
-        while x:
-            low = x & -x
-            out.append(vs[low.bit_length() - 1])
-            x ^= low
-        labels[m] = tuple(out)  # sorted: bits follow label order
+    labels = {m: g.sorted_labels(m) for m in masks}
     pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), labels[p[0]], labels[p[1]]))
     sides, inverse = g._sides, g._side_masks
     for m, t in labels.items():

@@ -11,13 +11,14 @@ whether three masks together contain a target.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .graphs import Graph, GraphError
 from .separations import (
     OrientedSeparation,
+    _capped_splits,
     _parse_separation,
     enumerate_separations,
-    format_separation,
     separator_components,
     side_masks,
 )
@@ -112,11 +113,8 @@ def _maximal(g: Graph, pairs):
                 break
         else:
             tops.append((a, b))
-    labels = g.labels_of
-    return sorted(
-        tops,
-        key=lambda r: ((r[0] & r[1]).bit_count(), sorted(labels(r[0])), sorted(labels(r[1]))),
-    )
+    seq = g.sorted_labels
+    return sorted(tops, key=lambda r: ((r[0] & r[1]).bit_count(), seq(r[0]), seq(r[1])))
 
 
 def find_forbidden_triple(g: Graph, seps):
@@ -184,14 +182,7 @@ class Tangle:
         map's members are then T's.  A rule that passes no row or two at
         some separator defines no k-tangle and raises TangleError.
         """
-        vmask, labels = graph.full_mask(), graph.labels_of
-        pick = {}
-        for x, comps in separator_components(graph, k):
-            hits = [c for c in comps if rule(vmask & ~c, c | x)]
-            if len(hits) != 1:
-                raise TangleError(f"rule passes {len(hits)} components of G - {sorted(labels(x))}")
-            pick[x] = hits[0]
-        return cls._of_map(graph, k, pick)
+        return cls._of_map(graph, k, _rule_map(graph, separator_components(graph, k), rule))
 
     @functools.cached_property
     def _pick(self):
@@ -199,18 +190,14 @@ class Tangle:
         read off its members (see _read_members)."""
         if self._map is not None:
             return self._map
-        return _read_members(self.graph, self.k, self.members)[1]._map
+        g = self.graph
+        return _read_members(g, separator_components(g, self.k), self.members)[1]
 
     @functools.cached_property
     def members(self) -> frozenset:
         """The member separations.  Only a tangle that holds a map gets here,
-        on first use: (A, B) is a member iff C(A & B) lies in B - A."""
-        pick = self._map
-        seps = enumerate_separations(self.graph, self.k)
-        return frozenset(
-            s for s, (a, b) in zip(seps, side_masks(self.graph, self.k))
-            if pick[a & b] & ~b == 0
-        )
+        on first use (see _member_masks)."""
+        return frozenset(_as_separations(self.graph, _member_masks(self)))
 
     def __contains__(self, s: OrientedSeparation):
         """Membership of s, its sides read from the graph's side table."""
@@ -253,6 +240,9 @@ class Tangle:
         raise KeyError(s)
 
     def sorted_members(self):
+        """The members in sort-key order; a map's come in that order."""
+        if self._map is not None:
+            return _as_separations(self.graph, _member_masks(self))
         return sorted(self.members, key=OrientedSeparation.sort_key)
 
     def maximal_members(self):
@@ -301,17 +291,71 @@ def _check_order(k: int):
         raise GraphError(f"negative tangle order {k}")
 
 
-def _read_members(g: Graph, k: int, members):
-    """The members' (small, big) vertex-index mask pairs, and the tangle
-    holding the map _of_rule reads off them (exact for a k-tangle).  A
-    member naming a label outside g is no row (see Graph.side_mask)."""
+def _rule_map(g: Graph, splits, rule):
+    """The map Tangle._of_rule reads off rule, over splits: each separator
+    mask X with the component masks of g - X."""
+    vmask = g.full_mask()
+    pick = {}
+    for x, comps in splits:
+        hits = [c for c in comps if rule(vmask & ~c, c | x)]
+        if len(hits) != 1:
+            raise TangleError(f"rule passes {len(hits)} components of G - {sorted(g.labels_of(x))}")
+        pick[x] = hits[0]
+    return pick
+
+
+def _read_members(g: Graph, splits, members):
+    """The members' (small, big) vertex-index mask pairs, and the map
+    _of_rule reads off them over splits (exact for a k-tangle).  A member
+    naming a label outside g is no row (see Graph.side_mask)."""
     rows = {(g.side_mask(s.small), g.side_mask(s.big)) for s in members}
-    return rows, Tangle._of_rule(g, k, lambda a, b: (a, b) in rows)
+    return rows, _rule_map(g, splits, lambda a, b: (a, b) in rows)
+
+
+def _member_masks(t: Tangle):
+    """Yield the (small, big) vertex-index masks of the members of t, a
+    tangle that holds a map, in sort-key order.
+
+    At separator X the members are the (X | U, V - U), U a union of
+    components of g - X other than C(X): C(X) must lie in B - A = V - X - U.
+    So each separation comes in its member orientation only.  Separators
+    come by size, so one order's members are sorted at a time, on their
+    sides' label tuples, which are bit walks: bits follow label order.  Past
+    MAX_SEPARATIONS this is refused as enumerate_separations is, before any
+    member is built.
+    """
+    g, pick = t.graph, t._map
+    full, seq = g.full_mask(), functools.cache(g.sorted_labels)
+    splits = _capped_splits(g, t.k)
+    for _, level in itertools.groupby(splits, lambda split: split[0].bit_count()):
+        pairs = []
+        for x, comps in level:
+            unions = [0]
+            for c in comps:
+                if c != pick[x]:
+                    unions += [u | c for u in unions]
+            pairs += [(x | u, full & ~u) for u in unions]
+        pairs.sort(key=lambda p: (seq(p[0]), seq(p[1])))
+        yield from pairs
+
+
+def _as_separations(g: Graph, pairs):
+    """The OrientedSeparations of (small, big) mask pairs; equal masks share
+    one frozenset, the side table's where it holds one (Graph.side_of)."""
+    side = functools.cache(g.side_of)
+    return [OrientedSeparation(side(a), side(b)) for a, b in pairs]
 
 
 def is_tangle(g: Graph, k: int, members) -> bool:
-    """Validate a k-tangle given as members, through the map read off them;
-    no separation is listed.
+    """Validate a k-tangle given as members, or as a Tangle; no separation
+    is listed.
+
+    A Tangle that holds a map of g at order k is decided by rows_cover
+    alone.  Its map points every separator X (|X| < k) at one component
+    C(X) of g - X, and (A, B) with separator X is a member iff C(X) lies in
+    B - A; so it orients every separation of order < k, exactly once, by
+    construction, and for a map, tanglehood is that no three rows cover g
+    (see rows_cover).  Any other Tangle is checked through its members.
 
     If the members M form a k-tangle, _of_rule reads its map, so where it
     fails, M is none.  Otherwise let T be that map's member set.  T holds
@@ -319,15 +363,21 @@ def is_tangle(g: Graph, k: int, members) -> bool:
     sum over separators X of 2^(c(X) - 1), c(X) the number of components of
     g - X.  Every member of M must lie in T (_holds: this refuses a pair
     that is no separation of g of order < k, a label outside g, and one of
-    two orientations of a separation); a subset of T of T's size is T.  And
-    for a map, tanglehood is that no three rows cover g (see rows_cover).
+    two orientations of a separation); a subset of T of T's size is T.  One
+    walk over the separators' components gives both the map and |T|.
     """
     _check_order(k)
+    if isinstance(members, Tangle):
+        if members._map is not None and members.k == k and members.graph == g:
+            return not rows_cover(members)
+        members = members.members
+    splits = list(separator_components(g, k))
     try:
-        rows, t = _read_members(g, k, members)
+        rows, pick = _read_members(g, splits, members)
     except TangleError:
         return False
-    count = sum(1 << (len(comps) - 1) for _, comps in separator_components(g, k))
+    t = Tangle._of_map(g, k, pick)
+    count = sum(1 << (len(comps) - 1) for _, comps in splits)
     return all(t._holds(a, b) for a, b in rows) and len(rows) == count and not rows_cover(t)
 
 
@@ -558,9 +608,18 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
 
 
 def format_tangle(t: Tangle) -> str:
-    lines = [f"order {t.k}"]
-    lines.extend(format_separation(s) for s in t.sorted_members())
-    return "\n".join(lines) + "\n"
+    """An "order k" line, then one "[small] [big]" line per member in
+    sort-key order, as format_separation writes them.  A map's members come
+    as masks (see _member_masks); given members are sorted on their sides'
+    label tuples.  Each distinct side is written once."""
+    if t._map is not None:
+        rows, seq = _member_masks(t), t.graph.sorted_labels
+    else:
+        seq = functools.cache(lambda side: tuple(sorted(side)))
+        rows = sorted(((s.small, s.big) for s in t.members),
+                      key=lambda r: (len(r[0] & r[1]), seq(r[0]), seq(r[1])))
+    text = functools.cache(lambda side: ",".join(map(str, seq(side))))
+    return "".join([f"order {t.k}\n"] + [f"[{text(a)}] [{text(b)}]\n" for a, b in rows])
 
 
 def parse_tangle(text: str, g: Graph) -> Tangle:

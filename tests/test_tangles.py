@@ -17,7 +17,9 @@ from tanglekit.graphs import (
     suppress_vertex,
 )
 from tanglekit.inducing import find_inducing_set, find_inducing_weights
+from tanglekit.pipeline import reduce
 from tanglekit.separations import (
+    OrientedSeparation,
     enumerate_separations,
     enumerate_separations_naive,
     sep,
@@ -440,6 +442,47 @@ def test_is_tangle_enumerates_no_separations(monkeypatch, connected_graphs_6):
         assert is_tangle(g, k, members) == want
 
 
+def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
+    """Every k-tangle of the connected atlas graphs with <= 6 vertices at
+    k = 1 to 4, holding its search map, with separation listing refused:
+    its member set is the listed separations it holds, taken first; its
+    sorted members come in sort-key order; its text is that of the same
+    members given as a Tangle; and is_tangle on the tangle agrees with
+    is_tangle on its members, and refuses it for another graph or order.
+    reduce then checks a map root without building its member set."""
+    import tanglekit.separations
+    import tanglekit.tangles
+
+    cases = []
+    for g in connected_graphs_6:
+        shifted = Graph([v + 10 for v in g.vertices], [(u + 10, v + 10) for u, v in g.edges])
+        for k in (1, 2, 3, 4):
+            for tau in enumerate_tangles(g, k):
+                cases.append((g, shifted, tau, {s for s in enumerate_separations(g, k) if s in tau}))
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(tanglekit.separations, "_separations", refuse)
+        m.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+        m.setattr(tanglekit.tangles, "side_masks", refuse)
+        for g, shifted, tau, want in cases:
+            k = tau.k
+            assert "members" not in tau.__dict__
+            assert tau.members == want
+            listed = tau.sorted_members()
+            assert listed == sorted(want, key=OrientedSeparation.sort_key)
+            assert format_tangle(tau) == format_tangle(Tangle(g, k, tau.members))
+            assert is_tangle(g, k, tau) == is_tangle(g, k, tau.members)
+            assert not any(is_tangle(h, j, tau) for h, j in ((shifted, k), (g, k - 1), (g, k + 1)))
+    assert len(cases) == 492
+    for g in connected_graphs_6[-20:]:
+        for root in enumerate_tangles(g, 3):
+            reduce(g, root)
+            assert "members" not in root.__dict__
+
+
 # -- reading the separator-to-component map --------------------------------------
 
 
@@ -497,8 +540,8 @@ def test_extends_matches_member_subsets():
 
 def test_large_rainbow_tangle_enumerates_no_separations(monkeypatch):
     """The clique tangle of synth_rc(30, 0, 1, 2) has 98 vertices and too
-    many separations of order < 2 to list; everything but its member set
-    reads its map."""
+    many separations of order < 2 to list; everything reads its map, and its
+    member set is refused at the separation cap, with listing still refused."""
     import tanglekit.separations
     import tanglekit.tangles
     from tanglekit.rainbow_cloud import clique_tangle, synth_rc
@@ -523,5 +566,5 @@ def test_large_rainbow_tangle_enumerates_no_separations(monkeypatch):
     s = sep(tri | rc.sun, V - tri)
     assert s in tau and s.inverse() not in tau and tau.orients(s.inverse()) == s
     assert sep(tri, V - tri) not in tau  # the sun edge crosses: no separation
-    with pytest.raises(AssertionError, match="separations enumerated"):
+    with pytest.raises(GraphError, match="separations of order < 2"):
         tau.members
