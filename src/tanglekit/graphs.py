@@ -26,7 +26,7 @@ class Graph:
     """Simple undirected graph.  No loops, no parallel edges."""
 
     __slots__ = (
-        "vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_sides", "_side_masks", "_nbrs",
+        "vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_sides", "_masks_by_side", "_nbrs",
     )
 
     def __init__(self, vertices=(), edges=()):
@@ -44,9 +44,9 @@ class Graph:
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._hash = hash((self.vertices, self.edges))
-        self._seps = {}  # k -> (separations of order < k, side masks), filled by separations.py
+        self._seps = {}  # k -> separations of order < k, filled by separations.py
         self._sides = {}  # side mask -> its frozenset, for every side _seps holds
-        self._side_masks = {}  # the inverse: side frozenset -> its mask
+        self._masks_by_side = {}  # the inverse: side frozenset -> its mask
         self._nbrs = [self.mask_of(ns) for ns in self._adj.values()]  # neighbours, by index
 
     # -- basic queries -------------------------------------------------
@@ -169,7 +169,7 @@ class Graph:
         Labels outside the graph set every bit from |V| up, so the mask is
         negative: no side of a separation of the graph, and so no row or
         member of a tangle, holds those bits."""
-        m = self._side_masks.get(vs)
+        m = self._masks_by_side.get(vs)
         if m is None:
             held = vs & self._bit.keys()
             m = self.mask_of(held) | (-1 << len(self.vertices) if len(held) < len(vs) else 0)

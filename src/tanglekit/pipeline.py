@@ -79,12 +79,13 @@ def _verify_step(prev_t, step: ReductionStep):
 def _next_step(g: Graph, t: Tangle):
     """One reduction step, or None when the driver is finished.
 
-    Case order: disconnected graph, small k edge deletion, pendant edge,
-    degree-2 suppression, a higher-order tangle above t, and finally a
-    brute-force search over all edges.
+    Case order: disconnected graph (k >= 1: a 0-tangle points at no
+    component), small k edge deletion, pendant edge, degree-2 suppression,
+    a higher-order tangle above t, and finally a brute-force search over
+    all edges.
     """
     k = t.k
-    if not g.is_connected() and len(g.vertices) > 1:
+    if k >= 1 and not g.is_connected() and len(g.vertices) > 1:
         comp, t2 = restrict_to_component(g, t)
         label = min(comp.vertices)
         return ReductionStep("take_component", (label,), "component restriction", t2)

@@ -23,9 +23,9 @@ from .decomposition import (
     max_linkage_size,
 )
 from .graphs import Graph, delete_edge
-from .separations import OrientedSeparation, sep, side_masks
+from .separations import OrientedSeparation, sep
 from .survival import _forced
-from .tangles import Tangle, TangleError, extends, rows_cover
+from .tangles import Tangle, TangleError, _member_masks, extends, rows_cover
 
 
 class RainbowError(ValueError):
@@ -398,27 +398,14 @@ def _flip_point(rc: RCDecomposition, tau: Tangle, a: int, b: int, info):
     return None
 
 
-def _listed_first(a: int, b: int) -> bool:
-    """Does side_masks list (a, b) before (b, a)?  Both have one order, so
-    the sides' ascending index tuples decide.  Below the lowest bit where a
-    and b differ they agree; the side holding that bit comes first unless
-    the other side has no higher bit, as its tuple then ends first."""
-    low = (a ^ b) & -(a ^ b)
-    if not low:  # (a, a) is its own inverse, listed once
-        return True
-    return b >= low << 1 if a & low else a < low << 1
-
-
 def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     """Where tau leans into the rainbow (see LivingVerdict), on vertex masks.
 
     The region scan reads tau's maximal (small, big) masks.  The flip scan
-    walks side_masks(g, k) in enumeration order, orients each pair by
-    membership and classifies it with _crossing.  It visits a separation
-    only where it is listed first (see _listed_first): tau holds exactly one
-    orientation of it (C(X) lies in one side), so a second visit would
-    classify the same member again.  Only the returned witness is built as
-    an OrientedSeparation.
+    classifies tau's members with _crossing, read off its map in sort-key
+    order (see _member_masks): each separation of order < k once, in the
+    orientation tau gives it.  Only the returned witness is built as an
+    OrientedSeparation.
     """
     g, k = tau.graph, tau.k
     if g.vertices != rc.graph.vertices:
@@ -427,11 +414,7 @@ def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     for a, b in tau.maximal_masks():  # big strict sides shrink going up <=
         if not b & ~a & ~free:
             return LivingVerdict("region", witness=OrientedSeparation(side(a), side(b)))
-    for a, b in side_masks(g, k):
-        if not _listed_first(a, b):
-            continue
-        if not tau._holds(a, b):
-            a, b = b, a
+    for a, b in _member_masks(tau, functools.cache(g.sorted_labels)):
         info = _crossing(rc, a, b, k)
         if info.direction != "clockwise":
             continue

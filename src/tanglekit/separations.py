@@ -112,39 +112,31 @@ def enumerate_separations(g: Graph, k: int):
     as long as g; every call returns a fresh list.  A list longer than
     MAX_SEPARATIONS is refused with a GraphError before it is built.
     """
-    return list(_separations(g, k)[0])
-
-
-def side_masks(g: Graph, k: int):
-    """The (small, big) vertex-index masks of enumerate_separations(g, k),
-    in its order, as one tuple stored with the separations on g."""
-    return _separations(g, k)[1]
+    return list(_separations(g, k))
 
 
 def _separations(g: Graph, k: int):
-    """The memo entry for k: (separations, their side masks)."""
+    """The memo entry for k: the separations, as a tuple."""
     if k < 0:
         raise GraphError("negative order bound")
     memo = g._seps
     got = memo.get(k)
     if got is None:
-        got = memo[k] = _enumerate_separations(g, _capped_splits(g, k))
+        splits = list(separator_components(g, k))
+        _check_count(sum(1 << len(comps) for _, comps in splits), k)
+        got = memo[k] = _enumerate_separations(g, splits)
     return got
 
 
-def _capped_splits(g: Graph, k: int):
-    """separator_components(g, k) as a list, refused with a GraphError when
-    its separations, in both orientations, number more than MAX_SEPARATIONS."""
-    splits = list(separator_components(g, k))
-    count = sum(1 << len(comps) for _, comps in splits)
+def _check_count(count: int, k: int):
+    """Refuse count separations of order < k, both orientations counted,
+    with a GraphError when they are more than MAX_SEPARATIONS."""
     if count > MAX_SEPARATIONS:
         raise GraphError(f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}")
-    return splits
 
 
 def _enumerate_separations(g: Graph, splits):
-    """Enumeration on vertex-index bitmasks: the separations and their
-    (small, big) side masks, as two tuples in the same order.
+    """Enumeration on vertex-index bitmasks: the separations, as a tuple.
 
     splits holds each separator mask S with the components of g - S, as
     separator_components yields them; the components are distributed over
@@ -169,12 +161,12 @@ def _enumerate_separations(g: Graph, splits):
             pairs.append((masks.setdefault(small, small), masks.setdefault(big, big)))
     labels = {m: g.sorted_labels(m) for m in masks}
     pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), labels[p[0]], labels[p[1]]))
-    sides, inverse = g._sides, g._side_masks
+    sides, inverse = g._sides, g._masks_by_side
     for m, t in labels.items():
         if m not in sides:
             sides[m] = side = frozenset(t)
             inverse[side] = m
-    return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs), tuple(pairs)
+    return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs)
 
 
 def enumerate_separations_naive(g: Graph, k: int):

@@ -86,9 +86,11 @@ def survive_delete_edge_k2(g: Graph, tau: Tangle):
 def restrict_to_component(g: Graph, tau: Tangle):
     """The unique component the tangle lives in, with its induced tangle.
 
-    Returns (component graph, tangle): C(empty set), or g at k = 0.  A
-    separation of the component is oriented by padding its first side with
-    all vertices outside the component and reading off the big tangle.
+    Returns (component graph, tangle): C(empty set).  A separation of the
+    component is oriented by padding its first side with all vertices
+    outside the component and reading off the big tangle.  At k = 0 there
+    is no separator and so no C(empty set): a connected (or empty) g comes
+    back whole, and a disconnected g is refused with a TangleError.
 
     That is tau's map restricted to the separators inside C(empty set),
     with each mask moved to the component's bit order through its labels.

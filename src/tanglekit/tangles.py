@@ -16,11 +16,10 @@ import itertools
 from .graphs import Graph, GraphError
 from .separations import (
     OrientedSeparation,
-    _capped_splits,
+    _check_count,
     _parse_separation,
     enumerate_separations,
     separator_components,
-    side_masks,
 )
 
 
@@ -162,7 +161,8 @@ class Tangle:
 
     @classmethod
     def _of_map(cls, graph: Graph, k: int, pick):
-        """The k-tangle that points each separator at the component pick gives."""
+        """The k-tangle that points each separator at the component pick
+        gives; pick lists the separators by size (see _member_masks)."""
         t = cls.__new__(cls)
         t.graph, t.k, t._map = graph, k, pick
         return t
@@ -197,7 +197,7 @@ class Tangle:
     def members(self) -> frozenset:
         """The member separations.  Only a tangle that holds a map gets here,
         on first use (see _member_masks)."""
-        return frozenset(_as_separations(self.graph, _member_masks(self)))
+        return frozenset(self.sorted_members())
 
     def __contains__(self, s: OrientedSeparation):
         """Membership of s, its sides read from the graph's side table."""
@@ -241,8 +241,9 @@ class Tangle:
 
     def sorted_members(self):
         """The members in sort-key order; a map's come in that order."""
+        g = self.graph
         if self._map is not None:
-            return _as_separations(self.graph, _member_masks(self))
+            return _as_separations(g, _member_masks(self, functools.cache(g.sorted_labels)))
         return sorted(self.members, key=OrientedSeparation.sort_key)
 
     def maximal_members(self):
@@ -312,28 +313,30 @@ def _read_members(g: Graph, splits, members):
     return rows, _rule_map(g, splits, lambda a, b: (a, b) in rows)
 
 
-def _member_masks(t: Tangle):
-    """Yield the (small, big) vertex-index masks of the members of t, a
-    tangle that holds a map, in sort-key order.
+def _member_masks(t: Tangle, seq):
+    """Yield the (small, big) vertex-index masks of the members of t, read
+    off its map, in sort-key order; seq is the caller's cache of
+    t.graph.sorted_labels.
 
-    At separator X the members are the (X | U, V - U), U a union of
-    components of g - X other than C(X): C(X) must lie in B - A = V - X - U.
-    So each separation comes in its member orientation only.  Separators
-    come by size, so one order's members are sorted at a time, on their
-    sides' label tuples, which are bit walks: bits follow label order.  Past
-    MAX_SEPARATIONS this is refused as enumerate_separations is, before any
-    member is built.
+    At separator X the members are the (X | U, V - U), U a union of the
+    components of g - X - C(X): C(X) must lie in B - A = V - X - U.  So
+    each separation comes once, in its member orientation.  The map lists
+    separators by size, as separator_components yields them (every map is
+    built in that order), so one order's members are sorted at a time, on
+    their sides' label tuples (seq), which are bit walks: bits follow label
+    order.  The c(X) components of g - X make 2^c(X) separations, both
+    orientations counted; past MAX_SEPARATIONS in all, this is refused as
+    enumerate_separations is, before any member is built.
     """
-    g, pick = t.graph, t._map
-    full, seq = g.full_mask(), functools.cache(g.sorted_labels)
-    splits = _capped_splits(g, t.k)
+    g, full = t.graph, t.graph.full_mask()
+    splits = [(x, g.components(full & ~x & ~c)) for x, c in t._pick.items()]
+    _check_count(sum(2 << len(rest) for _, rest in splits), t.k)
     for _, level in itertools.groupby(splits, lambda split: split[0].bit_count()):
         pairs = []
-        for x, comps in level:
+        for x, rest in level:
             unions = [0]
-            for c in comps:
-                if c != pick[x]:
-                    unions += [u | c for u in unions]
+            for c in rest:
+                unions += [u | c for u in unions]
             pairs += [(x | u, full & ~u) for u in unions]
         pairs.sort(key=lambda p: (seq(p[0]), seq(p[1])))
         yield from pairs
@@ -477,7 +480,10 @@ def _search(g: Graph, k: int, within):
     The search runs on an explicit stack, whose entries carry the frontier
     (see _admit); a level with one option is taken in place, and the
     chosen components form a linked list of (component, rest) cells.
-    Member-index lists are built only to sort two or more results.
+    Two or more results are sorted on their members' label tuples from
+    _member_masks: members come in sort-key order and every k-tangle has
+    as many of each order, so comparing these lists is comparing the
+    sorted member lists.
     """
     _check_order(k)
     n = len(g.vertices)
@@ -528,9 +534,9 @@ def _search(g: Graph, k: int, within):
             comps.append(comp)
         picks.append(dict(zip((x for x, _ in splits), reversed(comps))))
     if len(picks) > 1:
-        sides = side_masks(g, k)
-        rows = [[j for j, (a, b) in enumerate(sides) if p[a & b] & ~b == 0] for p in picks]
-        picks = [picks[i] for i in sorted(range(len(picks)), key=rows.__getitem__)]
+        seq = functools.cache(g.sorted_labels)
+        picks.sort(key=lambda p: [
+            (seq(a), seq(b)) for a, b in _member_masks(Tangle._of_map(g, k, p), seq)])
     return picks
 
 
@@ -610,10 +616,12 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
 def format_tangle(t: Tangle) -> str:
     """An "order k" line, then one "[small] [big]" line per member in
     sort-key order, as format_separation writes them.  A map's members come
-    as masks (see _member_masks); given members are sorted on their sides'
-    label tuples.  Each distinct side is written once."""
+    as masks (see _member_masks), whose label tuples sort and write them;
+    given members are sorted on their sides' label tuples.  Each distinct
+    side's labels are read once and written once."""
     if t._map is not None:
-        rows, seq = _member_masks(t), t.graph.sorted_labels
+        seq = functools.cache(t.graph.sorted_labels)
+        rows = _member_masks(t, seq)
     else:
         seq = functools.cache(lambda side: tuple(sorted(side)))
         rows = sorted(((s.small, s.big) for s in t.members),

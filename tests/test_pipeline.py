@@ -46,6 +46,7 @@ from tanglekit.rainbow_cloud import (
     format_rc,
     synth_rc,
 )
+from tanglekit.survival import restrict_to_component
 from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, extends, is_tangle
 
 from conftest import apply_line_edits, reference_is_tangle
@@ -104,6 +105,21 @@ def test_reduce_two_components_takes_one():
     check_trace_sound(trace)
     assert trace.steps[0].kind == "take_component"
     assert trace.steps[0].graph.vertex_set() == frozenset({3, 4, 5})
+
+
+def test_reduce_order_zero_takes_no_component():
+    """The 0-tangle points at no component, so reduce takes no step on a
+    disconnected graph, and restrict_to_component refuses it; the trace
+    still transfers weights and gives a witness."""
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    (tau,) = enumerate_tangles(g, 0)
+    trace = reduce(g, tau)
+    assert trace.steps == () and trace.terminal_graph == g
+    assert parse_trace(format_trace(trace)).root_tangle == tau
+    assert transfer_terminal_weights(trace, {}).weights == {}
+    assert witness_subgraph(trace) == g
+    with pytest.raises(TangleError, match="order-0 members do not single out a component"):
+        restrict_to_component(g, tau)
 
 
 def test_reduce_order_one_deletes_to_a_point():
@@ -481,6 +497,18 @@ def test_cli_reduce_witness_transfer(tmp_path, capsys):
     assert main(["witness", "--trace", str(tr), "--out", str(hw)]) == 0
     h = parse_edgelist(hw.read_text())
     assert len(h.edges) == 6
+
+
+def test_cli_reduce_order_zero_on_a_disconnected_graph(tmp_path, capsys):
+    gp, tr, wt = tmp_path / "two.edges", tmp_path / "t.trace", tmp_path / "w.json"
+    gp.write_text("0 1\n2 3\n")
+    assert main(["reduce", str(gp), "--k", "0", "--out", str(tr)]) == 0
+    assert capsys.readouterr().err == "0 step(s); terminal: 4 vertices, 2 edges\n"
+    wt.write_text("{}")
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 0
+    assert json.loads(capsys.readouterr().out) == {}
+    assert main(["witness", "--trace", str(tr)]) == 0
+    assert parse_edgelist(capsys.readouterr().out) == parse_edgelist(gp.read_text())
 
 
 def test_cli_verify_reports_both_orientations_as_no_tangle(k4_file, tmp_path, capsys):

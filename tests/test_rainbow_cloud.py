@@ -1,6 +1,7 @@
 """Rainbow-cloud decompositions: validation, crossing/slicing, edge survival."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from tanglekit.tangles import Tangle, TangleError, extends, is_tangle
 from tanglekit.survival import brute_force_extensions
 from tanglekit.rainbow_cloud import (
     CrossingInfo,
+    LivingVerdict,
     RainbowError,
     RCDecomposition,
     bags_outside_strict_sides,
@@ -395,7 +397,7 @@ def test_side_table_is_shared_across_orders_and_never_grown_by_lookups():
         assert (fresh in tau) == (s in tau)
         if classify_crossing(rc, fresh, 3).direction == "clockwise":
             split_family(rc, fresh, 3)
-    assert g._sides == table and len(g._side_masks) == len(table)
+    assert g._sides == table and len(g._masks_by_side) == len(table)
 
 
 @pytest.mark.parametrize(
@@ -456,6 +458,82 @@ def test_lives_in_rainbow_refuses_a_tangle_of_other_vertices():
     h, _, image = relabel_rc(g, rc, clique, {v: v + 100 for v in vs})
     with pytest.raises(RainbowError, match="different vertices"):
         lives_in_rainbow(rc, clique_tangle(h, image, 3))
+
+
+def ref_lives_in_rainbow(rc, tau):
+    """lives_in_rainbow as a scan over the listed members in sort-key order:
+    the first maximal one whose big strict side lies in the rainbow away
+    from the cloud, else the first that crosses clockwise with a split
+    oriented forward and the next one backward."""
+    k = tau.k
+    members = [s for s in enumerate_separations(tau.graph, k) if s in tau]
+    free = rc.rainbow_vertices() - rc.cloud
+    for s in members:
+        if s.big - s.small <= free and not any(s.lt(t) for t in members):
+            return LivingVerdict("region", witness=s)
+    for s in members:
+        if classify_crossing(rc, s, k).direction == "clockwise":
+            fam = split_family(rc, s, k)
+            for h in sorted(fam):
+                if h + 1 in fam and fam[h] in tau and fam[h + 1].inverse() in tau:
+                    return LivingVerdict("flip", witness=s, turning_point=h)
+    return LivingVerdict("no")
+
+
+def living_verdict(find, rc, tau):
+    """find(rc, tau), or the type and message of the RainbowError it raises."""
+    try:
+        return find(rc, tau)
+    except RainbowError as e:
+        return type(e), str(e)
+
+
+def living_cases():
+    """The tangles the tests here build on synth_rc graphs, with their
+    decomposition and three slices of it; and the clique tangle of
+    synth_rc(16, 1, 0) under a decomposition whose sun is a clique vertex,
+    which the crossing members miss."""
+    cases = []
+    for shape, k in [((8, 1, 1, 3), 3), ((20, 1, 1, 3), 1), ((18, 1, 1, 1), 1),
+                     ((18, 2, 0, 1), 1), ((20, 1, 1, 2), 2)]:
+        g, rc, clique = synth_rc(*shape)
+        cases.append((rc, clique_tangle(g, clique, k)))
+    for M, h in [(8, 4), (14, 7)]:
+        g, rc, _ = synth_rc(M, 0, 1)
+        tri = rc.bags[h]
+        cases.append((rc, Tangle(g, 2, [s for s in enumerate_separations(g, 2) if tri <= s.big])))
+    cases = [(r, tau) for rc, tau in cases for r in (
+        rc, slice_rc(rc, 0, rc.length // 2), slice_rc(rc, 1, rc.length - 1),
+        slice_rc(rc, rc.length // 2, rc.length))]
+    g, rc, clique = synth_rc(16, 1, 0)
+    stray = RCDecomposition(g, rc.bags, {min(clique)}, rc.cloud)
+    return cases + [(stray, clique_tangle(g, clique, 3))]
+
+
+def test_lives_in_rainbow_matches_a_list_scan():
+    seen = []
+    for rc, tau in living_cases():
+        want = living_verdict(ref_lives_in_rainbow, rc, tau)
+        assert living_verdict(lives_in_rainbow, rc, tau) == want
+        seen.append(want[0] if isinstance(want, tuple) else want.kind)
+    assert Counter(seen) == {"no": 20, "region": 8, RainbowError: 1}
+
+
+@pytest.mark.parametrize("shape, k", [((18, 1, 1), 3), ((14, 0, 1), 2)])
+def test_lives_in_rainbow_lists_no_separations(monkeypatch, shape, k):
+    """The clique k-tangle's verdict with separation listing refused: its
+    members come off its map."""
+    import tanglekit.separations
+
+    g, rc, clique = synth_rc(*shape)
+    tau = clique_tangle(g, clique, k)
+    want = ref_lives_in_rainbow(rc, tau)
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    assert lives_in_rainbow(rc, tau) == want
 
 
 def test_shorten_to_not_living_no_op_when_already_out():

@@ -437,7 +437,6 @@ def test_is_tangle_enumerates_no_separations(monkeypatch, connected_graphs_6):
 
     monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
     monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
-    monkeypatch.setattr(tanglekit.tangles, "side_masks", refuse)
     for g, k, members, want in cases:
         assert is_tangle(g, k, members) == want
 
@@ -466,7 +465,6 @@ def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
     with monkeypatch.context() as m:
         m.setattr(tanglekit.separations, "_separations", refuse)
         m.setattr(tanglekit.tangles, "enumerate_separations", refuse)
-        m.setattr(tanglekit.tangles, "side_masks", refuse)
         for g, shifted, tau, want in cases:
             k = tau.k
             assert "members" not in tau.__dict__
@@ -481,6 +479,30 @@ def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
         for root in enumerate_tangles(g, 3):
             reduce(g, root)
             assert "members" not in root.__dict__
+
+
+def test_search_sorts_tangles_without_listing_separations(monkeypatch, connected_graphs_6):
+    """Two or more k-tangles come in the reference's order (see
+    check_against_reference), with separation listing refused: on two K4s
+    sharing the vertex 3 at k = 3, and on every connected atlas graph with
+    <= 6 vertices that has two or more k-tangles at k = 1 to 4.  Their
+    maps are those read off the reference member sets."""
+    import tanglekit.separations
+
+    two_k4 = Graph(range(7), list(complete_graph(4).edges) + list(complete_graph(4, offset=3).edges))
+    cases = [(two_k4, 3)] + [(g, k) for g in connected_graphs_6 for k in (1, 2, 3, 4)
+                             if len(enumerate_tangles(g, k)) > 1]
+    want = [(g, k, sorted(reference_tangles(g, k), key=_output_key)) for g, k in cases]
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    for g, k, members in want:
+        got = enumerate_tangles(g, k)
+        assert [t.members for t in got] == members
+        assert [t._pick for t in got] == [Tangle(g, k, m)._pick for m in members]
+    assert len(cases) == 74
 
 
 # -- reading the separator-to-component map --------------------------------------
@@ -554,7 +576,6 @@ def test_large_rainbow_tangle_enumerates_no_separations(monkeypatch):
 
     monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
     monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
-    monkeypatch.setattr(tanglekit.tangles, "side_masks", refuse)
     V = g.vertex_set()
     assert repr(tau) == "Tangle(k=2, |V|=98, separators=99)"
     assert tau.core() == clique | rc.sun
