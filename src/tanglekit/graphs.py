@@ -23,10 +23,16 @@ def _norm_edge(e):
 
 
 class Graph:
-    """Simple undirected graph.  No loops, no parallel edges."""
+    """Simple undirected graph.  No loops, no parallel edges.
+
+    One vertex index: bit i is the i-th label in sorted order.  A cover
+    mask holds vertex bits 0..n-1 and, in bit n+j, the j-th edge of
+    sorted_edges(); by vertex index the graph keeps the neighbours' mask
+    and the cover bits of the vertex's edges."""
 
     __slots__ = (
-        "vertices", "edges", "_adj", "_bit", "_hash", "_seps", "_sides", "_masks_by_side", "_nbrs",
+        "vertices", "edges", "_bit", "_nbrs", "_inc", "_cover", "_hash",
+        "_seps", "_sides", "_masks_by_side",
     )
 
     def __init__(self, vertices=(), edges=()):
@@ -37,22 +43,29 @@ class Graph:
             vs.add(v)
         self.vertices = tuple(sorted(vs))
         self.edges = es
-        adj = {v: set() for v in self.vertices}
-        for u, v in es:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        self._bit = bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self._nbrs = nbrs = [0] * n  # by index: the neighbours' mask
+        self._inc = inc = [0] * n  # by index: the cover bits of the vertex's edges
+        e = 1 << n  # the cover bit of the next edge in sorted order
+        for u, v in sorted(es):
+            bu, bv = bit[u], bit[v]
+            i, j = bu.bit_length() - 1, bv.bit_length() - 1
+            nbrs[i] |= bv
+            nbrs[j] |= bu
+            inc[i] |= e
+            inc[j] |= e
+            e <<= 1
+        self._cover = e - 1  # the whole graph's cover mask
         self._hash = hash((self.vertices, self.edges))
         self._seps = {}  # k -> separations of order < k, filled by separations.py
         self._sides = {}  # side mask -> its frozenset, for every side _seps holds
         self._masks_by_side = {}  # the inverse: side frozenset -> its mask
-        self._nbrs = [self.mask_of(ns) for ns in self._adj.values()]  # neighbours, by index
 
     # -- basic queries -------------------------------------------------
 
     def __contains__(self, v):
-        return v in self._adj
+        return v in self._bit
 
     def __len__(self):
         return len(self.vertices)
@@ -71,10 +84,10 @@ class Graph:
         return f"Graph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
     def neighbors(self, v):
-        return self._adj[v]
+        return self.labels_of(self._nbrs[self._bit[v].bit_length() - 1])
 
     def degree(self, v):
-        return len(self._adj[v])
+        return self._nbrs[self._bit[v].bit_length() - 1].bit_count()
 
     def has_edge(self, u, v):
         return _norm_edge((u, v)) in self.edges
@@ -141,7 +154,7 @@ class Graph:
         return comps
 
     def min_degree(self):
-        return min((self.degree(v) for v in self.vertices), default=0)
+        return min((m.bit_count() for m in self._nbrs), default=0)
 
     # -- bitmask helpers (positions follow sorted label order) ---------
 
@@ -184,10 +197,16 @@ class Graph:
     def full_mask(self):
         return (1 << len(self.vertices)) - 1
 
-    def edge_masks(self):
-        """Per-edge masks of the two endpoint bits, in sorted edge order."""
-        bit = self._bit
-        return [bit[u] | bit[v] for u, v in self.sorted_edges()]
+    def cover_outside(self, c):
+        """The cover mask of the subgraph induced by the vertices outside
+        vertex mask c: their bits, and the bits of the edges with no end in
+        c.  cover_outside(0) is the cover of the whole graph."""
+        inc, touched, m = self._inc, 0, c
+        while m:
+            low = m & -m
+            touched |= inc[low.bit_length() - 1]
+            m ^= low
+        return self._cover & ~c & ~touched
 
 
 # -- reduction operations ---------------------------------------------

@@ -154,7 +154,7 @@ def validate_rc(g: Graph, rc: RCDecomposition) -> dict:
             >= ell
         ),
         "sun_adjacency": all(
-            any(w in g.neighbors(z) for w in bag) for z in rc.sun for bag in rc.bags
+            not ns.isdisjoint(bag) for ns in map(g.neighbors, rc.sun) for bag in rc.bags
         ),
     }
     return report
@@ -354,16 +354,6 @@ def classify_cross_or_slice(rc: RCDecomposition, s: OrientedSeparation, k: int) 
     if _slices(rc, a, b, k):
         return "slicing"
     return "neither"
-
-
-def bags_outside_strict_sides(rc: RCDecomposition, s: OrientedSeparation):
-    """Indices of bags contained in neither strict side of s, a separation
-    of rc.graph: the bags that meet both sides."""
-    return [
-        i
-        for i, bag in enumerate(rc.bags)
-        if not bag.isdisjoint(s.small) and not bag.isdisjoint(s.big)
-    ]
 
 
 # -- where a tangle lives ---------------------------------------------------------

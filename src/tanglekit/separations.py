@@ -169,21 +169,6 @@ def _enumerate_separations(g: Graph, splits):
     return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs)
 
 
-def enumerate_separations_naive(g: Graph, k: int):
-    """Brute-force oracle: try all 3^n side assignments.  Tiny graphs only."""
-    V = list(g.vertices)
-    if len(V) > 8:
-        raise GraphError("naive enumeration limited to 8 vertices")
-    out = set()
-    for assign in itertools.product((0, 1, 2), repeat=len(V)):
-        small = frozenset(v for v, a in zip(V, assign) if a != 1)
-        big = frozenset(v for v, a in zip(V, assign) if a != 0)
-        s = OrientedSeparation(small, big)
-        if s.order < k and is_separation(g, s):
-            out.add(s)
-    return sorted(out, key=OrientedSeparation.sort_key)
-
-
 def unoriented_count(seps) -> int:
     return len({s.canonical_key() for s in seps})
 

@@ -32,33 +32,23 @@ class TangleError(ValueError):
 
 def side_covers(g: Graph, smalls):
     """One cover mask per small side, given as a vertex-index mask: its
-    vertex and edge bits.
-
-    Bits 0..n-1 are vertices in sorted label order; bit n+i is the i-th
-    edge of g.sorted_edges(), set when both its ends lie in the small side.
-    """
-    n = len(g.vertices)
-    ends = g.edge_masks()
-    out = []
-    for vm in smalls:
-        cover = vm
-        for i, em in enumerate(ends):
-            if vm & em == em:
-                cover |= 1 << (n + i)
-        out.append(cover)
-    return out
+    vertex bits and the bits of the edges inside it (see Graph)."""
+    full = g.full_mask()
+    return [g.cover_outside(full & ~vm) for vm in smalls]
 
 
 def full_cover(g: Graph) -> int:
     """The cover mask of the whole graph."""
-    return (1 << (len(g.vertices) + len(g.edges))) - 1
+    return g.cover_outside(0)
 
 
 def subgraph_cover(g: Graph, h: Graph) -> int:
-    """The cover mask of a subgraph h of g: its vertex and edge bits."""
-    n = len(g.vertices)
-    edges = (1 << (n + i) for i, e in enumerate(g.sorted_edges()) if e in h.edges)
-    return g.mask_of(h.vertices) | sum(edges)  # distinct bits: the sum is the union
+    """The cover mask of a subgraph h of g: its vertex bits, and for each of
+    its edges the cover of the edge's two ends."""
+    full, cover = g.full_mask(), g.mask_of(h.vertices)
+    for e in h.edges:
+        cover |= g.cover_outside(full & ~g.mask_of(e))
+    return cover
 
 
 def covering_triple(covers, target):
@@ -486,27 +476,16 @@ def _search(g: Graph, k: int, within):
     sorted member lists.
     """
     _check_order(k)
-    n = len(g.vertices)
     full = full_cover(g)
     vmask = g.full_mask()
-    incident = [0] * n  # per vertex: the cover bits of its edges
-    for i, em in enumerate(g.edge_masks()):
-        for v in (em & -em, em & (em - 1)):
-            incident[v.bit_length() - 1] |= 1 << (n + i)
+    cover = g.cover_outside
     splits = list(separator_components(g, k))
-    levels = []  # per separator: the allowed components with their row covers
-    for x, comps in splits:
-        options = []
-        for c in comps:
-            if c & ~within.get(x, vmask):
-                continue
-            touched, m = 0, c  # the edges with an end in c
-            while m:
-                low = m & -m
-                touched |= incident[low.bit_length() - 1]
-                m ^= low
-            options.append((c, full & ~c & ~touched))
-        levels.append(options)
+    # per separator: each allowed component C with its row's cover, that of
+    # the small side V - C
+    levels = [
+        [(c, cover(c)) for c in comps if not c & ~within.get(x, vmask)]
+        for x, comps in splits
+    ]
     found = []
     stack = [(0, None, ())]  # (levels decided, their components, frontier)
     while stack:

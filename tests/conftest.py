@@ -5,9 +5,9 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from tanglekit.graphs import Graph
+from tanglekit.graphs import Graph, GraphError
 from tanglekit.rainbow_cloud import RCDecomposition, synth_rc
-from tanglekit.separations import enumerate_separations
+from tanglekit.separations import OrientedSeparation, enumerate_separations, is_separation
 
 
 def nx_to_graph(h) -> Graph:
@@ -74,7 +74,22 @@ def synth_rc_instances(draw, max_length=5):
     return relabel_rc(g, rc, clique, perm)
 
 
-# -- independent tangle checks ---------------------------------------------------
+# -- independent separation and tangle checks -----------------------------------
+
+
+def enumerate_separations_naive(g: Graph, k: int):
+    """Brute-force oracle: try all 3^n side assignments.  Tiny graphs only."""
+    V = list(g.vertices)
+    if len(V) > 8:
+        raise GraphError("naive enumeration limited to 8 vertices")
+    out = set()
+    for assign in itertools.product((0, 1, 2), repeat=len(V)):
+        small = frozenset(v for v, a in zip(V, assign) if a != 1)
+        big = frozenset(v for v, a in zip(V, assign) if a != 0)
+        s = OrientedSeparation(small, big)
+        if s.order < k and is_separation(g, s):
+            out.add(s)
+    return sorted(out, key=OrientedSeparation.sort_key)
 
 
 def reference_is_orientation(g, k, members):

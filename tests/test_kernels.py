@@ -7,13 +7,14 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from tanglekit.graphs import Graph, complete_graph, cycle_graph, delete_edge, path_graph
 from tanglekit.separations import OrientedSeparation, enumerate_separations
 from tanglekit.tangles import (
     covering_triple,
     full_cover,
     maximal_members,
     side_covers,
+    subgraph_cover,
 )
 
 
@@ -144,16 +145,39 @@ def test_maximal_mask_matches_oracle():
             _check_maximal(nbits, random_masks(rng, n, nbits), random_masks(rng, n, nbits))
 
 
+# non-contiguous labels, given out of order, and the isolated vertex 55
+RELABELLED = Graph([55, 100, 3], [(40, 3), (7, 40), (3, 7), (100, 18), (18, 40), (7, 90)])
+INDEX_GRAPHS = (complete_graph(5), cycle_graph(7), path_graph(70), RELABELLED)
+
+
 def test_cover_masks_layout():
-    for g in (complete_graph(5), cycle_graph(7), path_graph(70)):
+    for g in INDEX_GRAPHS:
         n = len(g.vertices)
         edges = g.sorted_edges()
+
+        def layout(c):  # the labels and edges a cover mask's bits stand for
+            assert 0 <= c <= full_cover(g) == (1 << (n + len(edges))) - 1
+            inside = {e for i, e in enumerate(edges) if c >> (n + i) & 1}
+            return g.labels_of(c & g.full_mask()), inside
+
         seps = enumerate_separations(g, 2)
         for s, c in zip(seps, side_covers(g, [g.mask_of(s.small) for s in seps])):
-            assert c & g.full_mask() == g.mask_of(s.small)
-            inside = {edges[i] for i in range(len(edges)) if c >> (n + i) & 1}
-            assert inside == g.edges_within(s.small)
-            assert c <= full_cover(g)
+            assert layout(c) == (s.small, g.edges_within(s.small))
+        subgraphs = [g, g.induced(g.vertices[::2]), Graph(g.vertices[1:], edges[1::2])]
+        for h in subgraphs + [delete_edge(g, e) for e in edges[:3]]:
+            assert layout(subgraph_cover(g, h)) == (h.vertex_set(), h.edges)
+
+
+def test_neighbours_degree_and_membership_read_the_index():
+    for g in INDEX_GRAPHS:
+        for v in g.vertices:
+            want = {u for e in g.edges if v in e for u in e if u != v}
+            assert v in g and g.neighbors(v) == want and g.degree(v) == len(want)
+        assert -1 not in g and max(g.vertices) + 1 not in g
+        assert g.min_degree() == min(map(g.degree, g.vertices))
+    assert RELABELLED.vertices == (3, 7, 18, 40, 55, 90, 100)
+    assert 4 not in RELABELLED and 56 not in RELABELLED
+    assert RELABELLED.neighbors(55) == frozenset() and RELABELLED.degree(40) == 3
 
 
 def test_import_loads_only_stdlib():

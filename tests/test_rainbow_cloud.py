@@ -18,7 +18,6 @@ from tanglekit.rainbow_cloud import (
     LivingVerdict,
     RainbowError,
     RCDecomposition,
-    bags_outside_strict_sides,
     choose_edge,
     classify_cross_or_slice,
     classify_crossing,
@@ -202,7 +201,11 @@ def test_dichotomy_every_separation_classified():
         counts[kind] += 1
         if kind == "neither":
             # no early or late bag is strictly inside either side
-            outside = bags_outside_strict_sides(rc, s)
+            outside = {  # the bags meeting both sides: inside neither strict side
+                i
+                for i, bag in enumerate(rc.bags)
+                if not bag.isdisjoint(s.small) and not bag.isdisjoint(s.big)
+            }
             window = list(range(0, 2 * k + 1)) + list(
                 range(rc.length - 2 * k, rc.length + 1)
             )
@@ -212,6 +215,7 @@ def test_dichotomy_every_separation_classified():
                 for i in window
                 if rc.bags[i] <= a or rc.bags[i] <= b
             ]
+            assert strict_early_late == [i for i in window if i not in outside]
             one_side = all(rc.bags[i] <= a for i in strict_early_late) or all(
                 rc.bags[i] <= b for i in strict_early_late
             )
@@ -488,16 +492,40 @@ def living_verdict(find, rc, tau):
         return type(e), str(e)
 
 
+def flip_instance(h):
+    """A rainbow-cloud decomposition (M = 24) whose clique 3-tangle flips at
+    bag h, with the clique.
+
+    The rainbow is the path 0..25, bag i = {i, i + 1}.  The clique Q =
+    26..32 is joined to h, h + 1 and the sun 33, and joins bag h.  The sun
+    sees all of 0..32; the cloud pieces 34 and 35 each join one end of the
+    path and the sun.  The pieces meet only at the sun, so {h, 33}, of
+    order 2, crosses the rainbow; but cutting bag h out takes {h, h + 1,
+    33}, of order 3 = k, so the region scan finds nothing.  (synth_rc joins
+    its cloud to both ends, so its tangles never flip.)
+    """
+    q = range(26, 33)
+    edges = [(i, i + 1) for i in range(25)] + list(itertools.combinations(q, 2))
+    edges += [(a, w) for a in q for w in (h, h + 1)]
+    edges += [(33, v) for v in range(33)] + [(34, 0), (34, 33), (35, 25), (35, 33)]
+    g = Graph(range(36), edges)
+    bags = [{i, i + 1} | (set(q) if i == h else set()) for i in range(25)]
+    return RCDecomposition(g, bags, {33}, {0, 25, 33, 34, 35}), frozenset(q)
+
+
 def living_cases():
-    """The tangles the tests here build on synth_rc graphs, with their
-    decomposition and three slices of it; and the clique tangle of
-    synth_rc(16, 1, 0) under a decomposition whose sun is a clique vertex,
-    which the crossing members miss."""
+    """The tangles the tests here build on synth_rc graphs and the clique
+    tangle of flip_instance(12), with their decomposition and three slices
+    of it; and the clique tangle of synth_rc(16, 1, 0) under a
+    decomposition whose sun is a clique vertex, which the crossing members
+    miss."""
     cases = []
     for shape, k in [((8, 1, 1, 3), 3), ((20, 1, 1, 3), 1), ((18, 1, 1, 1), 1),
                      ((18, 2, 0, 1), 1), ((20, 1, 1, 2), 2)]:
         g, rc, clique = synth_rc(*shape)
         cases.append((rc, clique_tangle(g, clique, k)))
+    rc, q = flip_instance(12)
+    cases.append((rc, clique_tangle(rc.graph, q, 3)))
     for M, h in [(8, 4), (14, 7)]:
         g, rc, _ = synth_rc(M, 0, 1)
         tri = rc.bags[h]
@@ -516,7 +544,37 @@ def test_lives_in_rainbow_matches_a_list_scan():
         want = living_verdict(ref_lives_in_rainbow, rc, tau)
         assert living_verdict(lives_in_rainbow, rc, tau) == want
         seen.append(want[0] if isinstance(want, tuple) else want.kind)
-    assert Counter(seen) == {"no": 20, "region": 8, RainbowError: 1}
+    assert Counter(seen) == {"no": 22, "region": 8, "flip": 2, RainbowError: 1}
+
+
+def test_flip_instance_pins_verdict_shortening_and_edge():
+    rc, q = flip_instance(12)
+    g = rc.graph
+    tau = clique_tangle(g, q, 3)
+    assert all(validate_rc(g, rc).values())
+    verdict = lives_in_rainbow(rc, tau)
+    assert (verdict.kind, verdict.turning_point) == ("flip", 12)
+    assert verdict.witness == sep({*range(13), 33, 34}, {*range(12, 34), 35})
+    points = []  # per clockwise member: the first split in tau whose next is not
+    for s in enumerate_separations(g, 3):
+        if s in tau and classify_crossing(rc, s, 3).direction == "clockwise":
+            fam = split_family(rc, s, 3)
+            points.append(next((h for h in sorted(fam) if h + 1 in fam and fam[h] in tau
+                                and fam[h + 1].inverse() in tau), None))
+    assert Counter(h for h in points if h is not None) == {12: 11}
+    for sl, want in [((0, 12), "no"), ((1, 23), ("flip", 11)), ((12, 24), "no")]:
+        got = lives_in_rainbow(slice_rc(rc, *sl), tau)
+        assert (got.kind if got.kind == "no" else (got.kind, got.turning_point)) == want
+    short = shorten_to_not_living(rc, tau)
+    assert short.bags == rc.bags[:12]
+    rc6, q6 = flip_instance(6)
+    tau6 = clique_tangle(rc6.graph, q6, 3)
+    assert lives_in_rainbow(rc6, tau6).turning_point == 6
+    assert shorten_to_not_living(rc6, tau6).bags == rc6.bags[7:]
+    e, merged = choose_edge(rc, tau)
+    assert e == (4, 33)
+    out = extend_after_deletion(g, tau, merged, e, relaxed=True, verify=True)
+    assert extends(tau, out)
 
 
 @pytest.mark.parametrize("shape, k", [((18, 1, 1), 3), ((14, 0, 1), 2)])

@@ -13,7 +13,6 @@ from tanglekit.separations import (
     are_crossing,
     check_submodular_equality,
     enumerate_separations,
-    enumerate_separations_naive,
     format_separation,
     is_nested,
     is_separation,
@@ -23,7 +22,7 @@ from tanglekit.separations import (
     unoriented_count,
 )
 
-from conftest import atlas_graphs
+from conftest import atlas_graphs, enumerate_separations_naive
 
 
 def test_enumerate_k4():

@@ -21,7 +21,6 @@ from tanglekit.pipeline import reduce
 from tanglekit.separations import (
     OrientedSeparation,
     enumerate_separations,
-    enumerate_separations_naive,
     sep,
 )
 from tanglekit.survival import tangle_of_block
@@ -43,7 +42,7 @@ from tanglekit.tangles import (
     side_covers,
 )
 
-from conftest import atlas_graphs, nx_to_graph, reference_is_tangle
+from conftest import atlas_graphs, enumerate_separations_naive, nx_to_graph, reference_is_tangle
 
 
 def _nx(g: Graph):
