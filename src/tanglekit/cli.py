@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a requested property fails to hold
 (no tangle, no inducing set, a failed verification), 2 on usage errors
 and on inputs that cannot be handled (unreadable or malformed files, a
-given tangle or trace root tangle that is not a tangle of its order, or a
-run out of recursion depth or memory), reported without a traceback.
+given tangle that is not a tangle of its order, a trace that parse_trace
+refuses, or a run out of recursion depth or memory), reported without a
+traceback.
 `verify` reports a non-tangle with exit code 1 instead.
 """
 
@@ -49,14 +50,14 @@ from .tangles import (
 )
 
 
-def _read_tangle(path, g):
+def _read(path):
     with open(path) as fh:
-        return parse_tangle(fh.read(), g)
+        return fh.read()
 
 
 def _pick_tangle(args, g):
     if args.tangle is not None:
-        t = _read_tangle(args.tangle, g)
+        t = parse_tangle(_read(args.tangle), g)
         if t.k != args.k:
             raise ValueError(f"{args.tangle} has order {t.k}, not --k {args.k}")
         if not is_tangle(g, t.k, t.members):
@@ -70,15 +71,6 @@ def _pick_tangle(args, g):
             f"--tangle-index {args.tangle_index} is outside 0..{len(found) - 1}"
         )
     return found[args.tangle_index]
-
-
-def _read_trace(path):
-    with open(path) as fh:
-        trace = parse_trace(fh.read())
-    root = trace.root_tangle
-    if not is_tangle(trace.root_graph, root.k, root.members):
-        raise ValueError(f"{path}: ROOT-TANGLE is not a tangle of ROOT-GRAPH")
-    return trace
 
 
 def _write(path, text):
@@ -102,7 +94,7 @@ def cmd_tangles(args):
 def cmd_verify(args):
     g = read_edgelist(args.graph)
     try:
-        t = _read_tangle(args.tangle, g)
+        t = parse_tangle(_read(args.tangle), g)
     except TangleError:  # both orientations of a separation: not a tangle
         t = None
     ok = t is not None and is_tangle(g, t.k, t.members)
@@ -148,9 +140,8 @@ def cmd_induce(args):
 
 
 def cmd_transfer(args):
-    trace = _read_trace(args.trace)
-    with open(args.weights) as fh:
-        raw = json.load(fh)
+    trace = parse_trace(_read(args.trace))
+    raw = json.loads(_read(args.weights))
     if not isinstance(raw, dict):
         raise ValueError("--weights must hold a JSON object mapping vertex to weight")
     w_terminal = WeightFunction({int(v): c for v, c in raw.items()})
@@ -160,7 +151,7 @@ def cmd_transfer(args):
 
 
 def cmd_witness(args):
-    trace = _read_trace(args.trace)
+    trace = parse_trace(_read(args.trace))
     h = witness_subgraph(trace)
     _write(args.out, format_edgelist(h))
     return 0
@@ -168,9 +159,8 @@ def cmd_witness(args):
 
 def _graph_stream(args):
     if args.stream is not None:
-        with open(args.stream) as fh:
-            for lineno, g in read_graph6_lines(fh.read()):
-                yield (f"{args.stream}:{lineno}", g)
+        for lineno, g in read_graph6_lines(_read(args.stream)):
+            yield (f"{args.stream}:{lineno}", g)
     else:
         import os
 
@@ -208,8 +198,7 @@ def cmd_rc(args):
         print("error: --graph and --rc are required", file=sys.stderr)
         return 2
     g = read_edgelist(args.graph)
-    with open(args.rc) as fh:
-        rc = parse_rc(fh.read(), g)
+    rc = parse_rc(_read(args.rc), g)
     if args.action == "validate":
         report = validate_rc(g, rc)
         for name, flag in report.items():

@@ -33,7 +33,9 @@ def vertex_disjoint_paths(g: Graph, sources, targets):
     where (v, 0) -> (v, 1) carries v, every arc has capacity 1, and no arc
     enters a source or leaves a target.  The flow is kept as the paths
     themselves: pred[v] and succ[v] are v's neighbours on its path (None at
-    its ends), and v carries flow exactly when it is a key of pred.
+    its ends), and v carries flow exactly when it is a key of pred.  The
+    search starts from the sources and walks each vertex's neighbours in
+    ascending label order, so the paths depend on the labels' order only.
     """
     S = frozenset(sources) & g.vertex_set()
     T = frozenset(targets) & g.vertex_set()
@@ -51,7 +53,7 @@ def vertex_disjoint_paths(g: Graph, sources, targets):
             if side:
                 steps = [(v, 0)] if v in pred else []
                 taken = succ.get(v)
-                steps += [(w, 0) for w in g.neighbors(v) if w not in S and w != taken]
+                steps += [(w, 0) for w in sorted(g.neighbors(v)) if w not in S and w != taken]
             elif v not in pred:
                 steps = [(v, 1)]
             else:  # a used v is left only back along the arc its flow came in on

@@ -28,10 +28,12 @@ from .tangles import (
     Tangle,
     TangleError,
     _covered,
-    _parse_tangle,
     extends,
     format_tangle,
     is_tangle,
+    lift_subgraph,
+    lift_suppression,
+    parse_tangle,
     rows_cover,
     subgraph_cover,
 )
@@ -219,6 +221,8 @@ def witness_subgraph(trace: ReductionTrace) -> Graph:
 
 
 def format_trace(trace: ReductionTrace) -> str:
+    """The root graph and tangle, each step's rule and kind, and the
+    terminal tangle: everything else, parse_trace derives."""
     def block(title, body):
         return f"{title}\n{body.rstrip()}\n"
 
@@ -227,15 +231,20 @@ def format_trace(trace: ReductionTrace) -> str:
         block("ROOT-TANGLE", format_tangle(trace.root_tangle)),
     ]
     for n, s in enumerate(trace.steps, start=1):
-        out.append(f"STEP {n}\n")
-        out.append(f"RULE {s.rule}\n")
-        out.append(f"KIND {s.kind} {' '.join(map(str, s.detail))}\n")
-        out.append(block("GRAPH", G.format_edgelist(s.graph)))
-        out.append(block("TANGLE", format_tangle(s.tangle)))
+        out.append(f"STEP {n}\nRULE {s.rule}\nKIND {s.kind} {' '.join(map(str, s.detail))}\n")
+    if trace.steps:
+        out.append(block("TANGLE", format_tangle(trace.terminal_tangle)))
     return "".join(out)
 
 
 def parse_trace(text: str) -> ReductionTrace:
+    """The trace a text certifies.  Each step's graph is replayed (_replay);
+    the terminal tangle (TANGLE after the last step, or ROOT-TANGLE) must
+    be a tangle of the last graph, and its lift back through the steps
+    (lift_suppression or lift_subgraph) must be ROOT-TANGLE.  A GRAPH or
+    TANGLE that a step still holds, as older traces do, must be what is
+    derived there.  Every tangle returned is a lift, holding a map; every
+    refusal is a PipelineError naming its step, or trace."""
     root, steps = {}, []
     cur, body = root, None
     for raw in text.splitlines():
@@ -266,11 +275,9 @@ def parse_trace(text: str) -> ReductionTrace:
         except (G.GraphError, TangleError) as err:
             raise PipelineError(f"{where}: {err}") from None
 
-    # side text -> frozenset: consecutive tangles of a trace share most sides
-    sides = {}
-    root_graph = parsed(root, "ROOT-GRAPH", "trace", G.parse_edgelist)
-    root_tangle = parsed(root, "ROOT-TANGLE", "trace", _parse_tangle, root_graph, sides)
-    out, prev = [], root_graph
+    graphs = [parsed(root, "ROOT-GRAPH", "trace", G.parse_edgelist)]
+    texts = [parsed(root, "ROOT-TANGLE", "trace", parse_tangle, graphs[0])]
+    moves = []  # (kind, detail, rule) per step
     for n, d in enumerate(steps, start=1):
         where = f"step {n}"
         words = section(d, "KIND", where)[0].split()[1:]
@@ -285,27 +292,33 @@ def parse_trace(text: str) -> ReductionTrace:
                 f"{where}: {kind} needs {arity} vertex label(s), got {detail}"
             )
         detail = tuple(map(int, detail))
-        graph = parsed(d, "GRAPH", where, G.parse_edgelist)
         try:
-            replayed = _replay(prev, kind, detail)
+            graphs.append(_replay(graphs[-1], kind, detail))
         except G.GraphError as err:
             raise PipelineError(f"{where}: cannot replay {kind}: {err}")
-        if graph != replayed:
-            raise PipelineError(
-                f"{where}: GRAPH is not what {kind} makes of the previous graph"
-            )
-        tangle = parsed(d, "TANGLE", where, _parse_tangle, graph, sides)
-        V = graph.vertex_set()
-        if not all(s.small <= V and s.big <= V for s in tangle.members):
-            raise PipelineError(f"{where}: TANGLE names a vertex outside its GRAPH")
-        out.append(ReductionStep(
-            kind=kind,
-            detail=detail,
-            rule=section(d, "RULE", where)[0][len("RULE "):],
-            tangle=tangle,
-        ))
-        prev = graph
-    return ReductionTrace(root_graph, root_tangle, tuple(out))
+        if "GRAPH" in d and parsed(d, "GRAPH", where, G.parse_edgelist) != graphs[-1]:
+            raise PipelineError(f"{where}: GRAPH is not what {kind} makes of the previous graph")
+        texts.append(parsed(d, "TANGLE", where, parse_tangle, graphs[-1])
+                     if n == len(steps) or "TANGLE" in d else None)
+        moves.append((kind, detail, section(d, "RULE", where)[0][len("RULE "):]))
+    names = ["trace: ROOT-TANGLE"] + [f"step {n}: TANGLE" for n in range(1, len(steps) + 1)]
+    t = texts[-1]
+    if t.k < 0 or not is_tangle(t.graph, t.k, t):
+        raise PipelineError(f"{names[-1]} is not a tangle of its graph")
+    tangles = [Tangle._of_map(t.graph, t.k, t._pick)]
+    for n in range(len(steps), 0, -1):  # lift step n's tangle to the graph before it
+        kind, detail, _ = moves[n - 1]
+        try:
+            t = (lift_suppression(tangles[-1], graphs[n - 1], *detail) if kind == "suppress_vertex"
+                 else lift_subgraph(tangles[-1], graphs[n - 1]))
+        except (G.GraphError, TangleError) as err:
+            raise PipelineError(f"step {n}: cannot lift across {kind}: {err}") from None
+        if texts[n - 1] is not None and texts[n - 1] != t:
+            raise PipelineError(f"{names[n - 1]} is not the tangle lifted from the terminal TANGLE")
+        tangles.append(t)
+    tangles.reverse()
+    return ReductionTrace(graphs[0], tangles[0], tuple(
+        ReductionStep(*move, t) for move, t in zip(moves, tangles[1:])))
 
 
 _DETAIL_ARITY = {"delete_edge": 2, "suppress_vertex": 1, "take_component": 1}

@@ -22,7 +22,7 @@ from .decomposition import (
     is_rainbow_decomposition,
     max_linkage_size,
 )
-from .graphs import Graph, delete_edge
+from .graphs import Graph, GraphError, delete_edge
 from .separations import OrientedSeparation, sep
 from .survival import _forced
 from .tangles import Tangle, TangleError, _member_masks, extends, rows_cover
@@ -126,10 +126,9 @@ def validate_rc(g: Graph, rc: RCDecomposition) -> dict:
     ell = rc.adhesion
     rv = rc.rainbow_vertices()
     u0, u_end = rc.overlap_set(0), rc.overlap_set(M + 1)
-    rainbow_ok = True
-    try:
-        rainbow_ok = is_rainbow_decomposition(rc.rainbow_decomposition())
-    except DecompositionError:
+    try:  # on g, as every clause is: g need not be rc.graph
+        rainbow_ok = is_rainbow_decomposition(LinearDecomposition(g.induced(rv), rc.bags))
+    except (DecompositionError, GraphError):
         rainbow_ok = False
     inside = rv | rc.sun
     covered = all(

@@ -155,8 +155,8 @@ def orientation_across_edge(tau_tilde: Tangle, s: OrientedSeparation, e) -> bool
 
     s separates the reduced graph but e crosses it; adding e's endpoints
     to either side gives two host separations which the higher-order
-    tangle orients the same way.  False if s or e names a vertex outside
-    the graph.
+    tangle orients the same way.  False if s or e names a vertex the
+    graph does not have.
     """
     sides = (s.small, s.big, frozenset(e))
     return _across_edge(tau_tilde, *map(tau_tilde.graph.side_mask, sides))

@@ -610,11 +610,7 @@ def format_tangle(t: Tangle) -> str:
 
 
 def parse_tangle(text: str, g: Graph) -> Tangle:
-    return _parse_tangle(text, g, {})
-
-
-def _parse_tangle(text: str, g: Graph, sides: dict) -> Tangle:
-    """parse_tangle, sharing the side-text memo sides with other calls."""
+    """A tangle given as members; equal side texts share one frozenset."""
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].startswith("order "):
         raise GraphError("tangle text must start with 'order <k>'")
@@ -622,5 +618,6 @@ def _parse_tangle(text: str, g: Graph, sides: dict) -> Tangle:
         k = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GraphError("bad order line")
+    sides = {}
     members = [_parse_separation(l, sides) for l in lines[1:]]
     return Tangle(g, k, members)

@@ -5,7 +5,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglekit.decomposition import (
@@ -130,6 +130,32 @@ def test_linkage_matches_flow_oracle_property(data):
     check_paths_valid(g, S, T, got)
     assert got == sorted(got)
     assert len(got) == max_linkage_size(g, S, T) == nx_node_connectivity(g, S, T)
+
+
+@st.composite
+def gapped_relabellings(draw):
+    """A graph on 0..n-1, sources and targets, and the gaps of an
+    increasing relabelling."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    S, T = (draw(st.sets(st.integers(0, n - 1))) for _ in "ST")
+    return n, edges, S, T, draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_relabellings())
+# searching neighbours in set order, this one came out other than relabelled
+@example((4, {(0, 2), (1, 2), (1, 3), (2, 3)}, {3}, {1, 2}, [6, 9, 1, 7]))
+def test_linkage_follows_the_order_of_the_labels(case):
+    """Relabelling by an increasing map with gaps relabels the paths: the
+    search reads neighbours in label order, not in set order."""
+    n, edges, S, T, gaps = case
+    image = dict(zip(range(n), itertools.accumulate(gaps)))
+    h = Graph(image.values(), [(image[u], image[v]) for u, v in edges])
+    got = vertex_disjoint_paths(h, {image[v] for v in S}, {image[v] for v in T})
+    want = vertex_disjoint_paths(Graph(range(n), edges), S, T)
+    assert got == [tuple(image[v] for v in p) for p in want]
 
 
 def test_max_linkage_size_complete_graph():

@@ -47,7 +47,15 @@ from tanglekit.rainbow_cloud import (
     synth_rc,
 )
 from tanglekit.survival import restrict_to_component
-from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, extends, is_tangle
+from tanglekit.separations import format_separation
+from tanglekit.tangles import (
+    Tangle,
+    TangleError,
+    enumerate_tangles,
+    extends,
+    format_tangle,
+    is_tangle,
+)
 
 from conftest import apply_line_edits, reference_is_tangle
 
@@ -72,6 +80,17 @@ def check_trace_sound(trace):
             assert step.graph.vertex_set() < cur_g.vertex_set()
         cur_g, cur_t = step.graph, step.tangle
     assert cur_g == trace.terminal_graph
+
+
+def old_form(trace):
+    """The trace's text as it was written before steps dropped their graphs
+    and tangles: each step also holds its GRAPH and TANGLE sections."""
+    out = [format_trace(ReductionTrace(trace.root_graph, trace.root_tangle))]
+    for n, s in enumerate(trace.steps, start=1):
+        out.append(f"STEP {n}\nRULE {s.rule}\nKIND {s.kind} {' '.join(map(str, s.detail))}\n")
+        out.append(f"GRAPH\n{format_edgelist(s.graph).rstrip()}\n")
+        out.append(f"TANGLE\n{format_tangle(s.tangle).rstrip()}\n")
+    return "".join(out)
 
 
 # -- the driver --------------------------------------------------------------------
@@ -372,17 +391,119 @@ def test_trace_round_trip_bit_exact():
     assert format_trace(again) == text
 
 
-def test_parse_trace_shares_one_set_per_side_text():
+def test_parse_trace_shares_sides_within_one_tangle():
     g = subdivided_k4()
     (tau,) = enumerate_tangles(g, 3)
     again = parse_trace(format_trace(reduce(g, tau)))
     tangles = [again.root_tangle] + [s.tangle for s in again.steps]
-    sides = {}
     for t in tangles:
+        sides = {}
         for s in t.members:
             for side in (s.small, s.big):
                 assert sides.setdefault(side, side) is side
     assert len(tangles) > 1
+
+
+def test_trace_text_holds_the_root_the_steps_and_the_terminal_tangle():
+    """One TANGLE section, after the last step, and no GRAPH; the
+    two-subdivision K4 at k = 3 suppresses 4, then 5."""
+    g = parse_edgelist("0 4\n4 1\n0 5\n5 2\n0 3\n1 2\n1 3\n2 3\n")
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    text = format_trace(trace)
+    steps = ("STEP 1\nRULE degree-2 suppression\nKIND suppress_vertex 4\n"
+             "STEP 2\nRULE degree-2 suppression\nKIND suppress_vertex 5\n")
+    assert text == (format_trace(ReductionTrace(g, tau)) + steps
+                    + "TANGLE\n" + format_tangle(trace.terminal_tangle))
+    assert text.splitlines().count("TANGLE") == 1 and "GRAPH" not in text.splitlines()
+
+
+def test_parsed_atlas_traces_hold_reduces_tangles(connected_graphs_6):
+    """Every tangle of a parsed trace is the lift of its terminal tangle, a
+    map tangle equal to reduce's at that step, in the trace's form and in
+    the older form that holds every step's GRAPH and TANGLE."""
+    checked = 0
+    for g in connected_graphs_6:
+        for k in (1, 2, 3, 4):
+            for tau in enumerate_tangles(g, k):
+                trace = reduce(g, tau)
+                text = format_trace(trace)
+                for again in (parse_trace(text), parse_trace(old_form(trace))):
+                    assert again.root_tangle._map is not None and again.root_tangle == tau
+                    assert len(again.steps) == len(trace.steps)
+                    for a, b in zip(again.steps, trace.steps):
+                        assert a.tangle._map is not None
+                        assert (a.kind, a.detail, a.rule, a.graph) == (b.kind, b.detail, b.rule, b.graph)
+                        assert a.tangle == b.tangle
+                    assert format_trace(again) == text
+                checked += bool(trace.steps)
+    assert checked > 100
+
+
+def member_lines(text, header):
+    """The member lines of the tangle section that starts at header."""
+    body = text.split(header, 1)[1].split("\n", 1)[1]
+    return list(itertools.takewhile(lambda l: l.startswith("["), body.splitlines()))
+
+
+def edited_certificates():
+    """The subdivided K4's 3-tangle trace, edited three ways: case ->
+    (text, part of the error message)."""
+    g = subdivided_k4()
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    text, old = format_trace(trace), old_form(trace)
+    top = trace.steps[0].tangle.maximal_members()[0]
+    flipped = old.replace(f"\n{format_separation(top)}\n",
+                          f"\n{format_separation(top.inverse())}\n", 1)
+    last = member_lines(text, "\nTANGLE\n")[-1]
+    first_root = member_lines(text, "ROOT-TANGLE\n")[1]
+    return {
+        "old-form step tangle with a maximal member flipped": (
+            flipped, "step 1: TANGLE is not the tangle lifted from the terminal TANGLE"),
+        "terminal tangle lacks a member": (
+            text.replace(f"\n{last}\n", "\n", 1), "step 6: TANGLE is not a tangle of its graph"),
+        "root tangle lacks a member": (
+            text.replace(f"\n{first_root}\n", "\n", 1),
+            "trace: ROOT-TANGLE is not the tangle lifted from the terminal TANGLE"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "old-form step tangle with a maximal member flipped",
+    "terminal tangle lacks a member",
+    "root tangle lacks a member",
+])
+def test_parse_trace_refuses_an_edited_certificate(case):
+    text, message = edited_certificates()[case]
+    with pytest.raises(PipelineError) as err:
+        parse_trace(text)
+    assert str(err.value) == message
+
+
+def test_parse_trace_checks_a_zero_step_root_tangle():
+    g = complete_graph(4)
+    (tau,) = enumerate_tangles(g, 3)
+    text = format_trace(reduce(g, tau))
+    assert "STEP" not in text and parse_trace(text).root_tangle == tau
+    missing = member_lines(text, "ROOT-TANGLE\n")[1]
+    with pytest.raises(PipelineError, match="^trace: ROOT-TANGLE is not a tangle of its graph$"):
+        parse_trace(text.replace(f"\n{missing}\n", "\n", 1))
+
+
+def test_parse_trace_names_the_step_of_a_failed_lift():
+    """A suppression typed into a 2-tangle trace: C4 to the triangle.  The
+    triangle's 2-tangle is a tangle, but suppression lifts need k >= 3."""
+    g = cycle_graph(4)
+    (tau,) = enumerate_tangles(g, 2)
+    h = suppress_vertex(g, 3)
+    (tri,) = enumerate_tangles(h, 2)
+    text = (format_trace(ReductionTrace(g, tau))
+            + "STEP 1\nRULE by hand\nKIND suppress_vertex 3\n"
+            + "TANGLE\n" + format_tangle(tri))
+    with pytest.raises(PipelineError, match="^step 1: cannot lift across suppress_vertex: "
+                                            "suppression lifts need order >= 3$"):
+        parse_trace(text)
 
 
 def test_parse_trace_refuses_a_bad_side_text():
@@ -528,7 +649,8 @@ def test_cli_verify_reports_both_orientations_as_no_tangle(k4_file, tmp_path, ca
 
 
 def test_cli_transfer_refuses_a_step_tangle_outside_its_graph(tmp_path, capsys):
-    """Vertex 9 in a member of step 1's tangle, which no GRAPH has."""
+    """Vertex 9 in a member of step 1's tangle, the terminal one: no graph
+    of the trace has it."""
     g = subdivide_edge(complete_graph(4), (0, 1))
     (tau,) = enumerate_tangles(g, 3)
     trace = reduce(g, tau)
@@ -539,7 +661,26 @@ def test_cli_transfer_refuses_a_step_tangle_outside_its_graph(tmp_path, capsys):
     wt.write_text(json.dumps({str(v): c for v, c in w.weights.items()}))
     assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: step 1: TANGLE names a vertex outside its GRAPH\n"
+    assert out == "" and err == "error: step 1: TANGLE is not a tangle of its graph\n"
+
+
+def test_cli_refuses_an_old_form_step_tangle_that_lacks_a_member(tmp_path, capsys):
+    """The two-subdivision K4 at k = 3, in the older form, with a member
+    deleted from step 1's TANGLE: witness and transfer both refuse it."""
+    g = parse_edgelist("0 4\n4 1\n0 5\n5 2\n0 3\n1 2\n1 3\n2 3\n")
+    (tau,) = enumerate_tangles(g, 3)
+    trace = reduce(g, tau)
+    text = old_form(trace)
+    assert text.count("\n[0,1] [0,1,2,3,5]\n") == 1
+    tr, wt = tmp_path / "trace.txt", tmp_path / "w.json"
+    tr.write_text(text.replace("\n[0,1] [0,1,2,3,5]\n", "\n"))
+    w = find_inducing_weights(trace.terminal_tangle, budget=8)
+    wt.write_text(json.dumps({str(v): c for v, c in w.weights.items()}))
+    message = "error: step 1: TANGLE is not the tangle lifted from the terminal TANGLE\n"
+    assert main(["witness", "--trace", str(tr)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_cli_induce(k4_file, capsys):
@@ -710,6 +851,11 @@ STEP_EDITS = {
     "edge of one vertex": ("KIND suppress_vertex 4", "KIND delete_edge 4", "needs 2"),
     "component without label": ("KIND suppress_vertex 4", "KIND take_component", "needs 1"),
     "vertex not suppressible": ("KIND suppress_vertex 4", "KIND suppress_vertex 0", "cannot replay"),
+}
+
+# the same, of the older form of that trace, whose steps hold GRAPH and
+# TANGLE sections (see old_form)
+OLD_FORM_EDITS = {
     "other edge deleted": ("KIND suppress_vertex 4", "KIND delete_edge 0 4", "GRAPH is not what"),
     "component of all": ("KIND suppress_vertex 4", "KIND take_component 0", "GRAPH is not what"),
     # GRAPH loses the edge 0 5, which suppressing vertex 4 keeps
@@ -721,8 +867,8 @@ STEP_EDITS = {
 
 # inputs that parse but do not hold a tangle: case -> part of the error message
 NOT_TANGLES = {
-    "root tangle lacks a member": "ROOT-TANGLE is not a tangle",
-    "transfer from a root tangle that lacks a member": "ROOT-TANGLE is not a tangle",
+    "root tangle lacks a member": "ROOT-TANGLE is not the tangle lifted",
+    "transfer from a root tangle that lacks a member": "ROOT-TANGLE is not the tangle lifted",
     "tangle file lacks members": "is not a 3-tangle",
     "tangle file of another order": "has order 3, not --k 2",
 }
@@ -749,7 +895,7 @@ UNKNOWN_RC_VERTEX = {
 
 @pytest.mark.parametrize(
     "case",
-    ["empty trace", "no root tangle", "step without kind", *STEP_EDITS,
+    ["empty trace", "no root tangle", "step without kind", *STEP_EDITS, *OLD_FORM_EDITS,
      "weights not an object", "tangle index too large", "negative tangle index",
      *NOT_TANGLES, *UNKNOWN_RC_VERTEX, "too many separations", *NEGATIVE_ARGS],
 )
@@ -770,9 +916,10 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
         ),
         "root tangle lacks a member": head + root + tail.split("\n", 1)[1],
     }
-    for name, (old, new, _) in STEP_EDITS.items():
-        assert old in text
-        traces[name] = text.replace(old, new, 1)
+    for edits, form in ((STEP_EDITS, text), (OLD_FORM_EDITS, old_form(trace))):
+        for name, (old, new, _) in edits.items():
+            assert old in form
+            traces[name] = form.replace(old, new, 1)
     tr, wt, tri = tmp_path / "trace.txt", tmp_path / "w.json", tmp_path / "tri.edges"
     gp, tp = tmp_path / "g.edges", tmp_path / "g.tangle"
     tr.write_text(traces.get(case, text))
@@ -821,7 +968,8 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
     assert case not in NEGATIVE_ARGS or out == ""
-    assert case not in STEP_EDITS or STEP_EDITS[case][2] in err
+    edits = {**STEP_EDITS, **OLD_FORM_EDITS}
+    assert case not in edits or edits[case][2] in err
     assert NOT_TANGLES.get(case, "") in err
     assert case not in UNKNOWN_RC_VERTEX or "not in the graph: [999]" in err
 

@@ -90,6 +90,18 @@ def test_validator_flags_uncovered_edge():
     assert not validate_rc(g2, rc)["cover"]
 
 
+def test_validator_checks_the_rainbow_on_the_given_graph():
+    """Edge (4, 5) of bag 4 is the rainbow's own: without it bag 4's part
+    falls apart on g2, though not on rc.graph."""
+    g, rc, _ = synth_rc(8, 1, 1)
+    assert rc.bags[4] == {4, 5}
+    report = validate_rc(delete_edge(g, (4, 5)), rc)
+    assert not report["rainbow"]
+    assert all(v for name, v in report.items() if name != "rainbow")
+    # a rainbow vertex missing from the graph is a broken rainbow, not an error
+    assert not validate_rc(g.induced(g.vertex_set() - {5}), rc)["rainbow"]
+
+
 def test_validator_flags_overlapping_end_sets():
     g, rc, _ = synth_rc(8, 2, 1)
     # pull an inner vertex into the cloud: overlap clause breaks
