@@ -60,7 +60,7 @@ def _pick_tangle(args, g):
         t = parse_tangle(_read(args.tangle), g)
         if t.k != args.k:
             raise ValueError(f"{args.tangle} has order {t.k}, not --k {args.k}")
-        if not is_tangle(g, t.k, t.members):
+        if not is_tangle(g, t.k, t):
             raise ValueError(f"{args.tangle} is not a {t.k}-tangle of the graph")
         return t
     found = enumerate_tangles(g, args.k)
@@ -95,9 +95,9 @@ def cmd_verify(args):
     g = read_edgelist(args.graph)
     try:
         t = parse_tangle(_read(args.tangle), g)
-    except TangleError:  # both orientations of a separation: not a tangle
+    except TangleError:  # no map has these members: not a tangle
         t = None
-    ok = t is not None and is_tangle(g, t.k, t.members)
+    ok = t is not None and is_tangle(g, t.k, t)
     print(f"tangle: {ok}")
     if ok:
         for name, flag in check_axioms(t).items():

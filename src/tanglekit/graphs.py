@@ -194,6 +194,27 @@ class Graph:
         vs = self._sides.get(mask)
         return self.labels_of(mask) if vs is None else vs
 
+    def translator(self, other):
+        """The function m -> other.mask_of(self.labels_of(m) & other's
+        labels) on vertex masks of self, by vertex index.  Both label
+        tuples are sorted, so shared labels keep their relative order and
+        fall into few groups by how far their bits move; each group moves
+        with one mask and one shift."""
+        groups = {}  # d -> the bits of self that move d places down
+        for i, v in enumerate(self.vertices):
+            if v in other._bit:
+                d = i + 1 - other._bit[v].bit_length()
+                groups[d] = groups.get(d, 0) | 1 << i
+        moves = [(w, max(-d, 0), max(d, 0)) for d, w in groups.items()]
+
+        def move(m):
+            out = 0
+            for w, up, down in moves:
+                out |= (m & w) << up >> down
+            return out
+
+        return move
+
     def full_mask(self):
         return (1 << len(self.vertices)) - 1
 

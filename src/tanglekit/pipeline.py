@@ -28,12 +28,12 @@ from .tangles import (
     Tangle,
     TangleError,
     _covered,
+    _parse_members,
     extends,
     format_tangle,
     is_tangle,
     lift_subgraph,
     lift_suppression,
-    parse_tangle,
     rows_cover,
     subgraph_cover,
 )
@@ -124,7 +124,7 @@ def reduce(g: Graph, t: Tangle) -> ReductionTrace:
 
     Each step deletes an edge, suppresses a vertex or drops a component, so
     |V| + |E| falls with every step and stays >= 1: it bounds the steps.
-    A root that holds a map is checked on its map (see is_tangle)."""
+    The root is checked on its map (see is_tangle)."""
     if not is_tangle(g, t.k, t):
         raise PipelineError("input is not a tangle")
     steps = []
@@ -243,8 +243,9 @@ def parse_trace(text: str) -> ReductionTrace:
     be a tangle of the last graph, and its lift back through the steps
     (lift_suppression or lift_subgraph) must be ROOT-TANGLE.  A GRAPH or
     TANGLE that a step still holds, as older traces do, must be what is
-    derived there.  Every tangle returned is a lift, holding a map; every
-    refusal is a PipelineError naming its step, or trace."""
+    derived there.  Tangles are compared by their maps, each given one read
+    off its members (see Tangle).  Every other tangle returned is a lift;
+    every refusal is a PipelineError naming its step, or trace."""
     root, steps = {}, []
     cur, body = root, None
     for raw in text.splitlines():
@@ -276,7 +277,7 @@ def parse_trace(text: str) -> ReductionTrace:
             raise PipelineError(f"{where}: {err}") from None
 
     graphs = [parsed(root, "ROOT-GRAPH", "trace", G.parse_edgelist)]
-    texts = [parsed(root, "ROOT-TANGLE", "trace", parse_tangle, graphs[0])]
+    texts = [parsed(root, "ROOT-TANGLE", "trace", _parse_members)]  # (k, members)
     moves = []  # (kind, detail, rule) per step
     for n, d in enumerate(steps, start=1):
         where = f"step {n}"
@@ -298,14 +299,21 @@ def parse_trace(text: str) -> ReductionTrace:
             raise PipelineError(f"{where}: cannot replay {kind}: {err}")
         if "GRAPH" in d and parsed(d, "GRAPH", where, G.parse_edgelist) != graphs[-1]:
             raise PipelineError(f"{where}: GRAPH is not what {kind} makes of the previous graph")
-        texts.append(parsed(d, "TANGLE", where, parse_tangle, graphs[-1])
+        texts.append(parsed(d, "TANGLE", where, _parse_members)
                      if n == len(steps) or "TANGLE" in d else None)
         moves.append((kind, detail, section(d, "RULE", where)[0][len("RULE "):]))
     names = ["trace: ROOT-TANGLE"] + [f"step {n}: TANGLE" for n in range(1, len(steps) + 1)]
-    t = texts[-1]
-    if t.k < 0 or not is_tangle(t.graph, t.k, t):
+
+    def given(n):  # step n's TANGLE (ROOT-TANGLE at 0) as a Tangle, or None
+        try:
+            return Tangle(graphs[n], *texts[n])
+        except (G.GraphError, TangleError):  # a negative order, or no map
+            return None
+
+    t = given(len(steps))
+    if t is None or rows_cover(t):
         raise PipelineError(f"{names[-1]} is not a tangle of its graph")
-    tangles = [Tangle._of_map(t.graph, t.k, t._pick)]
+    tangles = [t]
     for n in range(len(steps), 0, -1):  # lift step n's tangle to the graph before it
         kind, detail, _ = moves[n - 1]
         try:
@@ -313,7 +321,7 @@ def parse_trace(text: str) -> ReductionTrace:
                  else lift_subgraph(tangles[-1], graphs[n - 1]))
         except (G.GraphError, TangleError) as err:
             raise PipelineError(f"step {n}: cannot lift across {kind}: {err}") from None
-        if texts[n - 1] is not None and texts[n - 1] != t:
+        if texts[n - 1] is not None and given(n - 1) != t:
             raise PipelineError(f"{names[n - 1]} is not the tangle lifted from the terminal TANGLE")
         tangles.append(t)
     tangles.reverse()

@@ -6,11 +6,11 @@ the same order agreeing with it on every shared separation.  Each function
 here states that smaller tangle as a membership test on the (small, big)
 vertex-index masks of a row, a few bit operations around the old tangle's
 _holds, and reads it off the rows by Tangle._of_rule.  A test that crosses
-to a graph with other vertices moves its masks through their labels, and
-restrict_to_component moves the old tangle's map the same way.  None of
-them enumerates tangles of the reduced graph, and OrientedSeparations
-appear only at the public boundaries: forced_orientation,
-orientation_across_edge and divergent_witness.
+to a graph with other vertices moves its masks by vertex index
+(Graph.translator), and restrict_to_component moves the old tangle's map
+the same way.  None of them enumerates tangles of the reduced graph, and
+OrientedSeparations appear only at the public boundaries:
+forced_orientation, orientation_across_edge and divergent_witness.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def restrict_to_component(g: Graph, tau: Tangle):
     back whole, and a disconnected g is refused with a TangleError.
 
     That is tau's map restricted to the separators inside C(empty set),
-    with each mask moved to the component's bit order through its labels.
+    with each mask moved to the component's bit order (Graph.translator).
     For a tangle, C(X) lies in C(empty set): otherwise the rows of X and
     of the empty set, whose small sides are V - C(X) and V - C(empty set),
     would cover g together.  The components of g - X inside C(empty set)
@@ -106,9 +106,7 @@ def restrict_to_component(g: Graph, tau: Tangle):
     _require(comp.is_connected() or not comp.vertices,
              "order-0 members do not single out a component")
 
-    def inside(m):
-        return comp.mask_of(g.labels_of(m))
-
+    inside = g.translator(comp)
     pick = {inside(x): inside(c) for x, c in tau._pick.items() if not x & ~c0}
     return comp, Tangle._of_map(comp, tau.k, pick)
 
@@ -135,13 +133,14 @@ def survive_suppress_vertex(g: Graph, tau: Tangle, v) -> Tangle:
 
     A separation of the reduced graph joins the new tangle if the tangle
     chose it with the suppressed vertex added to either side; its sides
-    reach g's bit order through their labels.
+    move to g's bit order by Graph.translator.
     """
     _require(tau.k >= 3, "needs order >= 3")
     g2, x = suppress_vertex(g, v), g.mask_of((v,))
+    move = g2.translator(g)
 
     def rule(a, b):
-        a, b = g.mask_of(g2.labels_of(a)), g.mask_of(g2.labels_of(b))
+        a, b = move(a), move(b)
         return tau._holds(a | x, b) or tau._holds(a, b | x)
 
     return Tangle._of_rule(g2, tau.k, rule)
@@ -192,12 +191,13 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
     An orientation is forced when it sits below some member of tau.
     Consistency of tau makes the forced orientation unique.
 
-    Only tau's <=-maximal members are compared.  This is exact: every
-    member t lies below some maximal member m and <= is transitive, so
-    s <= t gives s <= m; conversely every maximal member is a member.  So
-    both the answer and the "forces both orientations" error are those
-    of a scan over all members.  A side naming a vertex outside the graph
-    lies inside no member's side (see Graph.side_mask).
+    Only tau's <=-maximal members are compared, read off its map's rows
+    (see Tangle.maximal_members).  This is exact for any map, tangle or
+    not: every member t lies below some maximal member m and <= is
+    transitive, so s <= t gives s <= m; conversely every maximal member is
+    a member.  So both the answer and the "forces both orientations" error
+    are those of a scan over all members.  A side naming a vertex outside
+    the graph lies inside no member's side (see Graph.side_mask).
     """
     fwd = _forced(tau, tau.graph.side_mask(s.small), tau.graph.side_mask(s.big))
     return None if fwd is None else s if fwd else s.inverse()

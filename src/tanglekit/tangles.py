@@ -120,41 +120,53 @@ def find_forbidden_triple(g: Graph, seps):
     return tuple(pool[x] for x in hit)
 
 
-def _both_orientations(members):
-    """A member whose inverse, a different separation, is a member too."""
-    return next(
-        (s for s in members if s.inverse() in members and s.small != s.big), None
-    )
-
-
 # -- the Tangle object ----------------------------------------------------
 
 
 class Tangle:
-    """An orientation of all separations of order < k of a graph.
+    """The orientation of all separations of order < k of a graph that a
+    separator-to-component map {X: C(X)} gives (see _search): (A, B) is a
+    member iff C(A & B) lies in B - A.  The map, _pick, is the tangle.
 
-    Construction does not validate tanglehood; use is_tangle / check_axioms.
-    Membership, the core and extends read the separator-to-component map
-    {X: C(X)} (see _search).  A tangle found by the search or built from a
-    rule holds it and builds its member set on first use; one given as
-    members reads the map off them on first use (_pick).
+    Tangle(graph, k, members) reads the map off members and refuses, with a
+    TangleError, a member set that is not exactly one map's; construction
+    does not test for a covering triple, so use is_tangle / check_axioms
+    for tanglehood.  The search and the rules build the map directly
+    (_of_map, _of_rule), and such a tangle builds its member set on first
+    use.
     """
 
     def __init__(self, graph: Graph, k: int, members):
-        self.graph = graph
-        self.k = k
-        self.members = frozenset(members)
-        self._map = None  # {separator mask: component mask}, if built from one
-        s = _both_orientations(self.members)
-        if s is not None:
-            raise TangleError(f"both orientations of {s} present")
+        """If members M are one map's member set, the rule "is in M" passes
+        exactly the row of C(X) at each separator X (see _of_rule), so
+        _rule_map reads that map; where it fails, there is none.  Otherwise
+        let T be that map's member set.  T holds exactly one orientation of
+        each separation of order < k, so |T| is the sum over separators X
+        of 2^(c(X) - 1), c(X) the number of components of g - X.  Every
+        member of M must lie in T (_holds: this refuses a pair that is no
+        separation of g of order < k, a label outside g, and one of two
+        orientations of a separation); a subset of T of T's size is T.  One
+        walk over the separators' components gives both the map and |T|.
+        """
+        _check_order(k)
+        self.graph, self.k, self.members = graph, k, frozenset(members)
+        splits = list(separator_components(graph, k))
+        rows = {(graph.side_mask(s.small), graph.side_mask(s.big)) for s in self.members}
+        try:
+            self._pick = _rule_map(graph, splits, lambda a, b: (a, b) in rows)
+        except TangleError:  # no row of M at some separator, or two
+            self._pick = None
+        if (self._pick is None or len(rows) != sum(1 << (len(comps) - 1) for _, comps in splits)
+                or not all(self._holds(a, b) for a, b in rows)):
+            raise TangleError(f"member set is not a {k}-tangle of the graph: "
+                              "no separator-to-component map has exactly these members")
 
     @classmethod
     def _of_map(cls, graph: Graph, k: int, pick):
         """The k-tangle that points each separator at the component pick
         gives; pick lists the separators by size (see _member_masks)."""
         t = cls.__new__(cls)
-        t.graph, t.k, t._map = graph, k, pick
+        t.graph, t.k, t._pick = graph, k, pick
         return t
 
     @classmethod
@@ -175,18 +187,9 @@ class Tangle:
         return cls._of_map(graph, k, _rule_map(graph, separator_components(graph, k), rule))
 
     @functools.cached_property
-    def _pick(self):
-        """The map {separator mask: component mask} the tangle holds, or one
-        read off its members (see _read_members)."""
-        if self._map is not None:
-            return self._map
-        g = self.graph
-        return _read_members(g, separator_components(g, self.k), self.members)[1]
-
-    @functools.cached_property
     def members(self) -> frozenset:
-        """The member separations.  Only a tangle that holds a map gets here,
-        on first use (see _member_masks)."""
+        """The member separations.  A tangle built from its map gets here on
+        first use (see _member_masks); one given as members keeps them."""
         return frozenset(self.sorted_members())
 
     def __contains__(self, s: OrientedSeparation):
@@ -207,20 +210,20 @@ class Tangle:
         return len(self.members)
 
     def __eq__(self, other):
+        """Equal graphs, orders and maps: a map and its member set determine
+        each other (see _of_rule), so this is member-set equality."""
         return (
             isinstance(other, Tangle)
             and self.graph == other.graph
             and self.k == other.k
-            and self.members == other.members
+            and self._pick == other._pick
         )
 
     def __hash__(self):
-        return hash((self.graph, self.k, self.members))
+        return hash((self.graph, self.k, frozenset(self._pick.items())))
 
     def __repr__(self):
-        if self._map is None:
-            return f"Tangle(k={self.k}, |members|={len(self.members)})"
-        return f"Tangle(k={self.k}, |V|={len(self.graph.vertices)}, separators={len(self._map)})"
+        return f"Tangle(k={self.k}, |V|={len(self.graph.vertices)}, separators={len(self._pick)})"
 
     def orients(self, s: OrientedSeparation):
         """The orientation this tangle gives s's underlying separation."""
@@ -230,18 +233,18 @@ class Tangle:
         raise KeyError(s)
 
     def sorted_members(self):
-        """The members in sort-key order; a map's come in that order."""
-        g = self.graph
-        if self._map is not None:
-            return _as_separations(g, _member_masks(self, functools.cache(g.sorted_labels)))
-        return sorted(self.members, key=OrientedSeparation.sort_key)
+        """The members in sort-key order, as _member_masks yields them;
+        equal masks share one frozenset, the side table's where it holds
+        one (Graph.side_of)."""
+        g, side = self.graph, functools.cache(self.graph.side_of)
+        pairs = _member_masks(self, functools.cache(g.sorted_labels))
+        return [OrientedSeparation(side(a), side(b)) for a, b in pairs]
 
     def maximal_members(self):
         """<=-maximal members in sort-key order, computed once per tangle.
 
-        A tangle given as members scans them.  One that holds a map takes
-        them from its rows (V - C(X), C(X) | X), one per separator X, and
-        that is exact:
+        They come from the map's rows (V - C(X), C(X) | X), one per
+        separator X, and that is exact for any map, tangle or not:
 
         - every member (A, B) lies <= the row of its separator, because
           C(A & B) misses A and lies in B;
@@ -259,12 +262,8 @@ class Tangle:
 
     @functools.cached_property
     def _top_masks(self):
-        g = self.graph
-        if self._map is None:  # exact for any member set, tangle or not
-            pairs = {(g.mask_of(s.small), g.mask_of(s.big)) for s in self.members}
-        else:  # the rows (V - C, C | X)
-            pairs = [(g.full_mask() & ~c, c | x) for x, c in self._map.items()]
-        return tuple(_maximal(g, pairs))
+        g, full = self.graph, self.graph.full_mask()
+        return tuple(_maximal(g, [(full & ~c, c | x) for x, c in self._pick.items()]))
 
     def core(self) -> frozenset:
         """Intersection of all big sides, that is of the rows' C(X) | X.
@@ -293,14 +292,6 @@ def _rule_map(g: Graph, splits, rule):
             raise TangleError(f"rule passes {len(hits)} components of G - {sorted(g.labels_of(x))}")
         pick[x] = hits[0]
     return pick
-
-
-def _read_members(g: Graph, splits, members):
-    """The members' (small, big) vertex-index mask pairs, and the map
-    _of_rule reads off them over splits (exact for a k-tangle).  A member
-    naming a label outside g is no row (see Graph.side_mask)."""
-    rows = {(g.side_mask(s.small), g.side_mask(s.big)) for s in members}
-    return rows, _rule_map(g, splits, lambda a, b: (a, b) in rows)
 
 
 def _member_masks(t: Tangle, seq):
@@ -332,46 +323,24 @@ def _member_masks(t: Tangle, seq):
         yield from pairs
 
 
-def _as_separations(g: Graph, pairs):
-    """The OrientedSeparations of (small, big) mask pairs; equal masks share
-    one frozenset, the side table's where it holds one (Graph.side_of)."""
-    side = functools.cache(g.side_of)
-    return [OrientedSeparation(side(a), side(b)) for a, b in pairs]
-
-
 def is_tangle(g: Graph, k: int, members) -> bool:
     """Validate a k-tangle given as members, or as a Tangle; no separation
     is listed.
 
-    A Tangle that holds a map of g at order k is decided by rows_cover
-    alone.  Its map points every separator X (|X| < k) at one component
-    C(X) of g - X, and (A, B) with separator X is a member iff C(X) lies in
-    B - A; so it orients every separation of order < k, exactly once, by
-    construction, and for a map, tanglehood is that no three rows cover g
-    (see rows_cover).  Any other Tangle is checked through its members.
-
-    If the members M form a k-tangle, _of_rule reads its map, so where it
-    fails, M is none.  Otherwise let T be that map's member set.  T holds
-    exactly one orientation of each separation of order < k, so |T| is the
-    sum over separators X of 2^(c(X) - 1), c(X) the number of components of
-    g - X.  Every member of M must lie in T (_holds: this refuses a pair
-    that is no separation of g of order < k, a label outside g, and one of
-    two orientations of a separation); a subset of T of T's size is T.  One
-    walk over the separators' components gives both the map and |T|.
+    Members are read into a Tangle of g (a TangleError means they are no
+    map's member set, and so no k-tangle); a Tangle of g at order k is
+    taken as it is.  Its map orients every separation of order < k
+    exactly once, so tanglehood is that no three rows cover g (rows_cover).
     """
     _check_order(k)
     if isinstance(members, Tangle):
-        if members._map is not None and members.k == k and members.graph == g:
+        if members.k == k and members.graph == g:
             return not rows_cover(members)
         members = members.members
-    splits = list(separator_components(g, k))
     try:
-        rows, pick = _read_members(g, splits, members)
+        return not rows_cover(Tangle(g, k, members))
     except TangleError:
         return False
-    t = Tangle._of_map(g, k, pick)
-    count = sum(1 << (len(comps) - 1) for _, comps in splits)
-    return all(t._holds(a, b) for a, b in rows) and len(rows) == count and not rows_cover(t)
 
 
 def _covered(t: Tangle, target) -> bool:
@@ -385,9 +354,9 @@ def _covered(t: Tangle, target) -> bool:
 def rows_cover(t: Tangle) -> bool:
     """Do three of t's maximal members (repetition allowed) cover its graph?
 
-    For a tangle that holds a map, which orients every separation of order
-    < k by construction, "no" is exactly tanglehood: every member lies <=
-    a row, and cover is monotone (see _search).
+    A map orients every separation of order < k by construction, so "no"
+    is exactly tanglehood: every member lies <= a row, and cover is
+    monotone (see _search).
     """
     return _covered(t, full_cover(t.graph))
 
@@ -553,22 +522,21 @@ def lift_subgraph(tau2: Tangle, g: Graph) -> Tangle:
     """Lift a k-tangle from a subgraph back to the host graph.
 
     A separation of the host joins the lift iff its restriction to the
-    subgraph's vertices belongs to the smaller tangle; the restricted sides
-    reach the subgraph's bit order through their labels.
+    subgraph's vertices belongs to the smaller tangle; Graph.translator
+    restricts the sides and moves them to the subgraph's bit order.
     """
     g2 = tau2.graph
     if not (set(g2.vertices) <= set(g.vertices) and g2.edges <= g.edges):
         raise TangleError("lift_subgraph: not a subgraph")
-    sub = g.mask_of(g2.vertices)
-    return Tangle._of_rule(g, tau2.k, lambda a, b: tau2._holds(
-        g2.mask_of(g.labels_of(a & sub)), g2.mask_of(g.labels_of(b & sub))))
+    move = g.translator(g2)
+    return Tangle._of_rule(g, tau2.k, lambda a, b: tau2._holds(move(a), move(b)))
 
 
 def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
     """Lift a k-tangle (k >= 3) across the suppression of degree-2 vertex v.
 
-    A host separation drops v and reaches the smaller graph's bit order
-    through its labels.  If v's neighbours lie on one side together, the
+    A host separation drops v and moves to the smaller graph's bit order
+    (Graph.translator).  If v's neighbours lie on one side together, the
     rest is read off the smaller tangle; otherwise v separates them, and
     either neighbour may join the other side.
     """
@@ -578,9 +546,10 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
         raise TangleError(f"vertex {v} is not suppressible in the host graph")
     g2, keep = tau2.graph, g.full_mask() & ~g.mask_of((v,))
     u1, u2 = (g2.mask_of((u,)) for u in sorted(g.neighbors(v)))
+    move = g.translator(g2)
 
     def rule(a, b):
-        a, b = g2.mask_of(g.labels_of(a & keep)), g2.mask_of(g.labels_of(b & keep))
+        a, b = move(a & keep), move(b & keep)
         if not (u1 | u2) & ~a or not (u1 | u2) & ~b:
             return tau2._holds(a, b)
         ui, uj = (u1, u2) if u1 & a else (u2, u1)
@@ -594,23 +563,23 @@ def lift_suppression(tau2: Tangle, g: Graph, v) -> Tangle:
 
 def format_tangle(t: Tangle) -> str:
     """An "order k" line, then one "[small] [big]" line per member in
-    sort-key order, as format_separation writes them.  A map's members come
-    as masks (see _member_masks), whose label tuples sort and write them;
-    given members are sorted on their sides' label tuples.  Each distinct
-    side's labels are read once and written once."""
-    if t._map is not None:
-        seq = functools.cache(t.graph.sorted_labels)
-        rows = _member_masks(t, seq)
-    else:
-        seq = functools.cache(lambda side: tuple(sorted(side)))
-        rows = sorted(((s.small, s.big) for s in t.members),
-                      key=lambda r: (len(r[0] & r[1]), seq(r[0]), seq(r[1])))
+    sort-key order, as format_separation writes them.  The members come as
+    masks (see _member_masks), whose label tuples sort and write them; each
+    distinct side's labels are read once and written once."""
+    seq = functools.cache(t.graph.sorted_labels)
     text = functools.cache(lambda side: ",".join(map(str, seq(side))))
+    rows = _member_masks(t, seq)
     return "".join([f"order {t.k}\n"] + [f"[{text(a)}] [{text(b)}]\n" for a, b in rows])
 
 
 def parse_tangle(text: str, g: Graph) -> Tangle:
-    """A tangle given as members; equal side texts share one frozenset."""
+    """The Tangle of g that a tangle text gives as members (see Tangle): a
+    TangleError if they are no map's member set."""
+    return Tangle(g, *_parse_members(text))
+
+
+def _parse_members(text: str):
+    """(k, members) of a tangle text; equal side texts share one frozenset."""
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or not lines[0].startswith("order "):
         raise GraphError("tangle text must start with 'order <k>'")
@@ -619,5 +588,4 @@ def parse_tangle(text: str, g: Graph) -> Tangle:
     except (IndexError, ValueError):
         raise GraphError("bad order line")
     sides = {}
-    members = [_parse_separation(l, sides) for l in lines[1:]]
-    return Tangle(g, k, members)
+    return k, [_parse_separation(l, sides) for l in lines[1:]]

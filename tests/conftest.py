@@ -5,9 +5,15 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from tanglekit.graphs import Graph, GraphError
+from tanglekit.graphs import Graph, GraphError, path_graph
 from tanglekit.rainbow_cloud import RCDecomposition, synth_rc
-from tanglekit.separations import OrientedSeparation, enumerate_separations, is_separation
+from tanglekit.separations import (
+    OrientedSeparation,
+    enumerate_separations,
+    is_separation,
+    separator_components,
+)
+from tanglekit.tangles import Tangle
 
 
 def nx_to_graph(h) -> Graph:
@@ -50,6 +56,16 @@ def connected_graphs_6():
 @pytest.fixture(scope="session")
 def connected_graphs_7():
     return atlas_graphs(7, connected_only=True)
+
+
+def inconsistent_path_map():
+    """The map on the path 0-1-2-3 at k = 2 with C({1}) = {0} and
+    C({2}) = {3}: the 2-tangle of the edge 01 with its component at {2}
+    flipped.  It is no tangle: ({1,2,3}, {0,1,2}) lies below the row of
+    {1}, and its inverse below the row of {2}."""
+    g = path_graph(4)  # bit i is vertex i
+    return Tangle._of_map(g, 2, {x: comps[-1] if x == 0b0100 else comps[0]
+                                 for x, comps in separator_components(g, 2)})
 
 
 def relabel_rc(g, rc, clique, perm):

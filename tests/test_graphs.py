@@ -107,3 +107,33 @@ def test_subdivide_edge():
     g = subdivide_edge(complete_graph(4), (0, 1), times=2)
     assert len(g.vertices) == 6 and len(g.edges) == 8
     assert not g.has_edge(0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_translator_matches_the_label_round_trip(data):
+    """g.translator(h) against h.mask_of(g.labels_of(m) & h.vertex_set()) on
+    random masks, both ways, for h a relabelled graph with non-contiguous
+    labels: part of g's labels, and labels of its own in between."""
+    labels = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=14, unique=True))
+    g = Graph(labels)
+    shared = data.draw(st.lists(st.sampled_from(labels), unique=True))
+    own = data.draw(st.lists(st.integers(0, 60).filter(lambda v: v not in labels),
+                             max_size=5, unique=True))
+    h = Graph(shared + own)
+    for a, b in ((g, h), (h, g)):
+        move = a.translator(b)
+        for m in data.draw(st.lists(st.integers(0, a.full_mask()), min_size=1, max_size=10)):
+            assert move(m) == b.mask_of(a.labels_of(m) & b.vertex_set())
+
+
+def test_translator_across_reductions():
+    """Every mask of a relabelled K4 with a subdivided edge, moved to the
+    graphs its suppression and a component restriction make, and back."""
+    g = Graph([3, 10, 11, 25, 40], [(3, 10), (3, 11), (3, 25), (10, 11), (10, 40),
+                                    (40, 25), (11, 25)])
+    for h in (suppress_vertex(g, 40), g.induced({10, 11, 25})):
+        for a, b in ((g, h), (h, g)):
+            move = a.translator(b)
+            for m in range(a.full_mask() + 1):
+                assert move(m) == b.mask_of(a.labels_of(m) & b.vertex_set())

@@ -57,7 +57,7 @@ from tanglekit.tangles import (
     is_tangle,
 )
 
-from conftest import apply_line_edits, reference_is_tangle
+from conftest import apply_line_edits, inconsistent_path_map, reference_is_tangle
 
 
 def subdivided_k4(times=1):
@@ -190,7 +190,7 @@ def test_reduce_refuses_a_step_that_is_no_tangle(monkeypatch):
     def broken(g, t, v):
         g2 = delete_edge(g, (3, v))
         (right,) = enumerate_tangles(g2, 3)
-        return Tangle._of_map(g2, 3, {**right._map, 0: g2.mask_of({v})})
+        return Tangle._of_map(g2, 3, {**right._pick, 0: g2.mask_of({v})})
 
     monkeypatch.setattr("tanglekit.pipeline.survive_delete_pendant_edge", broken)
     with pytest.raises(PipelineError, match="'pendant deletion' produced a non-tangle"):
@@ -213,11 +213,9 @@ def test_reduce_refuses_a_step_that_loses_the_tangle(monkeypatch):
 
 
 def test_reduce_rejects_non_tangle():
-    g = complete_graph(4)
-    (tau,) = enumerate_tangles(g, 3)
-    bad = Tangle(g, 3, [s.inverse() for s in tau.members])
-    with pytest.raises(PipelineError):
-        reduce(g, bad)
+    bad = inconsistent_path_map()
+    with pytest.raises(PipelineError, match="input is not a tangle"):
+        reduce(bad.graph, bad)
 
 
 def test_reduce_connected_graphs_order_two(connected_graphs_6):
@@ -262,8 +260,8 @@ def suppressions(g, *vertices):
     root, steps = g, []
     for v in vertices:
         g = suppress_vertex(g, v)
-        steps.append(ReductionStep("suppress_vertex", (v,), "hand", Tangle(g, 3, [])))
-    return ReductionTrace(root, Tangle(root, 3, []), tuple(steps))
+        steps.append(ReductionStep("suppress_vertex", (v,), "hand", Tangle._of_map(g, 3, {})))
+    return ReductionTrace(root, Tangle._of_map(root, 3, {}), tuple(steps))
 
 
 def test_trace_provenance_of_suppressions():
@@ -429,15 +427,36 @@ def test_parsed_atlas_traces_hold_reduces_tangles(connected_graphs_6):
                 trace = reduce(g, tau)
                 text = format_trace(trace)
                 for again in (parse_trace(text), parse_trace(old_form(trace))):
-                    assert again.root_tangle._map is not None and again.root_tangle == tau
+                    assert again.root_tangle == tau
                     assert len(again.steps) == len(trace.steps)
                     for a, b in zip(again.steps, trace.steps):
-                        assert a.tangle._map is not None
                         assert (a.kind, a.detail, a.rule, a.graph) == (b.kind, b.detail, b.rule, b.graph)
                         assert a.tangle == b.tangle
                     assert format_trace(again) == text
                 checked += bool(trace.steps)
     assert checked > 100
+
+
+def test_parse_trace_walks_no_member_list(monkeypatch, connected_graphs_6):
+    """parse_trace reads each given tangle into its map and compares maps:
+    with the member walk refused, every k = 3 trace of the connected atlas
+    graphs with <= 6 vertices still parses to reduce's tangles, in the
+    trace's form and in the older form."""
+    import tanglekit.tangles
+
+    traces = [reduce(g, tau) for g in connected_graphs_6 for tau in enumerate_tangles(g, 3)]
+    texts = [(format_trace(trace), old_form(trace)) for trace in traces]
+
+    def refuse(*args):
+        raise AssertionError("members walked")
+
+    monkeypatch.setattr(tanglekit.tangles, "_member_masks", refuse)
+    for trace, forms in zip(traces, texts):
+        for text in forms:
+            again = parse_trace(text)
+            assert again.root_tangle == trace.root_tangle
+            assert [s.tangle for s in again.steps] == [s.tangle for s in trace.steps]
+    assert sum(bool(trace.steps) for trace in traces) > 50
 
 
 def member_lines(text, header):
@@ -645,7 +664,8 @@ def test_cli_verify_reports_both_orientations_as_no_tangle(k4_file, tmp_path, ca
     assert capsys.readouterr() == ("tangle: False\n", "")
     assert main(["induce", str(k4_file), "--k", "3", "--tangle", str(tp)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: both orientations of ([], [0, 1, 2, 3]) present\n"
+    assert err == ("error: member set is not a 3-tangle of the graph: "
+                   "no separator-to-component map has exactly these members\n")
 
 
 def test_cli_transfer_refuses_a_step_tangle_outside_its_graph(tmp_path, capsys):
@@ -938,7 +958,8 @@ def test_cli_refuses_bad_input_without_traceback(case, tmp_path, capsys):
         argv = ["transfer", "--trace", str(tr), "--weights", str(wt)]
     elif case.startswith("tangle file"):
         if case == "tangle file lacks members":
-            tp.write_text(format_tangle(Tangle(g, 3, tau.sorted_members()[3:])))
+            lines = format_tangle(tau).splitlines(True)
+            tp.write_text("".join(lines[:1] + lines[4:]))  # drop three members
         k = "3" if case == "tangle file lacks members" else "2"
         argv = ["induce", str(gp), "--k", k, "--tangle", str(tp)]
     elif case in UNKNOWN_RC_VERTEX:
@@ -1145,7 +1166,8 @@ def test_cli_verify_reports_a_non_tangle(tmp_path, capsys):
     (tau,) = enumerate_tangles(g, 3)
     gp, tp = tmp_path / "g.edges", tmp_path / "bad.tangle"
     gp.write_text(format_edgelist(g))
-    tp.write_text(format_tangle(Tangle(g, 3, tau.sorted_members()[3:])))
+    lines = format_tangle(tau).splitlines(True)
+    tp.write_text("".join(lines[:1] + lines[4:]))  # drop three members
     assert main(["verify", str(gp), "--tangle", str(tp)]) == 1
     assert capsys.readouterr().out == "tangle: False\n"
 

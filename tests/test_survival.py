@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synth_rc_instances
+from conftest import inconsistent_path_map, synth_rc_instances
 from tanglekit.graphs import (
     Graph,
     complete_graph,
@@ -17,7 +17,12 @@ from tanglekit.graphs import (
     subdivide_edge,
     suppress_vertex,
 )
-from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
+from tanglekit.separations import (
+    OrientedSeparation,
+    enumerate_separations,
+    sep,
+    separator_components,
+)
 from tanglekit.rainbow_cloud import clique_tangle
 from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, is_tangle
 from tanglekit.survival import (
@@ -232,18 +237,14 @@ def test_forced_orientation_matches_all_member_scan(instance, k, data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_forced_orientation_on_inconsistent_orientations(data):
-    # random orientations of the separations of small graphs are mostly not
-    # tangles: answers and "forces both" errors must still match the scan
+    # maps with a random component per separator are mostly not tangles:
+    # answers and "forces both" errors must still match the scan
     g = data.draw(st.sampled_from([
         complete_graph(4), cycle_graph(5), path_graph(4), k4_with_pendant(),
     ]))
     k = data.draw(st.integers(1, 3))
-    pairs = {}
-    for s in enumerate_separations(g, k):
-        pairs.setdefault(s.canonical_key(), s)
-    picks = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    members = [s if keep else s.inverse() for s, keep in zip(pairs.values(), picks)]
-    tau = Tangle(g, k, members)
+    tau = Tangle._of_map(g, k, {x: data.draw(st.sampled_from(comps))
+                                for x, comps in separator_components(g, k)})
     for s in enumerate_separations(delete_edge(g, min(g.edges)), k):
         assert forced_outcome(forced_orientation, tau, s) == forced_outcome(
             ref_forced_orientation, tau, s
@@ -251,12 +252,8 @@ def test_forced_orientation_on_inconsistent_orientations(data):
 
 
 def test_forced_orientation_raises_on_members_forcing_both_ways():
-    g = path_graph(4)  # 0-1-2-3
-    everything = frozenset(g.vertices)
-    low = OrientedSeparation(frozenset({0, 1}), frozenset({1, 2, 3}))
-    s = OrientedSeparation(frozenset({1}), everything)
-    # s <= low, and s's inverse is itself a member
-    tau = Tangle(g, 2, [low, s.inverse()])
+    tau = inconsistent_path_map()
+    s = OrientedSeparation(frozenset({1, 2, 3}), frozenset({0, 1, 2}))
     for fn in (forced_orientation, ref_forced_orientation):
         with pytest.raises(TangleError, match="forces both"):
             fn(tau, s)

@@ -21,7 +21,9 @@ from tanglekit.pipeline import reduce
 from tanglekit.separations import (
     OrientedSeparation,
     enumerate_separations,
+    format_separation,
     sep,
+    separator_components,
 )
 from tanglekit.survival import tangle_of_block
 from tanglekit.tangles import (
@@ -42,7 +44,13 @@ from tanglekit.tangles import (
     side_covers,
 )
 
-from conftest import atlas_graphs, enumerate_separations_naive, nx_to_graph, reference_is_tangle
+from conftest import (
+    atlas_graphs,
+    enumerate_separations_naive,
+    inconsistent_path_map,
+    nx_to_graph,
+    reference_is_tangle,
+)
 
 
 def _nx(g: Graph):
@@ -118,11 +126,7 @@ def test_axioms_hold_and_flip_breaks_consistency():
     k4 = complete_graph(4)
     (t,) = enumerate_tangles(k4, 3)
     assert all(check_axioms(t).values())
-    flip = sep(frozenset({0, 1}), k4.vertex_set())
-    chosen = t.orients(flip)
-    members = (t.members - {chosen}) | {chosen.inverse()}
-    bad = Tangle(k4, 3, members)
-    assert not check_axioms(bad)["consistency"]
+    assert not check_axioms(inconsistent_path_map())["consistency"]
 
 
 def test_maximal_mode_agrees_with_full():
@@ -336,7 +340,7 @@ def test_repr_reports_what_the_tangle_holds():
     g = complete_graph(4)
     (tau,) = enumerate_tangles(g, 3)
     assert repr(tau) == "Tangle(k=3, |V|=4, separators=11)"
-    assert repr(Tangle(g, 3, tau.members)) == "Tangle(k=3, |members|=11)"
+    assert repr(Tangle(g, 3, tau.members)) == "Tangle(k=3, |V|=4, separators=11)"
 
 
 def test_negative_order_is_refused():
@@ -470,7 +474,8 @@ def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
             assert tau.members == want
             listed = tau.sorted_members()
             assert listed == sorted(want, key=OrientedSeparation.sort_key)
-            assert format_tangle(tau) == format_tangle(Tangle(g, k, tau.members))
+            assert format_tangle(tau) == f"order {k}\n" + "".join(
+                format_separation(s) + "\n" for s in sorted(want, key=OrientedSeparation.sort_key))
             assert is_tangle(g, k, tau) == is_tangle(g, k, tau.members)
             assert not any(is_tangle(h, j, tau) for h, j in ((shifted, k), (g, k - 1), (g, k + 1)))
     assert len(cases) == 492
@@ -536,6 +541,39 @@ def test_membership_matches_the_member_set():
                 for tau in (t, Tangle(g, k, t.members)):
                     assert [p in tau for p in probes] == want
     assert min(checked.values()) > 1000, checked
+
+
+def test_constructor_reads_exactly_one_maps_members(connected_graphs_6):
+    """Tangle(g, k, members) on every tangle of the connected atlas graphs
+    with <= 6 vertices at k = 1 to 4: a tangle's members give it back, with
+    its hash.  Dropping a member, adding a member's inverse or one naming a
+    label outside g is refused, and so is putting the last in a member's
+    place (up to three members per tangle).  == is member-set equality on
+    every pair of these tangles of one graph and of two maps per order that
+    point every separator at its first or at its last component."""
+    rng = random.Random(23)
+    counts = {"tangles": 0, "pairs": 0}
+    for g in connected_graphs_6:
+        pool = []
+        for k in range(1, 5):
+            found = enumerate_tangles(g, k)
+            pool += found + [Tangle._of_map(g, k, {x: comps[end] for x, comps in
+                                                    separator_components(g, k)})
+                             for end in (0, -1) if len(g.vertices) >= k]
+            for t in found:
+                same = Tangle(g, k, t.members)
+                assert same == t and hash(same) == hash(t)
+                for s in rng.sample(t.sorted_members(), min(3, len(t.members))):
+                    outside = sep(s.small | {99}, s.big)
+                    for bad in (t.members - {s}, t.members | {s.inverse()},
+                                t.members | {outside}, (t.members - {s}) | {outside}):
+                        with pytest.raises(TangleError, match="no separator-to-component map"):
+                            Tangle(g, k, bad)
+                counts["tangles"] += 1
+        for a, b in itertools.product(pool, repeat=2):
+            assert (a == b) == (a.members == b.members)
+            counts["pairs"] += 1
+    assert counts["tangles"] == 492 and counts["pairs"] > 10000, counts
 
 
 def test_extends_matches_member_subsets():
