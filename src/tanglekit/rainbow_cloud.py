@@ -24,8 +24,8 @@ from .decomposition import (
 )
 from .graphs import Graph, GraphError, delete_edge
 from .separations import OrientedSeparation, sep
-from .survival import _forced
-from .tangles import Tangle, TangleError, _member_masks, extends, rows_cover
+from .survival import _oriented
+from .tangles import Tangle, TangleError, _member_levels, extends, rows_cover
 
 
 class RainbowError(ValueError):
@@ -37,7 +37,19 @@ class RainbowError(ValueError):
 
 @dataclass(frozen=True)
 class RCDecomposition:
-    """A rainbow (bags over its vertices), a sun, and a cloud vertex set."""
+    """A rainbow (bags over its vertices), a sun, and a cloud vertex set.
+
+    The classifiers keep three memos on the decomposition, each filled on
+    first use and bounded by the input (M = length):
+
+    - end windows (_windows): one pair per tangle order k classified at,
+      of at most min(2k, M) + 1 bags each;
+    - crossing infos (_crossing_infos): one shared CrossingInfo per
+      (direction, i_min, j_max), at most 2 (M + 1)^2 of them;
+    - split families (_families): one per clockwise crossing's window and
+      sides outside it (see split_family), at most one per distinct
+      separation classified.
+    """
 
     graph: Graph
     bags: tuple  # tuple of frozensets, W_0..W_M
@@ -119,6 +131,28 @@ class RCDecomposition:
         """split_family's memo: {(i, j, small & outer, big & outer): splits}."""
         return {}
 
+    @functools.cached_property
+    def _window_memo(self) -> dict:
+        """_windows' memo: {k: (early window, late window)}."""
+        return {}
+
+    @functools.cached_property
+    def _crossing_infos(self) -> dict:
+        """_crossing's memo: {(direction, i_min, j_max): CrossingInfo}."""
+        return {}
+
+    def _windows(self, k):
+        """The end windows at tangle order k, as (index, bag mask) tuples:
+        bags 0..min(2k, M) for the early end, and M down to max(M - 2k, 0)
+        for the late end."""
+        got = self._window_memo.get(k)
+        if got is None:
+            M, bags = self.length, self._bag_masks
+            early = tuple((i, bags[i]) for i in range(min(2 * k, M) + 1))
+            late = tuple((j, bags[j]) for j in range(M, max(M - 2 * k, 0) - 1, -1))
+            got = self._window_memo[k] = early, late
+        return got
+
 
 def validate_rc(g: Graph, rc: RCDecomposition) -> dict:
     """Per-clause report; every flag is true on a genuine decomposition."""
@@ -195,28 +229,35 @@ class CrossingInfo:
         return self.direction != "none"
 
 
-def _end_bags(rc: RCDecomposition, k: int, early_misses: int, late_misses: int):
-    """The first bag among 0..min(2k, M) disjoint from early_misses and the
-    last bag among max(M - 2k, 0)..M disjoint from late_misses, both masks,
-    or None unless both exist.  For a side mask b of a separation of
-    rc.graph, a bag disjoint from b lies strictly inside the other side."""
-    M, bags = rc.length, rc._bag_masks
-    for i in range(min(2 * k, M) + 1):
-        if not bags[i] & early_misses:
+def _end_bags(windows, early_misses: int, late_misses: int):
+    """The first bag of the early window disjoint from early_misses and the
+    first of the late window disjoint from late_misses, as (i, j), or None
+    unless both exist; windows is rc._windows(k).  For a side mask b of a
+    separation of rc.graph, a bag disjoint from b lies strictly inside the
+    other side."""
+    early, late = windows
+    for i, m in early:
+        if not m & early_misses:
             break
     else:
         return None
-    for j in range(M, max(M - 2 * k, 0) - 1, -1):
-        if not bags[j] & late_misses:
+    for j, m in late:
+        if not m & late_misses:
             return i, j
     return None
 
 
 def _masks_of(rc: RCDecomposition, s: OrientedSeparation):
-    """s's (small, big) vertex-index masks, read from rc.graph's side table.
-    A side naming a vertex outside rc.graph raises RainbowError."""
+    """s's (small, big) vertex-index masks, read from rc.graph's side table
+    (Graph._masks_by_side), by label for a side it does not hold.  A side
+    naming a vertex outside rc.graph raises RainbowError."""
     g = rc.graph
-    a, b = g.side_mask(s.small), g.side_mask(s.big)
+    table = g._masks_by_side
+    a, b = table.get(s.small), table.get(s.big)
+    if a is None:
+        a = g.side_mask(s.small)
+    if b is None:
+        b = g.side_mask(s.big)
     if a < 0 or b < 0:  # a label outside the graph (see Graph.side_mask)
         unknown = sorted((s.small | s.big) - g.vertex_set())
         raise RainbowError(f"separation names vertices outside the graph: {unknown}")
@@ -227,27 +268,33 @@ _NO_CROSSING = CrossingInfo("none")
 
 
 def _crossing(rc: RCDecomposition, a: int, b: int, k: int) -> CrossingInfo:
-    """classify_crossing for side masks (a, b)."""
-    ends = _end_bags(rc, k, b, a)
+    """classify_crossing for side masks (a, b): the decomposition's shared
+    CrossingInfo for the answer."""
+    windows = rc._windows(k)
+    ends = _end_bags(windows, b, a)
     direction = "clockwise"
     if ends is None:
-        ends = _end_bags(rc, k, a, b)
+        ends = _end_bags(windows, a, b)
         if ends is None:
             return _NO_CROSSING
         direction = "counterclockwise"
     if rc._sun_mask & ~(a & b):
         raise RainbowError("crossing separator misses the sun")
-    return CrossingInfo(direction, *ends)
+    key = (direction, *ends)
+    info = rc._crossing_infos.get(key)
+    if info is None:
+        info = rc._crossing_infos[key] = CrossingInfo(*key)
+    return info
 
 
 def _slices(rc: RCDecomposition, a: int, b: int, k: int) -> bool:
     """slices_rainbow for side masks (a, b)."""
-    bags = rc._bag_masks
+    windows, bags = rc._windows(k), rc._bag_masks
     for inner, other in ((a, b), (b, a)):
-        ends = _end_bags(rc, k, other, other)
+        ends = _end_bags(windows, other, other)
         if ends is not None:
-            for h in range(ends[0] + 1, ends[1]):
-                if not bags[h] & inner:
+            for m in bags[ends[0] + 1 : ends[1]]:
+                if not m & inner:
                     return True
     return False
 
@@ -375,10 +422,14 @@ class LivingVerdict:
     turning_point: int | None = None
 
 
-def _flip_point(rc: RCDecomposition, tau: Tangle, a: int, b: int, info):
-    """Last forward-oriented split index h with h+1 oriented backward, for a
-    clockwise crossing with side masks (a, b) whose CrossingInfo is info.
-    The splits stay masks over rc.graph's vertex index, which is tau.graph's."""
+def _flip_point(rc: RCDecomposition, tau: Tangle, a: int, b: int):
+    """For side masks (a, b) of a clockwise crossing, the last
+    forward-oriented split index h with h+1 oriented backward; None for
+    any other (a, b), or when no split turns.  The splits stay masks over
+    rc.graph's vertex index, which is tau.graph's."""
+    info = _crossing(rc, a, b, tau.k)
+    if info.direction != "clockwise":
+        return None
     i = info.i_min
     splits = _splits(rc, a, b, i, info.j_max)
     for h, (a, b), (c, d) in zip(range(i + 1, info.j_max), splits, splits[1:]):
@@ -391,24 +442,25 @@ def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     """Where tau leans into the rainbow (see LivingVerdict), on vertex masks.
 
     The region scan reads tau's maximal (small, big) masks.  The flip scan
-    classifies tau's members with _crossing, read off its map in sort-key
-    order (see _member_masks): each separation of order < k once, in the
-    orientation tau gives it.  Only the returned witness is built as an
-    OrientedSeparation.
+    classifies tau's members with _crossing, read off its map one order at
+    a time (see _member_levels): each separation of order < k once, in the
+    orientation tau gives it.  Sort-key order is needed only to pick the
+    witness, so the first order holding a flipping member is the witness's,
+    and only its flipping members are sorted.  Only the returned witness is
+    built as an OrientedSeparation.
     """
-    g, k = tau.graph, tau.k
+    g = tau.graph
     if g.vertices != rc.graph.vertices:
         raise RainbowError("the tangle's graph and the decomposition's have different vertices")
     free, side = g.mask_of(rc.rainbow_vertices() - rc.cloud), g.side_of
     for a, b in tau.maximal_masks():  # big strict sides shrink going up <=
         if not b & ~a & ~free:
             return LivingVerdict("region", witness=OrientedSeparation(side(a), side(b)))
-    for a, b in _member_masks(tau, functools.cache(g.sorted_labels)):
-        info = _crossing(rc, a, b, k)
-        if info.direction != "clockwise":
-            continue
-        h = _flip_point(rc, tau, a, b, info)
-        if h is not None:
+    for pairs in _member_levels(tau):
+        flips = [(a, b, h) for a, b in pairs if (h := _flip_point(rc, tau, a, b)) is not None]
+        if flips:
+            seq = g.sorted_labels
+            a, b, h = min(flips, key=lambda f: (seq(f[0]), seq(f[1])))
             witness = OrientedSeparation(side(a), side(b))
             return LivingVerdict("flip", witness=witness, turning_point=h)
     return LivingVerdict("no")
@@ -534,13 +586,16 @@ def choose_edge(rc: RCDecomposition, tau: Tangle):
 def extend_after_deletion(
     g: Graph, tau: Tangle, rc: RCDecomposition, e, relaxed: bool = False, verify: bool = True
 ) -> Tangle:
-    """The surviving orientation of the graph minus e.
+    """The surviving orientation of the graph minus e, for a tangle tau of g.
 
-    Separations the tangle forces keep their forced orientation.  Any other
-    separation owes its existence to the deleted edge, so its separator
-    leaves e's endpoints in two components of the remaining graph; the side
-    whose component reaches the cloud is the big side.  Exactly one side may
-    do so — anything else is reported as a violation.
+    Separations the tangle forces keep their forced orientation: a row that
+    is a separation of g too is read off tau's map, and only a row whose
+    strict sides e joins is compared with tau's maximal members (see
+    survival._forced).  Any other separation owes its existence to the
+    deleted edge, so its separator leaves e's endpoints in two components
+    of the remaining graph; the side whose component reaches the cloud is
+    the big side.  Exactly one side may do so — anything else is reported
+    as a violation.
     """
     k = tau.k
     if not relaxed:
@@ -557,7 +612,7 @@ def extend_after_deletion(
     cloud = g2.mask_of(rc.cloud & g2.vertex_set())
 
     def rule(small, big):  # g2 keeps g's bit order
-        fwd = _forced(tau, small, big)
+        fwd = _oriented(tau, small, big)
         if fwd is not None:
             return fwd
         comps = g2.components(full & ~(small & big))

@@ -205,13 +205,38 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
 
 def _forced(tau: Tangle, a, b):
     """forced_orientation for side masks (a, b): True if (a, b) lies below a
-    maximal member, False if (b, a) does, None if neither."""
+    maximal member, False if (b, a) does, None if neither.
+
+    If tau is a tangle and (a, b) a separation of its graph of order < k,
+    this is membership: True iff tau._holds(a, b), False iff
+    tau._holds(b, a).  Tau orients the separation, so one of the two is a
+    member; a member lies below a maximal member.  Conversely tangles are
+    down-closed: if (a, b) lies below a member (c, d) and (b, a) were a
+    member, the small sides b and c would cover the graph: a | b is every
+    vertex, and every edge lies inside b or inside a, which lies inside c.
+    With repetition that is a covering triple, which a tangle has not.  So
+    with (a, b) below a member, (b, a) is not one and (a, b) is.  _oriented
+    answers from the map that way and scans only the pairs that are no
+    separation of the graph.
+    """
     tops = tau._top_masks
     fwd = any(not a & ~c and not d & ~b for c, d in tops)
     bwd = any(not b & ~c and not d & ~a for c, d in tops)
     if fwd and bwd:
         raise TangleError("tangle forces both orientations; it is inconsistent")
     return fwd if fwd or bwd else None
+
+
+def _oriented(tau: Tangle, a, b):
+    """_forced for a tangle tau (see there): True if tau holds (a, b),
+    False if it holds (b, a), and _forced's scan over the maximal members
+    only for a pair tau holds in neither orientation, which is no
+    separation of tau's graph of order < k."""
+    if tau._holds(a, b):
+        return True
+    if tau._holds(b, a):
+        return False
+    return _forced(tau, a, b)
 
 
 def divergent_witness(tau: Tangle, tau_tilde: Tangle) -> OrientedSeparation:
@@ -248,7 +273,7 @@ def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle)
     g2, ends = delete_edge(g, e), g.mask_of(e)  # g2 keeps g's bit order
 
     def rule(a, b):
-        fwd = _forced(tau, a, b)
+        fwd = _oriented(tau, a, b)
         return _across_edge(tau_tilde, a, b, ends) if fwd is None else fwd
 
     return e, Tangle._of_rule(g2, tau.k, rule)

@@ -164,7 +164,7 @@ class Tangle:
     @classmethod
     def _of_map(cls, graph: Graph, k: int, pick):
         """The k-tangle that points each separator at the component pick
-        gives; pick lists the separators by size (see _member_masks)."""
+        gives; pick lists the separators by size (see _member_levels)."""
         t = cls.__new__(cls)
         t.graph, t.k, t._pick = graph, k, pick
         return t
@@ -299,15 +299,26 @@ def _member_masks(t: Tangle, seq):
     off its map, in sort-key order; seq is the caller's cache of
     t.graph.sorted_labels.
 
+    The members come from _member_levels one order at a time, and each
+    order is sorted on its sides' label tuples (seq), which are bit walks:
+    bits follow label order.
+    """
+    for pairs in _member_levels(t):
+        pairs.sort(key=lambda p: (seq(p[0]), seq(p[1])))
+        yield from pairs
+
+
+def _member_levels(t: Tangle):
+    """Yield, per separator order ascending, a fresh list of the (small,
+    big) masks of t's members with separators of that order, in map order.
+
     At separator X the members are the (X | U, V - U), U a union of the
     components of g - X - C(X): C(X) must lie in B - A = V - X - U.  So
     each separation comes once, in its member orientation.  The map lists
     separators by size, as separator_components yields them (every map is
-    built in that order), so one order's members are sorted at a time, on
-    their sides' label tuples (seq), which are bit walks: bits follow label
-    order.  The c(X) components of g - X make 2^c(X) separations, both
-    orientations counted; past MAX_SEPARATIONS in all, this is refused as
-    enumerate_separations is, before any member is built.
+    built in that order).  The c(X) components of g - X make 2^c(X)
+    separations, both orientations counted; past MAX_SEPARATIONS in all,
+    this is refused as enumerate_separations is, before any member is built.
     """
     g, full = t.graph, t.graph.full_mask()
     splits = [(x, g.components(full & ~x & ~c)) for x, c in t._pick.items()]
@@ -319,8 +330,7 @@ def _member_masks(t: Tangle, seq):
             for c in rest:
                 unions += [u | c for u in unions]
             pairs += [(x | u, full & ~u) for u in unions]
-        pairs.sort(key=lambda p: (seq(p[0]), seq(p[1])))
-        yield from pairs
+        yield pairs
 
 
 def is_tangle(g: Graph, k: int, members) -> bool:
@@ -329,18 +339,31 @@ def is_tangle(g: Graph, k: int, members) -> bool:
 
     Members are read into a Tangle of g (a TangleError means they are no
     map's member set, and so no k-tangle); a Tangle of g at order k is
-    taken as it is.  Its map orients every separation of order < k
-    exactly once, so tanglehood is that no three rows cover g (rows_cover).
+    checked to be a map of g: one pass over the separators tests that it
+    names exactly the separators of order < k, each with a component of
+    g - X.  Such a map orients every separation of order < k exactly
+    once, so tanglehood is that no three rows cover g (rows_cover).
     """
     _check_order(k)
     if isinstance(members, Tangle):
         if members.k == k and members.graph == g:
-            return not rows_cover(members)
+            return _is_map(members) and not rows_cover(members)
         members = members.members
     try:
         return not rows_cover(Tangle(g, k, members))
     except TangleError:
         return False
+
+
+def _is_map(t: Tangle) -> bool:
+    """Does t's map name exactly the separators of order < k of its graph,
+    each with a component of the graph minus it?"""
+    pick, named = t._pick, 0
+    for x, comps in separator_components(t.graph, t.k):
+        if pick.get(x) not in comps:
+            return False
+        named += 1
+    return named == len(pick)
 
 
 def _covered(t: Tangle, target) -> bool:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from conftest import apply_line_edits, relabel_rc, synth_rc_instances
 from tanglekit.cli import main
 from tanglekit.graphs import Graph, delete_edge, format_edgelist
-from tanglekit.separations import OrientedSeparation, enumerate_separations, sep
+from tanglekit.separations import (
+    OrientedSeparation,
+    enumerate_separations,
+    sep,
+    separator_components,
+)
 from tanglekit.tangles import Tangle, TangleError, extends, is_tangle
 from tanglekit.survival import brute_force_extensions
 from tanglekit.rainbow_cloud import (
@@ -342,6 +347,61 @@ def test_crossings_splits_and_slices_match_reference(instance, k):
         assert_matches_reference(rc, s, k)
 
 
+def test_classifiers_match_reference_across_orders():
+    """One decomposition classified at k = 2, then 3, then 2 again: the end
+    windows and crossing infos it keeps per order answer for that order."""
+    g, rc, _ = synth_rc(12, 1, 1)
+    seps = enumerate_separations(g, 4)
+    answers = {}
+    for k in (2, 3, 2):
+        got = [(classify_cross_or_slice(rc, s, k), classify_crossing(rc, s, k)) for s in seps]
+        assert answers.setdefault(k, got) == got
+        for s in seps:
+            assert_matches_reference(rc, s, k)
+    assert answers[2] != answers[3]
+    assert set(rc._window_memo) == {2, 3}
+    infos = [info for info in rc._crossing_infos.values()]
+    assert len(infos) == len(set(infos))
+    s = rainbow_separation(rc, 0, 5)
+    assert classify_crossing(rc, s, 3) is classify_crossing(rc, sep(set(s.small), set(s.big)), 3)
+
+
+def test_classifier_error_paths_survive_the_memos():
+    """A crossing that misses the sun, a side with an unknown label and a
+    split of a separation that does not cross clockwise raise as before,
+    also once the decomposition's memos are filled."""
+    g, rc, clique = synth_rc(16, 1, 0)
+    stray = RCDecomposition(g, rc.bags, {min(clique)}, rc.cloud)
+    seps = enumerate_separations(g, 3)
+    misses = [s for s in seps if ref_clockwise_indices(stray, s, 3) is not None
+              and min(clique) not in s.separator]
+    assert misses
+    g1, rc1, _ = synth_rc(16, 1, 1)
+    s1 = rainbow_separation(rc1, 0, 7)
+    unknown = [sep(s1.small, s1.big | {1000}), sep(s1.small | {1000}, s1.big)]
+    seps1 = enumerate_separations(g1, 4)
+    kinds = Counter(ref_classify_crossing(rc1, s, 3).direction for s in seps1)
+    assert min(kinds.values()) > 0 and len(kinds) == 3
+    for _ in range(2):  # the second round runs on filled memos
+        for s in misses:
+            for classify in (classify_crossing, classify_cross_or_slice, split_family):
+                with pytest.raises(RainbowError, match="misses the sun"):
+                    classify(stray, s, 3)
+        for s in unknown:
+            for classify in (classify_crossing, slices_rainbow, classify_cross_or_slice,
+                             split_family):
+                with pytest.raises(RainbowError, match=r"outside the graph: \[1000\]"):
+                    classify(rc1, s, 3)
+        for s in seps1:
+            if ref_classify_crossing(rc1, s, 3).direction != "clockwise":
+                with pytest.raises(RainbowError, match="does not cross clockwise"):
+                    split_family(rc1, s, 3)
+                with pytest.raises(RainbowError, match="does not cross clockwise"):
+                    split_crossing(rc1, s, 1, 3)
+            else:
+                assert split_family(rc1, s, 3) == ref_split_family(rc1, s, 3)
+
+
 def test_split_family_of_a_touching_crossing_is_empty():
     # on a length-1 rainbow a crossing can have i_min >= j_max
     g, rc, _ = synth_rc(1, 0, 1)
@@ -589,6 +649,18 @@ def test_flip_instance_pins_verdict_shortening_and_edge():
     assert extends(tau, out)
 
 
+def test_flip_witness_is_the_first_flipping_member_in_sort_key_order():
+    """lives_in_rainbow walks the members in map order but keeps the
+    flipping member a sorted scan meets first, with its turning point."""
+    for h in (6, 12):
+        rc, q = flip_instance(h)
+        tau = clique_tangle(rc.graph, q, 3)
+        for r in (rc, slice_rc(rc, 1, rc.length - 1)):
+            want = ref_lives_in_rainbow(r, tau)
+            assert want.kind == "flip"
+            assert lives_in_rainbow(r, tau) == want
+
+
 @pytest.mark.parametrize("shape, k", [((18, 1, 1), 3), ((14, 0, 1), 2)])
 def test_lives_in_rainbow_lists_no_separations(monkeypatch, shape, k):
     """The clique k-tangle's verdict with separation listing refused: its
@@ -675,6 +747,45 @@ def test_extend_after_deletion_relaxed_k2():
     out = extend_after_deletion(g, tau, merged, e, relaxed=True)
     assert is_tangle(delete_edge(g, e), 2, out.members)
     assert extends(tau, out)
+
+
+@pytest.mark.parametrize("kind, shape, k, scans", [
+    ("synth", (18, 1, 1, 3), 3, True), ("synth", (18, 1, 2, 3), 3, False),
+    ("flip", 12, 3, True), ("synth", (18, 1, 1, 1), 1, False),
+])
+def test_extension_reads_forced_orientations_off_the_map(monkeypatch, kind, shape, k, scans):
+    """On every row extend_after_deletion's rule is offered, the map's answer
+    (survival._oriented) is the full scan over the maximal members
+    (survival._forced), and the extension is the one the scan gives.  Where
+    scans is set, some rows have strict sides that the deleted edge joins;
+    only those reach the scan.  (With two sun vertices or at k = 1 no
+    separator of order < k parts the edge's ends.)"""
+    import tanglekit.rainbow_cloud
+    import tanglekit.survival
+
+    if kind == "flip":
+        rc, clique = flip_instance(shape)
+        g = rc.graph
+    else:
+        g, rc, clique = synth_rc(*shape)
+    tau = clique_tangle(g, clique, k)
+    e, merged = choose_edge(rc, tau)
+    want = extend_after_deletion(g, tau, merged, e, relaxed=True)
+    seen = Counter()
+
+    def both(t, a, b):
+        got = tanglekit.survival._oriented(t, a, b)
+        assert got == tanglekit.survival._forced(t, a, b)
+        seen["map" if t._holds(a, b) or t._holds(b, a) else "scan"] += 1
+        return got
+
+    monkeypatch.setattr(tanglekit.rainbow_cloud, "_oriented", both)
+    assert extend_after_deletion(g, tau, merged, e, relaxed=True) == want
+    g2 = delete_edge(g, e)
+    assert sum(seen.values()) == sum(len(c) for _, c in separator_components(g2, k))
+    assert seen["map"] > 0 and (seen["scan"] > 0) == scans
+    monkeypatch.setattr(tanglekit.rainbow_cloud, "_oriented", tanglekit.survival._forced)
+    assert extend_after_deletion(g, tau, merged, e, relaxed=True) == want
 
 
 def test_extend_after_deletion_enforces_preconditions():

@@ -40,6 +40,7 @@ from tanglekit.tangles import (
     lift_suppression,
     parse_tangle,
     format_tangle,
+    rows_cover,
     search_extension,
     side_covers,
 )
@@ -93,6 +94,30 @@ def test_is_tangle_examples():
     k2 = complete_graph(2)
     ms = [s if len(s.big) == 2 else s.inverse() for s in enumerate_separations(k2, 2)]
     assert is_tangle(k2, 2, ms)
+
+
+def test_is_tangle_refuses_a_map_that_is_not_one_of_the_graph():
+    """A Tangle given as a map must name exactly the separators of order < k,
+    each with a component of G - X; no covering triple is not enough."""
+    p4 = path_graph(4)
+    empty = Tangle._of_map(p4, 3, {})
+    assert not rows_cover(empty)
+    assert not is_tangle(p4, 3, empty)
+    g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                         (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    (t,) = [t for t in enumerate_tangles(g, 3) if 0 in t.core()]
+    assert is_tangle(g, 3, t)
+    pick, cut = t._pick, g.mask_of({3})
+    left, right = g.components(g.full_mask() & ~cut)
+    bad = [
+        {x: c for x, c in pick.items() if x != cut},  # a separator missing
+        {**pick, g.mask_of({0, 1, 2}): g.mask_of({3, 4, 5, 6})},  # one of order k
+        {**pick, cut: left | right},  # not a component of G - {3}
+        {**pick, cut: pick[cut] & ~g.mask_of({0})},  # part of one
+    ]
+    for b in bad:
+        assert not is_tangle(g, 3, Tangle._of_map(g, 3, b)), b
+    assert not rows_cover(Tangle._of_map(g, 3, bad[0]))
 
 
 def test_enumerate_small_counts():
