@@ -35,7 +35,6 @@ from .rainbow_cloud import (
     clique_tangle,
     extend_after_deletion,
     format_rc,
-    is_rc_decomposition,
     parse_rc,
     synth_rc,
     validate_rc,

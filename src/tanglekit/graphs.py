@@ -28,11 +28,13 @@ class Graph:
     One vertex index: bit i is the i-th label in sorted order.  A cover
     mask holds vertex bits 0..n-1 and, in bit n+j, the j-th edge of
     sorted_edges(); by vertex index the graph keeps the neighbours' mask
-    and the cover bits of the vertex's edges."""
+    and the cover bits of the vertex's edges.  Its side table maps each
+    side mask of an enumerated separation to one shared frozenset, and
+    back; only Graph reads or writes it."""
 
     __slots__ = (
         "vertices", "edges", "_bit", "_nbrs", "_inc", "_cover", "_hash",
-        "_seps", "_sides", "_masks_by_side",
+        "_sides", "_masks_by_side",
     )
 
     def __init__(self, vertices=(), edges=()):
@@ -58,8 +60,7 @@ class Graph:
             e <<= 1
         self._cover = e - 1  # the whole graph's cover mask
         self._hash = hash((self.vertices, self.edges))
-        self._seps = {}  # k -> separations of order < k, filled by separations.py
-        self._sides = {}  # side mask -> its frozenset, for every side _seps holds
+        self._sides = {}  # side mask -> its frozenset, for every enumerated side
         self._masks_by_side = {}  # the inverse: side frozenset -> its mask
 
     # -- basic queries -------------------------------------------------
@@ -193,6 +194,20 @@ class Graph:
         holds mask.  The table does not grow."""
         vs = self._sides.get(mask)
         return self.labels_of(mask) if vs is None else vs
+
+    def _intern(self, labels):
+        """Replace, in place, each value of labels ({side mask: its sorted
+        label tuple}) by the side table's frozenset for the mask, adding
+        the sides the table lacks.  Separation enumeration is the only
+        caller, so every later enumeration, at any k, shares these sides,
+        and the table holds no side that no enumeration listed."""
+        sides, inverse = self._sides, self._masks_by_side
+        for m, t in labels.items():
+            side = sides.get(m)
+            if side is None:
+                sides[m] = side = frozenset(t)
+                inverse[side] = m
+            labels[m] = side
 
     def translator(self, other):
         """The function m -> other.mask_of(self.labels_of(m) & other's

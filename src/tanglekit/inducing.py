@@ -68,7 +68,7 @@ def induces_weight(tau: Tangle, w) -> bool:
     g, w = tau.graph, WeightFunction(w)
     held = [(g.mask_of((v,)), x) for v, x in w.weights.items() if v in g]
     return all(sum(x for b, x in held if b & neg) < sum(x for b, x in held if b & pos)
-               for neg, pos in _maximal_sides(tau))
+               for neg, pos in _strict_parts(tau))
 
 
 def induces_set(tau: Tangle, x) -> bool:
@@ -76,7 +76,7 @@ def induces_set(tau: Tangle, x) -> bool:
     return induces_weight(tau, WeightFunction.indicator(x))
 
 
-def _maximal_sides(tau: Tangle):
+def _strict_parts(tau: Tangle):
     """(small - big, big - small) as vertex-index masks, per <=-maximal member."""
     return [(a & ~b, b & ~a) for a, b in tau.maximal_masks()]
 
@@ -84,9 +84,10 @@ def _maximal_sides(tau: Tangle):
 def find_inducing_set(tau: Tangle, max_size=None):
     """Smallest inducing vertex set, lexicographic tiebreak, else None.
 
-    Sizes run from 1 to max_size (default: all vertices).  Within a size,
-    index combinations come in lexicographic order, which is label order,
-    so the first inducing one is the answer.
+    Sizes run from 0 to max_size (default: all vertices): the empty set
+    induces exactly the tangles with no members, the 0-tangles.  Within a
+    size, index combinations come in lexicographic order, which is label
+    order, so the first inducing one is the answer.
 
     Only the <=-maximal members are checked.  If s <= t then
     small(s) - big(s) is inside small(t) - big(t) and big(s) - small(s)
@@ -99,9 +100,9 @@ def find_inducing_set(tau: Tangle, max_size=None):
         max_size = n
     elif max_size < 0:
         raise InducingError(f"negative set size bound {max_size}")
-    cons = _maximal_sides(tau)
+    cons = _strict_parts(tau)
     bits = [1 << i for i in range(n)]
-    for size in range(1, max_size + 1):
+    for size in range(max_size + 1):
         for combo in combinations(bits, size):
             x = sum(combo)  # distinct bits: the sum is the union
             if all((x & neg).bit_count() < (x & pos).bit_count() for neg, pos in cons):
@@ -132,7 +133,7 @@ def find_inducing_weights(tau: Tangle, budget):
         raise InducingError(f"negative weight budget {budget}")
     g = tau.graph
     n = len(g.vertices)
-    cons = _maximal_sides(tau)
+    cons = _strict_parts(tau)
     # moves[i]: (member, +1 or -1) for each balance that vertex i enters
     moves = [
         [(j, 1 if pos >> i & 1 else -1) for j, (neg, pos) in enumerate(cons)

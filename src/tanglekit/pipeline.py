@@ -123,13 +123,15 @@ def reduce(g: Graph, t: Tangle) -> ReductionTrace:
     """Reduce until no step succeeds; every step is re-verified.
 
     Each step deletes an edge, suppresses a vertex or drops a component, so
-    |V| + |E| falls with every step and stays >= 1: it bounds the steps.
-    The root is checked on its map (see is_tangle)."""
+    |V| + |E| falls with every step and stays >= 0: the root's |V| + |E|
+    bounds the steps, and one more pass finds that no step is left (on
+    the empty graph, that pass is the only one).  The root is checked on
+    its map (see is_tangle)."""
     if not is_tangle(g, t.k, t):
         raise PipelineError("input is not a tangle")
     steps = []
     cur_g, cur_t = g, t
-    for _ in range(len(g.vertices) + len(g.edges)):
+    for _ in range(len(g.vertices) + len(g.edges) + 1):
         step = _next_step(cur_g, cur_t)
         if step is None:
             break

@@ -248,16 +248,10 @@ def _end_bags(windows, early_misses: int, late_misses: int):
 
 
 def _masks_of(rc: RCDecomposition, s: OrientedSeparation):
-    """s's (small, big) vertex-index masks, read from rc.graph's side table
-    (Graph._masks_by_side), by label for a side it does not hold.  A side
+    """s's (small, big) vertex-index masks (Graph.side_mask).  A side
     naming a vertex outside rc.graph raises RainbowError."""
     g = rc.graph
-    table = g._masks_by_side
-    a, b = table.get(s.small), table.get(s.big)
-    if a is None:
-        a = g.side_mask(s.small)
-    if b is None:
-        b = g.side_mask(s.big)
+    a, b = g.side_mask(s.small), g.side_mask(s.big)
     if a < 0 or b < 0:  # a label outside the graph (see Graph.side_mask)
         unknown = sorted((s.small | s.big) - g.vertex_set())
         raise RainbowError(f"separation names vertices outside the graph: {unknown}")
@@ -723,23 +717,19 @@ def synth_rc(M: int, ell: int, z: int, k: int = 3):
 
 
 def format_rc(rc: RCDecomposition) -> str:
+    """The bags, the sun and the cloud, one section each: what parse_rc reads."""
     lines = ["RAINBOW-BAGS"]
     lines += [" ".join(map(str, sorted(b))) for b in rc.bags]
     lines.append("SUN")
     lines.append(" ".join(map(str, sorted(rc.sun))))
     lines.append("CLOUD-VERTICES")
     lines.append(" ".join(map(str, sorted(rc.cloud))))
-    try:
-        linkage = foundational_linkage(rc.rainbow_decomposition())
-    except DecompositionError:
-        linkage = []
-    if linkage:
-        lines.append("LINKAGE")
-        lines += [" ".join(map(str, p)) for p in linkage]
     return "\n".join(lines) + "\n"
 
 
 def parse_rc(text: str, g: Graph) -> RCDecomposition:
+    """The decomposition of g that format_rc's text gives.  A LINKAGE
+    section, which older files hold, is read as integers and discarded."""
     section = None
     bags, sun, cloud = [], frozenset(), frozenset()
     for raw in text.splitlines():

@@ -105,27 +105,19 @@ def separator_components(g: Graph, k: int):
 
 
 def enumerate_separations(g: Graph, k: int):
-    """All oriented separations of order < k, both orientations.
+    """All oriented separations of order < k, both orientations, as a new
+    list built on each call.
 
-    Sorted by (order, sorted small side, sorted big side).  The first call
-    for a given k stores the result on g, so the separations live exactly
-    as long as g; every call returns a fresh list.  A list longer than
-    MAX_SEPARATIONS is refused with a GraphError before it is built.
+    Sorted by (order, sorted small side, sorted big side).  Sides are
+    shared through g's side table, so every call, at any k, hands out the
+    same frozenset for the same side.  A list longer than MAX_SEPARATIONS
+    is refused with a GraphError before it is built.
     """
-    return list(_separations(g, k))
-
-
-def _separations(g: Graph, k: int):
-    """The memo entry for k: the separations, as a tuple."""
     if k < 0:
         raise GraphError("negative order bound")
-    memo = g._seps
-    got = memo.get(k)
-    if got is None:
-        splits = list(separator_components(g, k))
-        _check_count(sum(1 << len(comps) for _, comps in splits), k)
-        got = memo[k] = _enumerate_separations(g, splits)
-    return got
+    splits = list(separator_components(g, k))
+    _check_count(sum(1 << len(comps) for _, comps in splits), k)
+    return _enumerate_separations(g, splits)
 
 
 def _check_count(count: int, k: int):
@@ -136,18 +128,16 @@ def _check_count(count: int, k: int):
 
 
 def _enumerate_separations(g: Graph, splits):
-    """Enumeration on vertex-index bitmasks: the separations, as a tuple.
+    """Enumeration on vertex-index bitmasks: the separations, as a sorted list.
 
     splits holds each separator mask S with the components of g - S, as
     separator_components yields them; the components are distributed over
     the two sides in every way.  They are disjoint from S and each goes to
     exactly one side, so every split has separator exactly S, and distinct
     splits or distinct S give distinct separations: nothing comes out
-    twice.  Each distinct side mask becomes one frozenset, shared by every
-    separation with that side, so a separation and its inverse share both
-    sides.  The frozensets go into g's side table ({mask: frozenset} and its
-    inverse), where a later k finds and shares them too; only enumeration
-    adds to the table, so it holds no side that _seps does not.
+    twice.  Each distinct side mask becomes one frozenset, from g's side
+    table (Graph._intern), so a separation and its inverse share both
+    sides, and so do the lists of later calls.
     """
     pairs, masks = [], {}  # masks: each distinct side mask, one int object
     for sm, comps in splits:
@@ -159,14 +149,10 @@ def _enumerate_separations(g: Graph, splits):
                 else:
                     small |= comp
             pairs.append((masks.setdefault(small, small), masks.setdefault(big, big)))
-    labels = {m: g.sorted_labels(m) for m in masks}
-    pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), labels[p[0]], labels[p[1]]))
-    sides, inverse = g._sides, g._masks_by_side
-    for m, t in labels.items():
-        if m not in sides:
-            sides[m] = side = frozenset(t)
-            inverse[side] = m
-    return tuple(OrientedSeparation(sides[a], sides[b]) for a, b in pairs)
+    sides = {m: g.sorted_labels(m) for m in masks}  # label tuples, to sort by
+    pairs.sort(key=lambda p: ((p[0] & p[1]).bit_count(), sides[p[0]], sides[p[1]]))
+    g._intern(sides)  # now the shared frozensets
+    return [OrientedSeparation(sides[a], sides[b]) for a, b in pairs]
 
 
 def unoriented_count(seps) -> int:

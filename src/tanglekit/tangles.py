@@ -18,7 +18,6 @@ from .separations import (
     OrientedSeparation,
     _check_count,
     _parse_separation,
-    enumerate_separations,
     separator_components,
 )
 
@@ -131,9 +130,9 @@ class Tangle:
     Tangle(graph, k, members) reads the map off members and refuses, with a
     TangleError, a member set that is not exactly one map's; construction
     does not test for a covering triple, so use is_tangle / check_axioms
-    for tanglehood.  The search and the rules build the map directly
-    (_of_map, _of_rule), and such a tangle builds its member set on first
-    use.
+    for tanglehood.  Every tangle keeps only its map, and builds its
+    member set from it on first use; the search and the rules build the
+    map directly (_of_map, _of_rule).
     """
 
     def __init__(self, graph: Graph, k: int, members):
@@ -149,9 +148,9 @@ class Tangle:
         walk over the separators' components gives both the map and |T|.
         """
         _check_order(k)
-        self.graph, self.k, self.members = graph, k, frozenset(members)
+        self.graph, self.k = graph, k
         splits = list(separator_components(graph, k))
-        rows = {(graph.side_mask(s.small), graph.side_mask(s.big)) for s in self.members}
+        rows = {(graph.side_mask(s.small), graph.side_mask(s.big)) for s in members}
         try:
             self._pick = _rule_map(graph, splits, lambda a, b: (a, b) in rows)
         except TangleError:  # no row of M at some separator, or two
@@ -188,8 +187,8 @@ class Tangle:
 
     @functools.cached_property
     def members(self) -> frozenset:
-        """The member separations.  A tangle built from its map gets here on
-        first use (see _member_masks); one given as members keeps them."""
+        """The member separations, built from the map on first use (see
+        _member_masks)."""
         return frozenset(self.sorted_members())
 
     def __contains__(self, s: OrientedSeparation):
@@ -392,12 +391,10 @@ def check_axioms(tangle: Tangle) -> dict:
     g, k = tangle.graph, tangle.k
     mem = tangle.sorted_members()
     consistency = not any(s.inverse().le(t) for s in mem for t in mem)
-    V = g.vertex_set()
-    regularity = all(
-        s in tangle.members
-        for s in enumerate_separations(g, k)
-        if s.big == V and s.small != V
-    )
+    # (A, V) with A != V is a separation of order < k exactly when A is a
+    # separator of order < k
+    full = g.full_mask()
+    regularity = all(tangle._holds(x, full) for x, _ in separator_components(g, k) if x != full)
     profile = all(
         j.order >= k or j in tangle.members
         for j in (s.join(t) for s in mem for t in mem)

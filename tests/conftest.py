@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import networkx as nx
 import pytest
@@ -106,6 +107,21 @@ def enumerate_separations_naive(g: Graph, k: int):
         if s.order < k and is_separation(g, s):
             out.add(s)
     return sorted(out, key=OrientedSeparation.sort_key)
+
+
+def refuse_separation_lists(monkeypatch):
+    """Make enumerate_separations raise, in tanglekit.separations and in
+    every tanglekit module that binds the name."""
+
+    def refuse(*args):
+        raise AssertionError("separations enumerated")
+
+    bound = [mod for name, mod in list(sys.modules.items())
+             if name.partition(".")[0] == "tanglekit"
+             and getattr(mod, "enumerate_separations", None) is enumerate_separations]
+    assert sys.modules["tanglekit.separations"] in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "enumerate_separations", refuse)
 
 
 def reference_is_orientation(g, k, members):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tanglekit.cli import main
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
 from tanglekit.tangles import Tangle, enumerate_tangles
 from tanglekit.pipeline import reduce as reduce_tangle, transfer_terminal_weights
@@ -28,7 +29,7 @@ from conftest import atlas_graphs
 def brute_min_inducing_sets(tau):
     """All minimum-size inducing sets, by exhaustive scan."""
     vs = sorted(tau.graph.vertex_set())
-    for size in range(1, len(vs) + 1):
+    for size in range(len(vs) + 1):
         hits = [
             frozenset(c)
             for c in itertools.combinations(vs, size)
@@ -208,6 +209,22 @@ def test_find_inducing_set_matches_brute_force(small_graphs):
                     assert tuple(sorted(got)) == min(
                         tuple(sorted(y)) for y in hits
                     )
+
+
+def test_empty_set_induces_a_0_tangle(tmp_path, capsys):
+    """The 0-tangle has no members, so the empty set induces it: on the
+    path with three vertices and on the empty graph, where induce once
+    found no set and exited 1."""
+    for g in (path_graph(3), Graph()):
+        (tau,) = enumerate_tangles(g, 0)
+        assert find_inducing_set(tau) == frozenset()
+        assert brute_min_inducing_sets(tau) == [frozenset()]
+        assert find_inducing_weights(tau, 0).total == 0
+    gp = tmp_path / "empty.edges"
+    gp.write_text("")
+    capsys.readouterr()
+    assert main(["induce", str(gp), "--k", "0"]) == 0
+    assert capsys.readouterr().out == "set: \n"
 
 
 def test_find_inducing_set_respects_max_size():

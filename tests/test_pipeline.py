@@ -141,6 +141,32 @@ def test_reduce_order_zero_takes_no_component():
         restrict_to_component(g, tau)
 
 
+def test_reduce_on_the_empty_graph(tmp_path, capsys):
+    """The empty graph's 0-tangle: reduce takes 0 steps (the bound
+    |V| + |E| is 0 there), and the trace round-trips through witness and
+    transfer, in the library and on the command line."""
+    g = Graph()
+    (tau,) = enumerate_tangles(g, 0)
+    trace = reduce(g, tau)
+    assert trace.steps == () and trace.terminal_graph == g
+    text = format_trace(trace)
+    again = parse_trace(text)
+    assert format_trace(again) == text and again.root_tangle == tau
+    assert transfer_terminal_weights(again, {}).weights == {}
+    assert witness_subgraph(again) == g
+    gp, tr, wt = tmp_path / "empty.edges", tmp_path / "e.trace", tmp_path / "w.json"
+    gp.write_text("")
+    wt.write_text("{}")
+    capsys.readouterr()
+    assert main(["reduce", str(gp), "--k", "0", "--out", str(tr)]) == 0
+    assert capsys.readouterr().err == "0 step(s); terminal: 0 vertices, 0 edges\n"
+    assert tr.read_text() == text
+    assert main(["witness", "--trace", str(tr)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["transfer", "--trace", str(tr), "--weights", str(wt)]) == 0
+    assert capsys.readouterr().out == "{}\n"
+
+
 def test_reduce_order_one_deletes_to_a_point():
     g = cycle_graph(4)
     (tau,) = enumerate_tangles(g, 1)

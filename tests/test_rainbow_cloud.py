@@ -1,5 +1,6 @@
 """Rainbow-cloud decompositions: validation, crossing/slicing, edge survival."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_line_edits, relabel_rc, synth_rc_instances
+from conftest import apply_line_edits, refuse_separation_lists, relabel_rc, synth_rc_instances
 from tanglekit.cli import main
 from tanglekit.graphs import Graph, delete_edge, format_edgelist
 from tanglekit.separations import (
@@ -536,13 +537,17 @@ def test_lives_in_rainbow_refuses_a_tangle_of_other_vertices():
         lives_in_rainbow(rc, clique_tangle(h, image, 3))
 
 
-def ref_lives_in_rainbow(rc, tau):
+def ref_lives_in_rainbow(rc, tau, lists=None):
     """lives_in_rainbow as a scan over the listed members in sort-key order:
     the first maximal one whose big strict side lies in the rainbow away
     from the cloud, else the first that crosses clockwise with a split
-    oriented forward and the next one backward."""
-    k = tau.k
-    members = [s for s in enumerate_separations(tau.graph, k) if s in tau]
+    oriented forward and the next one backward.  lists, when given, keeps
+    each (graph, k)'s separation list for the caller's later scans."""
+    k, lists = tau.k, {} if lists is None else lists
+    key = (tau.graph, k)
+    if key not in lists:
+        lists[key] = enumerate_separations(tau.graph, k)
+    members = [s for s in lists[key] if s in tau]
     free = rc.rainbow_vertices() - rc.cloud
     for s in members:
         if s.big - s.small <= free and not any(s.lt(t) for t in members):
@@ -611,9 +616,9 @@ def living_cases():
 
 
 def test_lives_in_rainbow_matches_a_list_scan():
-    seen = []
+    seen, ref = [], functools.partial(ref_lives_in_rainbow, lists={})
     for rc, tau in living_cases():
-        want = living_verdict(ref_lives_in_rainbow, rc, tau)
+        want = living_verdict(ref, rc, tau)
         assert living_verdict(lives_in_rainbow, rc, tau) == want
         seen.append(want[0] if isinstance(want, tuple) else want.kind)
     assert Counter(seen) == {"no": 22, "region": 8, "flip": 2, RainbowError: 1}
@@ -654,9 +659,9 @@ def test_flip_witness_is_the_first_flipping_member_in_sort_key_order():
     flipping member a sorted scan meets first, with its turning point."""
     for h in (6, 12):
         rc, q = flip_instance(h)
-        tau = clique_tangle(rc.graph, q, 3)
+        tau, lists = clique_tangle(rc.graph, q, 3), {}
         for r in (rc, slice_rc(rc, 1, rc.length - 1)):
-            want = ref_lives_in_rainbow(r, tau)
+            want = ref_lives_in_rainbow(r, tau, lists)
             assert want.kind == "flip"
             assert lives_in_rainbow(r, tau) == want
 
@@ -665,16 +670,10 @@ def test_flip_witness_is_the_first_flipping_member_in_sort_key_order():
 def test_lives_in_rainbow_lists_no_separations(monkeypatch, shape, k):
     """The clique k-tangle's verdict with separation listing refused: its
     members come off its map."""
-    import tanglekit.separations
-
     g, rc, clique = synth_rc(*shape)
     tau = clique_tangle(g, clique, k)
     want = ref_lives_in_rainbow(rc, tau)
-
-    def refuse(*args):
-        raise AssertionError("separations enumerated")
-
-    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    refuse_separation_lists(monkeypatch)
     assert lives_in_rainbow(rc, tau) == want
 
 
@@ -803,6 +802,17 @@ def test_format_parse_round_trip():
         g, rc, _ = synth_rc(M, ell, z)
         again = parse_rc(format_rc(rc), g)
         assert again == rc
+
+
+def test_rc_files_hold_no_linkage_and_older_ones_still_parse():
+    """format_rc writes no LINKAGE section; parse_rc still reads one, as
+    older files hold it, and discards its integers unchecked."""
+    for M, ell, z in SMALL_GRID:
+        g, rc, _ = synth_rc(M, ell, z)
+        text = format_rc(rc)
+        assert "LINKAGE" not in text
+        for extra in ("LINKAGE\n0 2 4\n", "LINKAGE\n9999\n"):
+            assert parse_rc(text + extra, g) == rc
 
 
 def test_parse_rc_rejects_garbage():

@@ -68,7 +68,8 @@ def test_inverse_shares_both_sides():
 
 
 def test_enumeration_lives_with_its_graph():
-    """Separations are freed with their graph; nothing keeps them globally."""
+    """Nothing keeps separations globally: each list is its caller's, and
+    the shared sides go with their graph."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -89,7 +90,7 @@ def test_enumeration_refuses_an_oversized_list():
     g = synth_rc(20, 0, 1, 2)[0]
     with pytest.raises(GraphError, match="^4194482 separations of order < 2"):
         enumerate_separations(g, 2)
-    assert g._seps == {}
+    assert g._sides == {} and g._masks_by_side == {}
 
 
 def test_returned_list_is_the_callers():
@@ -98,6 +99,20 @@ def test_returned_list_is_the_callers():
     want = list(first)
     first.clear()
     assert enumerate_separations(g, 2) == want
+
+
+def test_each_call_builds_a_new_list_on_shared_sides():
+    """Calls at k = 2, 3, 2: the two k = 2 lists are equal but distinct, and
+    every side, across all three lists, is the one frozenset of its set."""
+    g = synth_rc(6, 1, 1)[0]
+    first, mid, again = (enumerate_separations(g, k) for k in (2, 3, 2))
+    assert again == first and again is not first
+    by_set = {}
+    for s in first + mid + again:
+        for side in (s.small, s.big):
+            assert by_set.setdefault(side, side) is side
+    assert all(x.small is y.small and x.big is y.big for x, y in zip(first, again))
+    assert {s.small for s in first} <= {s.small for s in mid}
 
 
 def test_order_and_symmetry():

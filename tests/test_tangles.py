@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -51,6 +52,7 @@ from conftest import (
     inconsistent_path_map,
     nx_to_graph,
     reference_is_tangle,
+    refuse_separation_lists,
 )
 
 
@@ -152,6 +154,45 @@ def test_axioms_hold_and_flip_breaks_consistency():
     (t,) = enumerate_tangles(k4, 3)
     assert all(check_axioms(t).values())
     assert not check_axioms(inconsistent_path_map())["consistency"]
+
+
+def test_regularity_reads_the_separators(connected_graphs_6):
+    """check_axioms' regularity equals the list-based formula (every listed
+    (A, V) with A != V is a member) on every k-tangle of the connected
+    atlas graphs with <= 6 vertices at k = 1 to 4, on the map pointing
+    every separator at its last component, and on each of these with one
+    separator (chosen at random) missing from its map."""
+    rng = random.Random(29)
+    verdicts = Counter()
+    for g in connected_graphs_6:
+        V = g.vertex_set()
+        for k in range(1, 5):
+            splits = list(separator_components(g, k))
+            maps = [t._pick for t in enumerate_tangles(g, k)]
+            maps.append({x: comps[-1] for x, comps in splits if comps})
+            for m in maps[:]:
+                dropped = rng.choice(list(m))
+                maps.append({x: c for x, c in m.items() if x != dropped})
+            for pick in maps:
+                t = Tangle._of_map(g, k, pick)
+                want = all(s in t.members for s in enumerate_separations(g, k)
+                           if s.big == V and s.small != V)
+                assert check_axioms(t)["regularity"] == want
+                verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_member_built_tangle_keeps_only_its_map(connected_graphs_6):
+    """A tangle given as members, or parsed from its text, stores no member
+    set; the one it builds on first use equals the given set."""
+    for g in connected_graphs_6[::5]:
+        for k in (1, 2, 3):
+            for t in enumerate_tangles(g, k):
+                given = frozenset(t.sorted_members())
+                for u in (Tangle(g, k, given), Tangle(g, k, iter(given)),
+                          parse_tangle(format_tangle(t), g)):
+                    assert "members" not in u.__dict__
+                    assert u.members == given and u == t
 
 
 def test_maximal_mode_agrees_with_full():
@@ -448,9 +489,6 @@ def test_is_tangle_enumerates_no_separations(monkeypatch, connected_graphs_6):
     atlas graphs with <= 6 vertices at k = 1 to 4, and on each with one
     maximal member flipped, with separation listing refused: the members
     are built and the reference verdicts taken first."""
-    import tanglekit.separations
-    import tanglekit.tangles
-
     rng = random.Random(17)
     cases = []
     for g in connected_graphs_6:
@@ -460,11 +498,7 @@ def test_is_tangle_enumerates_no_separations(monkeypatch, connected_graphs_6):
                 for members in (t.members, (t.members - {s}) | {s.inverse()}):
                     cases.append((g, k, members, reference_is_tangle(g, k, members)))
 
-    def refuse(*args):
-        raise AssertionError("separations enumerated")
-
-    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
-    monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+    refuse_separation_lists(monkeypatch)
     for g, k, members, want in cases:
         assert is_tangle(g, k, members) == want
 
@@ -477,9 +511,6 @@ def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
     members given as a Tangle; and is_tangle on the tangle agrees with
     is_tangle on its members, and refuses it for another graph or order.
     reduce then checks a map root without building its member set."""
-    import tanglekit.separations
-    import tanglekit.tangles
-
     cases = []
     for g in connected_graphs_6:
         shifted = Graph([v + 10 for v in g.vertices], [(u + 10, v + 10) for u, v in g.edges])
@@ -487,12 +518,8 @@ def test_map_tangles_list_no_separations(monkeypatch, connected_graphs_6):
             for tau in enumerate_tangles(g, k):
                 cases.append((g, shifted, tau, {s for s in enumerate_separations(g, k) if s in tau}))
 
-    def refuse(*args):
-        raise AssertionError("separations enumerated")
-
     with monkeypatch.context() as m:
-        m.setattr(tanglekit.separations, "_separations", refuse)
-        m.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+        refuse_separation_lists(m)
         for g, shifted, tau, want in cases:
             k = tau.k
             assert "members" not in tau.__dict__
@@ -516,17 +543,12 @@ def test_search_sorts_tangles_without_listing_separations(monkeypatch, connected
     sharing the vertex 3 at k = 3, and on every connected atlas graph with
     <= 6 vertices that has two or more k-tangles at k = 1 to 4.  Their
     maps are those read off the reference member sets."""
-    import tanglekit.separations
-
     two_k4 = Graph(range(7), list(complete_graph(4).edges) + list(complete_graph(4, offset=3).edges))
     cases = [(two_k4, 3)] + [(g, k) for g in connected_graphs_6 for k in (1, 2, 3, 4)
                              if len(enumerate_tangles(g, k)) > 1]
     want = [(g, k, sorted(reference_tangles(g, k), key=_output_key)) for g, k in cases]
 
-    def refuse(*args):
-        raise AssertionError("separations enumerated")
-
-    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
+    refuse_separation_lists(monkeypatch)
     for g, k, members in want:
         got = enumerate_tangles(g, k)
         assert [t.members for t in got] == members
@@ -626,18 +648,11 @@ def test_large_rainbow_tangle_enumerates_no_separations(monkeypatch):
     """The clique tangle of synth_rc(30, 0, 1, 2) has 98 vertices and too
     many separations of order < 2 to list; everything reads its map, and its
     member set is refused at the separation cap, with listing still refused."""
-    import tanglekit.separations
-    import tanglekit.tangles
     from tanglekit.rainbow_cloud import clique_tangle, synth_rc
 
     g, rc, clique = synth_rc(30, 0, 1, 2)
     tau = clique_tangle(g, clique, 2)
-
-    def refuse(*args):
-        raise AssertionError("separations enumerated")
-
-    monkeypatch.setattr(tanglekit.separations, "_separations", refuse)
-    monkeypatch.setattr(tanglekit.tangles, "enumerate_separations", refuse)
+    refuse_separation_lists(monkeypatch)
     V = g.vertex_set()
     assert repr(tau) == "Tangle(k=2, |V|=98, separators=99)"
     assert tau.core() == clique | rc.sun
