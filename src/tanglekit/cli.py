@@ -17,6 +17,7 @@ import sys
 
 from .graphs import format_edgelist, read_edgelist, read_graph6_lines
 from .inducing import (
+    check_limit,
     find_inducing_set,
     find_inducing_weights,
     format_p11_report,
@@ -121,6 +122,9 @@ def cmd_reduce(args):
 
 
 def cmd_induce(args):
+    # refuse bad limits before any search or output
+    check_limit(args.max_size, "set size bound")
+    check_limit(args.budget, "weight budget")
     g = read_edgelist(args.graph)
     t = _pick_tangle(args, g)
     if t is None:

@@ -23,6 +23,12 @@ class InducingError(ValueError):
     pass
 
 
+def check_limit(value, what):
+    """Refuse a negative search limit (None means no limit)."""
+    if value is not None and value < 0:
+        raise InducingError(f"negative {what} {value}")
+
+
 class WeightFunction:
     """Nonnegative integer vertex weights; zero entries are implicit."""
 
@@ -96,10 +102,9 @@ def find_inducing_set(tau: Tangle, max_size=None):
     """
     g = tau.graph
     n = len(g.vertices)
+    check_limit(max_size, "set size bound")
     if max_size is None:
         max_size = n
-    elif max_size < 0:
-        raise InducingError(f"negative set size bound {max_size}")
     cons = _strict_parts(tau)
     bits = [1 << i for i in range(n)]
     for size in range(max_size + 1):
@@ -129,8 +134,7 @@ def find_inducing_weights(tau: Tangle, budget):
     in the same order as over all members.  The balances are kept per
     maximal member, updated as weights are set and cleared.
     """
-    if budget < 0:
-        raise InducingError(f"negative weight budget {budget}")
+    check_limit(budget, "weight budget")
     g = tau.graph
     n = len(g.vertices)
     cons = _strict_parts(tau)
@@ -250,6 +254,7 @@ def verify_p11_batch(
     finished rows are appended as JSON lines and skipped on rerun; the
     checkpoint is bound to k, max_set_size and compute_weights.
     """
+    check_limit(max_set_size, "set size bound")
     params = {"k": k, "max_set_size": max_set_size, "weights": bool(compute_weights)}
     done = {} if checkpoint_path is None else _load_checkpoint(checkpoint_path, params)
     rows = []

@@ -50,15 +50,9 @@ def subgraph_cover(g: Graph, h: Graph) -> int:
     return cover
 
 
-def covering_triple(covers, target):
-    """First (i, j, l), i <= j <= l, whose masks together contain target.
-
-    Scans on transposed bitsets: for each target bit, the rows covering
-    it.  A pair (i, j) then needs one AND per bit it misses to find every
-    valid third row.  Returns None if no triple exists.
-    """
-    n = len(covers)
-    all_rows = (1 << n) - 1
+def _rows_with(covers, target):
+    """Transposed bitsets: for each target bit (as a one-bit int), the int
+    whose bit r is set when covers[r] holds that bit."""
     rows_with = {}
     for r, c in enumerate(covers):
         c &= target
@@ -66,6 +60,74 @@ def covering_triple(covers, target):
             low = c & -c
             rows_with[low] = rows_with.get(low, 0) | (1 << r)
             c ^= low
+    return rows_with
+
+
+def _triple_exists(covers, target) -> bool:
+    """Do three of covers (repetition allowed) together contain target?
+
+    An empty target is contained by any one row, so the answer is whether
+    there is a row.  Otherwise let m = |target| and h(c) = |c & target|:
+    rows that together contain target have counts summing to at least m.
+    Rank the rows by h, largest first, and take triples i <= j <= l in
+    that ranking, so h_i >= h_j >= h_l.  Then:
+
+    - 3 h_i >= m, and as h_i only falls along the ranking, once 3 h_i < m
+      no later i starts a triple;
+    - h_i + 2 h_j >= m, and likewise for j;
+    - row l must contain the bits that i and j miss, so h_l is at least
+      their number: the candidates for l are the rows from j on whose
+      count reaches it, a prefix of the ranking cut at j.
+
+    Each cut drops only triples whose counts cannot reach what is missing,
+    so the answer is exact; repeated rows and equal counts change nothing,
+    as i = j = l is allowed and ties may sit in any order.  The third row
+    is found as in covering_triple, by one AND per missing bit over the
+    transposed bitsets, restricted to the prefix.
+    """
+    need = target.bit_count()
+    if not need:
+        return bool(covers)
+    ranked = sorted(covers, key=lambda c: (c & target).bit_count(), reverse=True)
+    hits = [(c & target).bit_count() for c in ranked]
+    # at_least[h]: how many ranked rows have count >= h
+    at_least, r = [0] * (need + 1), len(ranked)
+    for h in range(need + 1):
+        while r and hits[r - 1] < h:
+            r -= 1
+        at_least[h] = r
+    rows_with = _rows_with(ranked, target)
+    for i, ci in enumerate(ranked):
+        hi = hits[i]
+        if 3 * hi < need:
+            break
+        for j in range(i, len(ranked)):
+            if hi + 2 * hits[j] < need:
+                break
+            missing = target & ~(ci | ranked[j])
+            rows = ((1 << at_least[missing.bit_count()]) - 1) >> j << j
+            while missing and rows:
+                low = missing & -missing
+                rows &= rows_with.get(low, 0)
+                missing ^= low
+            if rows:
+                return True
+    return False
+
+
+def covering_triple(covers, target):
+    """First (i, j, l), i <= j <= l, whose masks together contain target.
+
+    Returns None at once if _triple_exists, the bounded test, finds no
+    triple.  Otherwise it scans every pair in order on transposed bitsets
+    (_rows_with): a pair (i, j) needs one AND per bit it misses to find
+    every valid third row, the first of which is l.
+    """
+    if not _triple_exists(covers, target):
+        return None
+    n = len(covers)
+    all_rows = (1 << n) - 1
+    rows_with = _rows_with(covers, target)
     for i in range(n):
         for j in range(i, n):
             rows = all_rows >> j << j
@@ -368,9 +430,10 @@ def _is_map(t: Tangle) -> bool:
 def _covered(t: Tangle, target) -> bool:
     """Do the small sides of three of t's maximal members (repetition
     allowed) contain the cover mask target?  Cover is monotone in the small
-    side, so a triple among any members gives one among the maximal ones."""
+    side, so a triple among any members gives one among the maximal ones;
+    _triple_exists decides it."""
     smalls = [a for a, _ in t.maximal_masks()]
-    return covering_triple(side_covers(t.graph, smalls), target) is not None
+    return _triple_exists(side_covers(t.graph, smalls), target)
 
 
 def rows_cover(t: Tangle) -> bool:
@@ -410,13 +473,50 @@ def check_axioms(tangle: Tangle) -> dict:
 
 
 def _completes_triple(c, front, full):
-    """Do cover c and at most two frontier covers (repetition allowed) reach full?"""
+    """Do cover c and at most two frontier covers (repetition allowed) reach full?
+
+    The frontier must cover miss, the bits c lacks.  One frontier row does
+    it alone iff its count |miss & a| is |miss|.  Two rows a and b that
+    cover miss have counts summing to at least |miss|, so:
+
+    - one pass finds the two largest counts; if they fall short, no pair
+      covers miss;
+    - a row in a covering pair has a count of at least |miss| minus the
+      largest, so only such rows are ranked, by count, largest first;
+    - in that ranking a partner's count only falls, so each row's scan of
+      later partners stops at the first that falls short, and the whole
+      scan stops at a row whose next partner does.
+
+    Each cut drops only pairs whose counts cannot reach |miss|, so the
+    answer is that of a scan over every pair.
+    """
     miss = full & ~c
     if not miss:
         return True
-    for x, m in enumerate([miss & ~a for a in front]):
-        for a in front[x:]:  # a = front[x] first: m & a == m iff m == 0
-            if m & a == m:
+    need = miss.bit_count()
+    hits = [(miss & a).bit_count() for a in front]
+    top = second = 0
+    for h in hits:
+        if h > top:
+            top, second = h, top
+        elif h > second:
+            second = h
+    if top == need:
+        return True
+    if top + second < need:
+        return False
+    floor = need - top
+    ranked = sorted(((h, a) for h, a in zip(hits, front) if h >= floor),
+                    key=lambda p: p[0], reverse=True)
+    for x in range(len(ranked) - 1):
+        hx, a = ranked[x]
+        if hx + ranked[x + 1][0] < need:
+            break
+        m = miss & ~a
+        for hy, b in itertools.islice(ranked, x + 1, None):
+            if hx + hy < need:
+                break
+            if m & b == m:
                 return True
     return False
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, delete_edge, path_graph
 from tanglekit.separations import OrientedSeparation, enumerate_separations
 from tanglekit.tangles import (
+    _completes_triple,
+    _triple_exists,
     covering_triple,
     full_cover,
     maximal_members,
@@ -104,6 +106,63 @@ def test_covering_triple_edge_cases():
     # only three rows, each holding one bit above 128
     wide = [1 << 129, 1 << 64, 1 << 200]
     assert covering_triple(wide, sum(wide)) == (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple_cases())
+def test_triple_exists_matches_oracle_property(case):
+    rows, target = case
+    assert _triple_exists(rows, target) == (oracle_triple(rows, target) is not None)
+
+
+def oracle_completes(c, front, full):
+    miss = full & ~c
+    return not miss or any((a | b) & miss == miss for a in front for b in front)
+
+
+@st.composite
+def frontier_cases(draw):
+    # triple_cases' rows are the frontier, and its target the full mask
+    front, full = draw(triple_cases())
+    c = draw(st.one_of(st.integers(0, full), st.sampled_from(front or [0])))
+    return c, tuple(front), full
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_cases())
+def test_completes_triple_matches_pair_scan_property(case):
+    c, front, full = case
+    assert _completes_triple(c, front, full) == oracle_completes(c, front, full)
+
+
+def test_triple_exists_edge_cases():
+    # no rows: nothing to pick, not even for an empty target
+    assert not _triple_exists([], 0)
+    assert not _triple_exists([], 0b1)
+    # one row and an empty target: that row alone does it
+    assert _triple_exists([0], 0)
+    assert _triple_exists([0b10], 0)
+    # equal counts: ties in the ranking may sit in any order
+    assert _triple_exists([0b0011, 0b0110, 0b1100, 0b1001], 0b1111)
+    assert _triple_exists([0b0001, 0b0010, 0b0100, 0b1000], 0b0111)
+    assert not _triple_exists([0b0001, 0b0010, 0b0100, 0b1000], 0b1111)
+    # triples that need a row twice, or three times: the scans must let j = i
+    assert _triple_exists([0b0011, 0b1100], 0b1111)
+    assert covering_triple([0b0011, 0b1100], 0b1111) == (0, 0, 1)
+    assert _triple_exists([0b111], 0b111)
+    # a row repeated in the list changes nothing
+    assert _triple_exists([0b001, 0b001, 0b010, 0b010, 0b100], 0b111)
+    assert not _triple_exists([0b001, 0b001, 0b010, 0b010], 0b111)
+
+
+def test_completes_triple_edge_cases():
+    full = 0b1111
+    assert _completes_triple(full, (), full)  # c alone covers
+    assert not _completes_triple(0, (), full)
+    assert _completes_triple(0b0011, (0b1100,), full)  # one frontier row
+    assert _completes_triple(0, (0b0011, 0b1100), full)
+    assert not _completes_triple(0, (0b0011, 0b0110), full)  # counts sum to 4, no cover
+    assert _completes_triple(0b0001, (0b0110, 0b0011, 0b1100), full)  # equal counts
 
 
 def _seps_from_masks(g, smalls, bigs):

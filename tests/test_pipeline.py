@@ -415,6 +415,26 @@ def test_trace_round_trip_bit_exact():
     assert format_trace(again) == text
 
 
+# networkx.random_regular_graph(3, 14, seed=1)
+CUBIC_14 = Graph(range(14), [
+    (0, 1), (0, 7), (0, 8), (1, 4), (1, 11), (2, 5), (2, 9), (2, 13), (3, 5), (3, 6), (3, 13),
+    (4, 10), (4, 13), (5, 8), (6, 10), (6, 11), (7, 11), (7, 12), (8, 9), (9, 12), (10, 12),
+])
+
+
+def test_reduce_cubic_14_at_order_4():
+    """A mid-size reduction whose edge-search and suppression steps lean on
+    the covering-triple scans: three rounds of one edge deletion and two
+    suppressions, down to 8 vertices and 12 edges."""
+    (tau,) = enumerate_tangles(CUBIC_14, 4)
+    trace = reduce(CUBIC_14, tau)
+    round_ = ["edge search", "degree-2 suppression", "degree-2 suppression"]
+    assert [s.rule for s in trace.steps] == 3 * round_
+    assert (len(trace.terminal_graph.vertices), len(trace.terminal_graph.edges)) == (8, 12)
+    text = format_trace(trace)
+    assert format_trace(parse_trace(text)) == text
+
+
 def test_parse_trace_shares_sides_within_one_tangle():
     g = subdivided_k4()
     (tau,) = enumerate_tangles(g, 3)
@@ -755,7 +775,8 @@ def test_cli_refuses_negative_limits(argv, k4_file, tmp_path, capsys):
     stream.write_text(graph6_encode(complete_graph(4)) + "\n")
     files = {"K4": str(k4_file), "K4.g6": str(stream)}
     assert main([files.get(a, a) for a in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any search or output
     assert err.startswith("error:") and "negative" in err
 
 
