@@ -19,7 +19,6 @@ from .separations import (
     enumerate_separations,
     is_nested,
     is_separation,
-    longest_strict_chain,
     sep,
 )
 from .tangles import (
@@ -46,13 +45,10 @@ from .decomposition import (
     BoundLedger,
     LinearDecomposition,
     SymbolicBound,
-    build_linear_decomposition,
     compute_bounds,
     foundational_linkage,
     is_linear_decomposition,
     is_rainbow_decomposition,
-    monotone_window,
-    refine_chain,
     validate_linear,
     vertex_disjoint_paths,
 )

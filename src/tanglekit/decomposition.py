@@ -1,10 +1,12 @@
-"""Linear decompositions, linkages, and the chain-to-decomposition pipeline.
+"""Linear decompositions, their validators, linkages, and size guarantees.
 
 A linear decomposition is a path-shaped sequence of bags covering the graph
 whose consecutive overlaps (adhesion sets) all have the same size and whose
-neighbouring bags never contain one another.  Long strictly increasing
-separation chains are refined into such decompositions whose consecutive
-adhesion sets are joined by full linkages.
+neighbouring bags never contain one another.  A rainbow decomposition also
+joins consecutive adhesion sets by full linkages inside connected parts;
+foundational_linkage stitches those linkages end to end.  The bound
+formulas give the paper's closed-form vertex counts above which such
+decompositions exist.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .separations import enumerate_separations, longest_strict_chain
 
 
 class DecompositionError(ValueError):
@@ -227,175 +228,6 @@ def foundational_linkage(ld: LinearDecomposition):
             walk.extend(p[1:])
         linkage.append(tuple(walk))
     return linkage
-
-
-def _path_bag_vertices(path, bag):
-    return [v for v in path if v in bag]
-
-
-def check_uniform_trivial_paths(ld: LinearDecomposition, linkage) -> bool:
-    """A linkage path trivial in one inner bag must be trivial in all."""
-    for p in linkage:
-        triv = [
-            len(_path_bag_vertices(p, ld.bags[i])) <= 1
-            for i in range(1, ld.length)
-        ]
-        if any(triv) and not all(triv):
-            return False
-    return True
-
-
-def _free_connection(g: Graph, bag, linkage, p, q) -> bool:
-    """Path in g[bag] from p to q whose interior avoids all linkage paths."""
-    occupied = {v for path in linkage for v in path}
-    mp = g.mask_of(_path_bag_vertices(p, bag))
-    mq = g.mask_of(_path_bag_vertices(q, bag))
-    # any path from p to q among these vertices has such a stretch: from
-    # its last vertex on p to the first vertex on q after it
-    free = g.mask_of(bag - occupied) | mp | mq
-    return any(c & mp and c & mq for c in g.components(free))
-
-
-def check_uniform_connections(ld: LinearDecomposition, linkage) -> bool:
-    """Two linkage paths connectable off-linkage in one inner bag must be in all."""
-    inner = range(1, ld.length)
-    for a in range(len(linkage)):
-        for b in range(a + 1, len(linkage)):
-            p, q = linkage[a], linkage[b]
-            conn = [
-                _free_connection(ld.graph, ld.bags[i], linkage, p, q)
-                for i in inner
-            ]
-            if any(conn) and not all(conn):
-                return False
-    return True
-
-
-# -- monotone windows and chain refinement ------------------------------------
-
-
-def monotone_window(a, n):
-    """A value v and n indices of entries equal to v, with the in-between
-    entries all >= v.  Prefers small v, then the leftmost window.
-
-    Returns (v, indices); indices may be shorter than n if the sequence is
-    too short for the guarantee (which needs len(a) >= n ** max_value+1).
-    """
-    if not a:
-        return (0, [])
-    best = (0, [])
-    for v in sorted(set(a)):
-        # maximal windows where everything is >= v
-        start = None
-        for idx in range(len(a) + 1):
-            inside = idx < len(a) and a[idx] >= v
-            if inside and start is None:
-                start = idx
-            if not inside and start is not None:
-                hits = [i for i in range(start, idx) if a[i] == v]
-                if len(hits) >= n:
-                    return (v, hits[:n])
-                if len(hits) > len(best[1]):
-                    best = (v, hits)
-                start = None
-    return best
-
-
-def monotone_window_guarantee(n, m):
-    """Sequence length above which an n-term window always exists for
-    values in 0..m-1."""
-    return n**m
-
-
-def _dedupe_consecutive(seq):
-    out = []
-    for s in seq:
-        if not out or out[-1] != s:
-            out.append(s)
-    return out
-
-
-def _find_between(g: Graph, lo, hi, order_bound):
-    """Smallest separation strictly between lo and hi with order < order_bound."""
-    for s in enumerate_separations(g, order_bound):
-        if lo.lt(s) and s.lt(hi):
-            return s
-    return None
-
-
-def refine_chain(g: Graph, chain, n, on_iteration=None):
-    """Refine a strictly increasing chain to n equal-order members with no
-    lower-order separation between consecutive picks.
-
-    Returns (level, picks).  Splicing in a violating separation's meets and
-    joins strictly increases the count vector of low orders, so the loop
-    terminates.  picks may be shorter than n if the chain is too short.
-    on_iteration, if given, receives the working chain before each pass.
-    """
-    chain = list(chain)
-    for a, b in zip(chain, chain[1:]):
-        if not a.lt(b):
-            raise DecompositionError("input chain is not strictly increasing")
-    while True:
-        if on_iteration is not None:
-            on_iteration(list(chain))
-        orders = [s.order for s in chain]
-        level, idx = monotone_window(orders, n)
-        violation = None
-        for a, b in zip(idx, idx[1:]):
-            w = _find_between(g, chain[a], chain[b], level)
-            if w is not None:
-                violation = (a, b, w)
-                break
-        if violation is None:
-            return level, [chain[i] for i in idx]
-        a, b, w = violation
-        mid = chain[a : b + 1]
-        spliced = _dedupe_consecutive(
-            [s.meet(w) for s in mid] + [w] + [s.join(w) for s in mid]
-        )
-        for x, y in zip(spliced, spliced[1:]):
-            if not x.lt(y):
-                raise DecompositionError("splice failed to stay increasing")
-        chain = chain[:a] + spliced + chain[b + 1 :]
-
-
-def chain_to_bags(chain):
-    """Bags from an equal-order strictly increasing chain.
-
-    Bag 0 is the first small side, inner bag i the overlap of big side i
-    and small side i+1, the last bag the final big side.  End bags swallowed
-    by their neighbour are dropped.
-    """
-    if not chain:
-        raise DecompositionError("empty chain")
-    bags = (
-        [chain[0].small]
-        + [s.big & t.small for s, t in zip(chain, chain[1:])]
-        + [chain[-1].big]
-    )
-    if len(bags) >= 2 and bags[0] <= bags[1]:
-        bags = bags[1:]
-    if len(bags) >= 2 and bags[-2] >= bags[-1]:
-        bags = bags[:-1]
-    return bags
-
-
-def build_linear_decomposition(g: Graph, k: int, target_length: int):
-    """A linear decomposition with full inner linkages from the separation
-    lattice of order <= k, as long as the lattice supports (up to
-    target_length+2 picks).
-    """
-    chain = longest_strict_chain(g, k + 1)
-    if len(chain) < 2:
-        raise DecompositionError("separation lattice has no usable chain")
-    level, picks = refine_chain(g, chain, target_length + 2)
-    if len(picks) < 2:
-        raise DecompositionError("refinement yielded too few separations")
-    ld = LinearDecomposition(g, chain_to_bags(picks))
-    if not is_linear_decomposition(ld):
-        raise DecompositionError("constructed bags violate the definition")
-    return ld
 
 
 # -- closed-form size guarantees ----------------------------------------------

@@ -252,7 +252,9 @@ def verify_p11_batch(
 
     Returns {"rows": [...], "summary": {...}}.  With a checkpoint path,
     finished rows are appended as JSON lines and skipped on rerun; the
-    checkpoint is bound to k, max_set_size and compute_weights.
+    checkpoint is bound to k, max_set_size and compute_weights.  An entry
+    that is not a Graph gets a "malformed entry" row; the empty graph is a
+    graph, with its one 0-tangle and no tangle of higher order.
     """
     check_limit(max_set_size, "set size bound")
     params = {"k": k, "max_set_size": max_set_size, "weights": bool(compute_weights)}
@@ -263,7 +265,7 @@ def verify_p11_batch(
         if gid in done:
             rows.append(done[gid])
             continue
-        if not isinstance(g, Graph) or not g.vertices:
+        if not isinstance(g, Graph):
             rows.append({"id": gid, "error": "malformed entry"})
             continue
         tangles = enumerate_tangles(g, k)

@@ -25,7 +25,7 @@ from .decomposition import (
 from .graphs import Graph, GraphError, delete_edge
 from .separations import OrientedSeparation, sep
 from .survival import _oriented
-from .tangles import Tangle, TangleError, _member_levels, extends, rows_cover
+from .tangles import Tangle, TangleError, _member_levels, _pair_key, extends, rows_cover
 
 
 class RainbowError(ValueError):
@@ -435,26 +435,28 @@ def _flip_point(rc: RCDecomposition, tau: Tangle, a: int, b: int):
 def lives_in_rainbow(rc: RCDecomposition, tau: Tangle) -> LivingVerdict:
     """Where tau leans into the rainbow (see LivingVerdict), on vertex masks.
 
-    The region scan reads tau's maximal (small, big) masks.  The flip scan
-    classifies tau's members with _crossing, read off its map one order at
-    a time (see _member_levels): each separation of order < k once, in the
-    orientation tau gives it.  Sort-key order is needed only to pick the
-    witness, so the first order holding a flipping member is the witness's,
-    and only its flipping members are sorted.  Only the returned witness is
-    built as an OrientedSeparation.
+    The region scan reads tau's maximal (small, big) masks and takes the
+    sort-key least of those whose big strict side lies among the rainbow
+    vertices outside the cloud.  The flip scan classifies tau's members with
+    _crossing, read off its map one order at a time (see _member_levels):
+    each separation of order < k once, in the orientation tau gives it.
+    Sort-key order is needed only to pick the witness, so the first order
+    holding a flipping member is the witness's, and only its flipping
+    members are compared.  Only the returned witness is built as an
+    OrientedSeparation.
     """
     g = tau.graph
     if g.vertices != rc.graph.vertices:
         raise RainbowError("the tangle's graph and the decomposition's have different vertices")
-    free, side = g.mask_of(rc.rainbow_vertices() - rc.cloud), g.side_of
-    for a, b in tau.maximal_masks():  # big strict sides shrink going up <=
-        if not b & ~a & ~free:
-            return LivingVerdict("region", witness=OrientedSeparation(side(a), side(b)))
+    free, side, key = g.mask_of(rc.rainbow_vertices() - rc.cloud), g.side_of, _pair_key(g)
+    rows = [(a, b) for a, b in tau.maximal_masks() if not b & ~a & ~free]
+    if rows:
+        a, b = min(rows, key=key)
+        return LivingVerdict("region", witness=OrientedSeparation(side(a), side(b)))
     for pairs in _member_levels(tau):
         flips = [(a, b, h) for a, b in pairs if (h := _flip_point(rc, tau, a, b)) is not None]
         if flips:
-            seq = g.sorted_labels
-            a, b, h = min(flips, key=lambda f: (seq(f[0]), seq(f[1])))
+            a, b, h = min(flips, key=key)
             witness = OrientedSeparation(side(a), side(b))
             return LivingVerdict("flip", witness=witness, turning_point=h)
     return LivingVerdict("no")

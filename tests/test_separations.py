@@ -16,7 +16,6 @@ from tanglekit.separations import (
     format_separation,
     is_nested,
     is_separation,
-    longest_strict_chain,
     parse_separation,
     sep,
     unoriented_count,
@@ -181,34 +180,6 @@ def test_subgraph_inherits_separations():
         g2 = delete_edge(g, e)
         for s in enumerate_separations(g, len(g.vertices)):
             assert is_separation(g2, s)
-
-
-def test_longest_chain_examples():
-    for n in (3, 4, 5):
-        chain = longest_strict_chain(path_graph(n), 2)
-        assert len(chain) == _oracle_longest_chain(path_graph(n), 2)
-        for a, b in zip(chain, chain[1:]):
-            assert a.lt(b)
-    assert len(longest_strict_chain(complete_graph(4), 3)) == 6
-    c4 = cycle_graph(4)
-    chain = longest_strict_chain(c4, 2)
-    assert all(a.lt(b) for a, b in zip(chain, chain[1:]))
-    assert len(chain) == _oracle_longest_chain(c4, 2)
-
-
-def _oracle_longest_chain(g, k):
-    import networkx as nx
-
-    oriented = [
-        s for u in enumerate_separations(g, k) for s in (u, u.inverse())
-    ]
-    d = nx.DiGraph()
-    d.add_nodes_from(range(len(oriented)))
-    for i, s in enumerate(oriented):
-        for j, t in enumerate(oriented):
-            if i != j and s.lt(t):
-                d.add_edge(i, j)
-    return len(nx.dag_longest_path(d))
 
 
 def test_serialization_round_trip():
