@@ -83,8 +83,9 @@ def _next_step(g: Graph, t: Tangle):
 
     Case order: disconnected graph (k >= 1: a 0-tangle points at no
     component), small k edge deletion, pendant edge, degree-2 suppression,
-    a higher-order tangle above t, and finally a brute-force search over
-    all edges.
+    a higher-order tangle above t, and finally an edge search: each edge
+    in sorted order until search_extension finds a tangle of g - e that
+    extends t.
     """
     k = t.k
     if k >= 1 and not g.is_connected() and len(g.vertices) > 1:

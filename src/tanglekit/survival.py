@@ -302,6 +302,7 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
 
 
 def brute_force_extensions(g: Graph, tau: Tangle, e):
-    """All k-tangles of g - e that agree with tau, by exhaustive search."""
+    """All k-tangles of g - e that hold every member of tau, by a search
+    that branches only where e splits tau's component (search_extension)."""
     g2 = delete_edge(g, e)
     return search_extension(g2, tau)

@@ -549,10 +549,15 @@ def _admit(c, front, full):
     return tuple(a for a in front if a & ~c) + (c,)
 
 
-def _search(g: Graph, k: int, within):
-    """Maps {separator mask: component mask} of g's k-tangles whose
-    component at each separator X in within lies inside within[X], in
-    ascending order of their sorted member lists.
+def _search(g: Graph, k: int, splits):
+    """Maps {separator mask: component mask} of g's k-tangles, in ascending
+    order of their sorted member lists, among the maps that take at each
+    separator X one of the components splits offers for it.
+
+    splits gives each separator X of order < k once, in separator_components
+    order, with the components of g - X that C(X) may be, in any order; the
+    maps list their separators in that order.  separator_components(g, k)
+    offers every component, and so gives every k-tangle of g.
 
     A k-tangle points each separator X (|X| < k) at one component C(X) of
     g - X, and (A, B) with separator X is a member iff C(X) lies in B - A.
@@ -568,6 +573,16 @@ def _search(g: Graph, k: int, within):
       so (V, X), which covers g alone, would be a member.
 
     X = V (when |V| < k) has no component, and then there is no tangle.
+
+    Levels go by separator size, ascending.  A level whose only option is
+    C = V - X with |X| <= k - 2 is recorded in the map, but its row (X, V)
+    is never admitted: for any v outside X, X | {v} is a separator of order
+    < k, so a level too, and each of its rows has a small side holding
+    X | {v}.  Every complete choice thus holds a row whose cover contains
+    that of (X, V), and a triple using (X, V) gives one using that row in
+    its place: the skipped row changes no verdict on a complete choice.  A
+    single option C other than V - X is admitted, as each branch is.
+
     The search runs on an explicit stack, whose entries carry the frontier
     (see _admit); a level with one option is taken in place, and the
     chosen components form a linked list of (component, rest) cells.
@@ -580,22 +595,25 @@ def _search(g: Graph, k: int, within):
     full = full_cover(g)
     vmask = g.full_mask()
     cover = g.cover_outside
-    splits = list(separator_components(g, k))
-    # per separator: each allowed component C with its row's cover, that of
-    # the small side V - C
-    levels = [
-        [(c, cover(c)) for c in comps if not c & ~within.get(x, vmask)]
-        for x, comps in splits
-    ]
+    # per separator: each option C with its row's cover, that of the small
+    # side V - C, or None for a row that is recorded but never admitted
+    xs, levels = [], []
+    for x, comps in splits:
+        xs.append(x)
+        if len(comps) == 1 and comps[0] | x == vmask and x.bit_count() <= k - 2:
+            levels.append([(comps[0], None)])
+        else:
+            levels.append([(c, cover(c)) for c in comps])
     found = []
     stack = [(0, None, ())]  # (levels decided, their components, frontier)
     while stack:
         i, chosen, front = stack.pop()
         while i < len(levels) and len(levels[i]) == 1:
             ((comp, c),) = levels[i]
-            front = _admit(c, front, full)
-            if front is None:
-                break
+            if c is not None:
+                front = _admit(c, front, full)
+                if front is None:
+                    break
             i, chosen = i + 1, (comp, chosen)
         if front is None:
             continue
@@ -612,7 +630,7 @@ def _search(g: Graph, k: int, within):
         while chosen is not None:
             comp, chosen = chosen
             comps.append(comp)
-        picks.append(dict(zip((x for x, _ in splits), reversed(comps))))
+        picks.append(dict(zip(xs, reversed(comps))))
     if len(picks) > 1:
         seq = functools.cache(g.sorted_labels)
         picks.sort(key=lambda p: [
@@ -622,15 +640,31 @@ def _search(g: Graph, k: int, within):
 
 def enumerate_tangles(g: Graph, k: int):
     """All k-tangles of g, in ascending sorted-member order (see _search)."""
-    return [Tangle._of_map(g, k, pick) for pick in _search(g, k, {})]
+    return [Tangle._of_map(g, k, pick) for pick in _search(g, k, separator_components(g, k))]
 
 
 def search_extension(g2: Graph, tau: Tangle):
-    """The tau.k-tangles of g2, a spanning subgraph of tau's graph, that hold
-    every member of tau, in _search's order: those whose C(X) lies inside
-    tau's at every separator X (see extends)."""
-    _spanning(tau.graph, g2)
-    return [Tangle._of_map(g2, tau.k, pick) for pick in _search(g2, tau.k, tau._pick)]
+    """The tau.k-tangles of g2, a spanning subgraph of tau's graph g, that
+    hold every member of tau, in _search's order; no separator of g2 is
+    listed, as tau's map names them all.
+
+    They are the k-tangles of g2 whose C2(X) lies inside tau's C(X) at
+    every separator X (see extends).  g2 - X is a subgraph of g - X on the
+    same vertices, so C(X), a component of g - X, is a union of components
+    of g2 - X: those inside it are the components of g2[C(X)].  When no
+    deleted edge has both ends in C(X), g2[C(X)] is g[C(X)], which is
+    connected, and C(X) is the only option; otherwise the options are
+    g2.components(C(X)).  _search then chooses among these options only.
+    A forced row goes through _search's admission, not around it: three of
+    tau's rows that do not cover g may cover g2, which lacks the deleted
+    edges.
+    """
+    g = tau.graph
+    _spanning(g, g2)
+    gone = [g2.mask_of(e) for e in g.edges - g2.edges]
+    splits = [(x, g2.components(c) if any(not d & ~c for d in gone) else [c])
+              for x, c in tau._pick.items()]
+    return [Tangle._of_map(g2, tau.k, pick) for pick in _search(g2, tau.k, splits)]
 
 
 def _spanning(g: Graph, g2: Graph):

@@ -26,6 +26,7 @@ from tanglekit.separations import (
     sep,
     separator_components,
 )
+from tanglekit import tangles as tangles_module
 from tanglekit.survival import tangle_of_block
 from tanglekit.tangles import (
     Tangle,
@@ -334,6 +335,16 @@ def _output_key(members):
     return tuple(sorted(s.sort_key() for s in members))
 
 
+def _check_extensions(g2, t, below):
+    """search_extension(g2, t) against below, the reference k-tangles of
+    g2: in order, those that hold every member of t.  Returns what the
+    search found."""
+    ext = search_extension(g2, t)
+    agree = sorted(_output_key(m) for m in below if t.members <= m)
+    assert [_output_key(x.members) for x in ext] == agree
+    return ext
+
+
 def check_against_reference(g: Graph, k: int):
     want = reference_tangles(g, k)
     got = enumerate_tangles(g, k)
@@ -345,10 +356,7 @@ def check_against_reference(g: Graph, k: int):
         g2 = delete_edge(g, e)
         below = reference_tangles(g2, k)
         for t in got:
-            ext = search_extension(g2, t)
-            agree = sorted(_output_key(m) for m in below if t.members <= m)
-            assert [_output_key(x.members) for x in ext] == agree
-            for x in ext:
+            for x in _check_extensions(g2, t, below):
                 assert check_axioms(x)["consistency"]
 
 
@@ -400,6 +408,60 @@ def test_search_matches_reference_property(g, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_search_matches_reference_seeded(g, k):
     check_against_reference(g, k)
+
+
+@pytest.mark.parametrize("n, calls", [(5, 10), (6, 20)])
+def test_search_admits_only_the_rows_that_can_matter(monkeypatch, n, calls):
+    """On K_n at k = 4, g - X is connected at every separator X, so each
+    level's only option is V - X.  The rows (X, V) with |X| <= 2 lie inside
+    those at the separators one vertex larger, and only the C(n, 3) rows
+    at the largest separators reach _admit."""
+    made = []
+    admit = tangles_module._admit
+    monkeypatch.setattr(tangles_module, "_admit", lambda *a: made.append(a) or admit(*a))
+    (tau,) = enumerate_tangles(complete_graph(n), 4)
+    assert len(made) == calls
+    assert is_tangle(tau.graph, 4, tau.members)
+
+
+def test_search_extension_lists_no_separators(monkeypatch, connected_graphs_6):
+    """Every tangle of every connected atlas graph with <= 6 vertices at
+    k = 1 to 4, for every edge, with separator_components refused once the
+    tangles and the reference results are built: search_extension reads
+    the separators and the options at each off tau's map."""
+    cases = []
+    for g in connected_graphs_6:
+        for k in (1, 2, 3, 4):
+            found = enumerate_tangles(g, k)
+            for e in g.sorted_edges() if found else ():
+                g2 = delete_edge(g, e)
+                cases.append((g2, found, reference_tangles(g2, k)))
+
+    def refuse(*args):
+        raise AssertionError("separators listed")
+
+    monkeypatch.setattr(tangles_module, "separator_components", refuse)
+    for g2, found, below in cases:
+        for t in found:
+            _check_extensions(g2, t, below)
+    assert len(cases) == 2974
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.integers(1, 4), st.data())
+def test_search_extension_after_several_deletions(g, k, data):
+    """search_extension on g minus 0 to 3 edges at once, for one k-tangle
+    of g, against reference_tangles on what is left: with no deleted edge,
+    one (the edge search's case) or several, possibly inside one C(X)."""
+    found = enumerate_tangles(g, k)
+    if not found:
+        return
+    t = data.draw(st.sampled_from(found))
+    size = data.draw(st.integers(0, min(3, len(g.edges))))
+    gone = data.draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True,
+                              min_size=size, max_size=size)) if size else []
+    g2 = Graph(g.vertices, g.edges - set(gone))
+    _check_extensions(g2, t, reference_tangles(g2, k))
 
 
 def test_repr_reports_what_the_tangle_holds():
