@@ -13,7 +13,7 @@ import json
 from itertools import combinations
 
 from .graphs import Graph
-from .tangles import Tangle, enumerate_tangles
+from .tangles import Tangle, _check_order, enumerate_tangles
 
 
 P11_WEIGHT_BUDGET = 32  # largest weight total verify_p11_batch tries per tangle
@@ -256,6 +256,7 @@ def verify_p11_batch(
     that is not a Graph gets a "malformed entry" row; the empty graph is a
     graph, with its one 0-tangle and no tangle of higher order.
     """
+    _check_order(k)  # before the checkpoint is written
     check_limit(max_set_size, "set size bound")
     params = {"k": k, "max_set_size": max_set_size, "weights": bool(compute_weights)}
     done = {} if checkpoint_path is None else _load_checkpoint(checkpoint_path, params)

@@ -25,7 +25,15 @@ from .decomposition import (
 from .graphs import Graph, GraphError, delete_edge
 from .separations import OrientedSeparation, sep
 from .survival import _oriented
-from .tangles import Tangle, TangleError, _member_levels, _pair_key, extends, rows_cover
+from .tangles import (
+    Tangle,
+    TangleError,
+    _check_order,
+    _member_levels,
+    _pair_key,
+    extends,
+    rows_cover,
+)
 
 
 class RainbowError(ValueError):
@@ -641,6 +649,7 @@ def clique_tangle(g: Graph, clique, k: int) -> Tangle:
     has exactly one side containing the whole clique; three small sides
     together miss at least one clique vertex, hence no forbidden triple.
     """
+    _check_order(k)
     q = frozenset(clique)
     unknown = sorted(q - g.vertex_set())
     if unknown:

@@ -298,7 +298,7 @@ def survive_edge_deletion_via_supertangle(g: Graph, tau: Tangle):
     return survive_with_divergent_supertangle(g, tau, supers[0])
 
 
-# -- brute-force reference ----------------------------------------------------
+# -- extensions across an edge deletion --------------------------------------
 
 
 def brute_force_extensions(g: Graph, tau: Tangle, e):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.cli import main
-from tanglekit.graphs import Graph, complete_graph, cycle_graph, path_graph
+from tanglekit.graphs import Graph, GraphError, complete_graph, cycle_graph, path_graph
 from tanglekit.tangles import Tangle, enumerate_tangles
 from tanglekit.pipeline import reduce as reduce_tangle, transfer_terminal_weights
 from tanglekit.inducing import (
@@ -449,6 +449,19 @@ def test_verify_p11_batch_refuses_checkpoint_of_other_parameters(tmp_path, kwarg
     with pytest.raises(ValueError, match=r'written with \{"k": 2, .*\}, not \{"k": '):
         verify_p11_batch(batch_input(), checkpoint_path=ck, **kwargs)
     assert ck.read_text() == before
+
+
+def test_verify_p11_batch_refuses_a_negative_order_before_the_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "rows.jsonl"
+    for graphs in ([], batch_input()):
+        with pytest.raises(GraphError, match="negative tangle order -1"):
+            verify_p11_batch(graphs, k=-1, checkpoint_path=ck)
+        assert not ck.exists()
+    stream = tmp_path / "empty.g6"
+    stream.write_text("")
+    assert main(["p11", "--k", "-1", "--stream", str(stream), "--checkpoint", str(ck)]) == 2
+    assert capsys.readouterr().err.startswith("error: negative tangle order -1")
+    assert not ck.exists()
 
 
 def test_verify_p11_batch_refuses_checkpoint_without_parameters(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tanglekit.graphs import Graph, complete_graph, cycle_graph, delete_edge, path_graph
 from tanglekit.separations import OrientedSeparation, enumerate_separations
 from tanglekit.tangles import (
-    _completes_triple,
+    _pair_covers,
     _triple_exists,
     covering_triple,
     full_cover,
@@ -130,9 +130,38 @@ def frontier_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(frontier_cases())
-def test_completes_triple_matches_pair_scan_property(case):
+def test_pair_covers_matches_pair_scan_property(case):
     c, front, full = case
-    assert _completes_triple(c, front, full) == oracle_completes(c, front, full)
+    assert _pair_covers(front, full & ~c) == oracle_completes(c, front, full)
+
+
+def test_kernels_match_oracles_on_long_rankings():
+    # pools long enough that the 3 h_i cut and the pair bound fire often:
+    # rows of density 0.3 to 0.45, about a third of them below the cut, and
+    # in half the pools a covering triple of three uneven parts planted
+    # among them, so that both verdicts occur
+    rng = random.Random(29)
+    triples, pairs = set(), set()
+    for _ in range(150):
+        n, nbits, p = rng.randrange(30, 81), rng.randrange(60, 131), rng.uniform(0.3, 0.45)
+        full = (1 << nbits) - 1
+        rows = [sum(1 << b for b in range(nbits) if rng.random() < p) for _ in range(n)]
+        c = rng.choice(rows) | rng.choice(rows)
+        if rng.random() < 0.5:
+            weights, parts = [rng.random() for _ in range(3)], [0, 0, 0]
+            for b in range(nbits):
+                parts[rng.choices(range(3), weights)[0]] |= 1 << b
+            for x, part in zip(rng.sample(range(n), 3), parts):
+                rows[x] = part
+            c = parts[0]
+        want = oracle_triple(rows, full)
+        assert covering_triple(rows, full) == want
+        assert _triple_exists(rows, full) == (want is not None)
+        covered = oracle_completes(c, rows, full)
+        assert _pair_covers(rows, full & ~c) == covered
+        triples.add(want is not None)
+        pairs.add(covered)
+    assert triples == pairs == {False, True}
 
 
 def test_triple_exists_edge_cases():
@@ -155,14 +184,13 @@ def test_triple_exists_edge_cases():
     assert not _triple_exists([0b001, 0b001, 0b010, 0b010], 0b111)
 
 
-def test_completes_triple_edge_cases():
-    full = 0b1111
-    assert _completes_triple(full, (), full)  # c alone covers
-    assert not _completes_triple(0, (), full)
-    assert _completes_triple(0b0011, (0b1100,), full)  # one frontier row
-    assert _completes_triple(0, (0b0011, 0b1100), full)
-    assert not _completes_triple(0, (0b0011, 0b0110), full)  # counts sum to 4, no cover
-    assert _completes_triple(0b0001, (0b0110, 0b0011, 0b1100), full)  # equal counts
+def test_pair_covers_edge_cases():
+    assert _pair_covers((), 0)  # nothing missing
+    assert not _pair_covers((), 0b1111)
+    assert _pair_covers((0b1100,), 0b1100)  # one row
+    assert _pair_covers((0b0011, 0b1100), 0b1111)
+    assert not _pair_covers((0b0011, 0b0110), 0b1111)  # counts sum to 4, no cover
+    assert _pair_covers((0b0110, 0b0011, 0b1100), 0b1110)  # equal counts
 
 
 def _seps_from_masks(g, smalls, bigs):

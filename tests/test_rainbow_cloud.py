@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_line_edits, refuse_separation_lists, relabel_rc, synth_rc_instances
 from tanglekit.cli import main
-from tanglekit.graphs import Graph, delete_edge, format_edgelist
+from tanglekit.graphs import Graph, GraphError, delete_edge, format_edgelist
 from tanglekit.separations import (
     OrientedSeparation,
     enumerate_separations,
@@ -514,6 +514,20 @@ def test_clique_tangle_rejects_small_or_broken_cliques():
     q = sorted(clique)[:6] + [5]  # an inner rainbow vertex, not adjacent
     with pytest.raises(TangleError):
         clique_tangle(g, q, 3)
+
+
+def test_clique_tangle_refuses_a_negative_order(tmp_path, capsys):
+    g, rc, clique = synth_rc(18, 1, 1, 1)
+    with pytest.raises(GraphError, match="negative tangle order -1"):
+        clique_tangle(g, clique, -1)
+    graph, rc_file = tmp_path / "rc.edges", tmp_path / "rc.txt"
+    assert main(["rc", "synth", "--length", "18", "--adhesion", "1", "--sun", "1", "--k", "1",
+                 "--graph-out", str(graph), "--rc-out", str(rc_file)]) == 0
+    capsys.readouterr()
+    assert main(["rc", "extend", "--graph", str(graph), "--rc", str(rc_file),
+                 "--k", "-1", "--relaxed"]) == 2
+    out, err = capsys.readouterr()
+    assert "verified" not in out and err.startswith("error: negative tangle order -1")
 
 
 def test_lives_in_rainbow_region_verdict():
