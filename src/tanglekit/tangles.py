@@ -213,18 +213,30 @@ class Tangle:
         of 2^(c(X) - 1), c(X) the number of components of g - X.  Every
         member of M must lie in T (_holds: this refuses a pair that is no
         separation of g of order < k, a label outside g, and one of two
-        orientations of a separation); a subset of T of T's size is T.  One
-        walk over the separators' components gives both the map and |T|.
+        orientations of a separation); a subset of T of T's size is T.
+
+        One lazy walk over the separators' components gives both the map
+        and |T|, a separator counted once _rule_map has accepted it.  Each
+        accepted separator takes a row of M of its own, so the walk stops
+        within |M| + 1 separators: M bounds the work, however many
+        separations g has.
         """
         _check_order(k)
         self.graph, self.k = graph, k
-        splits = list(separator_components(graph, k))
         rows = {(graph.side_mask(s.small), graph.side_mask(s.big)) for s in members}
+        size = 0
+
+        def counted():
+            nonlocal size
+            for x, comps in separator_components(graph, k):
+                yield x, comps
+                size += 1 << (len(comps) - 1)  # X accepted: it has a component
+
         try:
-            self._pick = _rule_map(graph, splits, lambda a, b: (a, b) in rows)
+            self._pick = _rule_map(graph, counted(), lambda a, b: (a, b) in rows)
         except TangleError:  # no row of M at some separator, or two
             self._pick = None
-        if (self._pick is None or len(rows) != sum(1 << (len(comps) - 1) for _, comps in splits)
+        if (self._pick is None or len(rows) != size
                 or not all(self._holds(a, b) for a, b in rows)):
             raise TangleError(f"member set is not a {k}-tangle of the graph: "
                               "no separator-to-component map has exactly these members")
@@ -482,6 +494,32 @@ def check_axioms(tangle: Tangle) -> dict:
 # -- enumeration / constrained search -------------------------------------
 
 
+def _no_tangle(g: Graph, k: int) -> bool:
+    """Is g too small for a k-tangle (k >= 0)?  True when 2|V| <= 3(k - 1),
+    or when |V| = k + 1 >= 4 and g is not complete.  Either way three rows
+    of any choice of components cover g (see _search):
+
+    1. If |V| < k, X = V is a separator of order < k, and g - X has no
+       component to point at.  Otherwise take three disjoint vertex sets of
+       size |V| - k + 1 >= 1, which fit as 3(|V| - k + 1) <= |V|.  Each
+       complement is a separator of order k - 1, and its row's small side
+       V - C holds it whatever component C is picked.  A vertex or an edge
+       meets at most two of the three sets, so it lies in the complement
+       of the third, and the three small sides cover g.
+    2. Let a and b be non-adjacent.  g - (V - {a, b}) has the components
+       {a} and {b}; say {a} is picked (else swap a and b), so that row's
+       small side is V - {a}.  For two more vertices v and w, the rows at
+       V - {b, v} and V - {b, w}, separators of order k - 1, have small
+       sides holding a, and every edge au with u != b in one of them (u
+       is not both v and w).  With V - {a}, these cover g.
+
+    The bound is exact on complete graphs: K_n has a k-tangle iff
+    2n > 3(k - 1).
+    """
+    n = len(g.vertices)
+    return 2 * n <= 3 * (k - 1) or (n == k + 1 >= 4 and 2 * len(g.edges) < n * (n - 1))
+
+
 def _admit(c, front, full):
     """The frontier once row cover c is chosen, or None if c completes a
     covering triple with it.
@@ -521,7 +559,8 @@ def _search(g: Graph, k: int, splits):
       (U | X, V - U), or else its inverse and the two merged parts cover g;
       so (V, X), which covers g alone, would be a member.
 
-    X = V (when |V| < k) has no component, and then there is no tangle.
+    A g too small for a k-tangle (_no_tangle; this takes in X = V, which
+    has no component when |V| < k) gets [] before splits is read.
 
     Levels go by separator size, ascending.  A level whose only option is
     C = V - X with |X| <= k - 2 is recorded in the map, but its row (X, V)
@@ -541,6 +580,8 @@ def _search(g: Graph, k: int, splits):
     sorted member lists.
     """
     _check_order(k)
+    if _no_tangle(g, k):
+        return []
     full = full_cover(g)
     vmask = g.full_mask()
     cover = g.cover_outside
@@ -606,10 +647,13 @@ def search_extension(g2: Graph, tau: Tangle):
     g2.components(C(X)).  _search then chooses among these options only.
     A forced row goes through _search's admission, not around it: three of
     tau's rows that do not cover g may cover g2, which lacks the deleted
-    edges.
+    edges.  A g2 too small for a k-tangle (_no_tangle) gets [] before any
+    split is built.
     """
     g = tau.graph
     _spanning(g, g2)
+    if _no_tangle(g2, tau.k):
+        return []
     gone = [g2.mask_of(e) for e in g.edges - g2.edges]
     splits = [(x, g2.components(c) if any(not d & ~c for d in gone) else [c])
               for x, c in tau._pick.items()]

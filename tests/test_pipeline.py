@@ -238,6 +238,19 @@ def test_reduce_refuses_a_step_that_loses_the_tangle(monkeypatch):
         reduce(g, tau)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_reduce_ends_at_a_clique_of_k_plus_one_without_a_search(monkeypatch, k):
+    """On K_(k+1) the final pass asks for a (k + 1)-tangle of g and for a
+    k-tangle of each g - e; the order bound answers both, so no row is
+    admitted."""
+    import tanglekit.tangles
+
+    g = complete_graph(k + 1)
+    (tau,) = enumerate_tangles(g, k)
+    monkeypatch.setattr(tanglekit.tangles, "_admit", None)  # any call fails
+    assert reduce(g, tau).steps == ()
+
+
 def test_reduce_rejects_non_tangle():
     bad = inconsistent_path_map()
     with pytest.raises(PipelineError, match="input is not a tangle"):
@@ -695,6 +708,29 @@ def test_cli_reduce_order_zero_on_a_disconnected_graph(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {}
     assert main(["witness", "--trace", str(tr)]) == 0
     assert parse_edgelist(capsys.readouterr().out) == parse_edgelist(gp.read_text())
+
+
+def test_cli_answers_at_once_far_above_the_vertex_count(tmp_path, capsys):
+    """The 35-vertex graph of rc synth --length 8 --adhesion 0 --sun 1 --k 3
+    at order 60 has 2^35 separators of order < 60: the order bound answers
+    tangles, p11 and reduce, and verify refuses a member set at its first
+    separator."""
+    g, _, _ = synth_rc(8, 0, 1, 3)
+    gp, sp = tmp_path / "big.edges", tmp_path / "big.g6"
+    gp.write_text(format_edgelist(g))
+    sp.write_text(graph6_encode(g) + "\n")
+    assert main(["tangles", str(gp), "--k", "60"]) == 0
+    assert capsys.readouterr().out == "0 tangle(s) of order 60\n"
+    assert main(["p11", "--k", "60", "--stream", str(sp)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("SUMMARY ") and json.loads(summary[8:])["tangles"] == 0
+    assert main(["reduce", str(gp), "--k", "60"]) == 1
+    assert capsys.readouterr().err == "no tangle of that order\n"
+    for k in (9, 60):
+        tp = tmp_path / f"o{k}.tangle"
+        tp.write_text(f"order {k}\n")
+        assert main(["verify", str(gp), "--tangle", str(tp)]) == 1
+        assert capsys.readouterr().out == "tangle: False\n"
 
 
 def test_cli_verify_reports_both_orientations_as_no_tangle(k4_file, tmp_path, capsys):

@@ -447,6 +447,73 @@ def test_search_extension_lists_no_separators(monkeypatch, connected_graphs_6):
     assert len(cases) == 2974
 
 
+def test_complete_graphs_have_a_tangle_exactly_above_the_bound():
+    """K_n has a k-tangle iff n >= k and 2n > 3(k - 1), for n, k <= 8."""
+    for n in range(9):
+        g = complete_graph(n)
+        for k in range(9):
+            assert bool(enumerate_tangles(g, k)) == (n >= k and 2 * n > 3 * (k - 1)), (n, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_a_clique_of_k_plus_one_less_an_edge_has_no_k_tangle(k):
+    g = delete_edge(complete_graph(k + 1), (0, 1))
+    assert enumerate_tangles(g, k) == [] == reference_tangles(g, k)
+
+
+def test_the_bound_answers_without_listing_separators(monkeypatch):
+    """At and past the bound, enumerate_tangles and search_extension answer
+    [] without walking a separator: 2|V| = 3(k - 1) on K3 at k = 3, K6 at
+    k = 5 and the empty graph at k = 1, past it on K4 at k = 4 and k = 60,
+    and |V| = k + 1 with a non-edge on K4 - e at k = 3 and K5 - e at k = 4."""
+    taus = {k: enumerate_tangles(complete_graph(k + 1), k)[0] for k in (3, 4)}
+
+    def refuse(*args):  # a generator, as separator_components is: walking it fails
+        raise AssertionError("separators listed")
+        yield
+
+    monkeypatch.setattr(tangles_module, "separator_components", refuse)
+    for n, k in ((3, 3), (6, 5), (4, 4), (4, 60), (0, 1)):
+        assert enumerate_tangles(complete_graph(n), k) == []
+    for k, tau in taus.items():
+        g2 = delete_edge(tau.graph, (0, 1))
+        assert enumerate_tangles(g2, k) == []
+        assert search_extension(g2, tau) == []
+
+
+def test_the_bound_is_sound_on_the_atlas(monkeypatch):
+    """Every atlas graph with <= 7 vertices, connected or not, at k = 0 to
+    |V| + 2: where the bound fires, the search with the bound switched off
+    finds no tangle either.  It fires 4,996 times."""
+    bound = tangles_module._no_tangle
+    monkeypatch.setattr(tangles_module, "_no_tangle", lambda g, k: False)
+    fired = 0
+    for g in atlas_graphs(7):
+        for k in range(len(g.vertices) + 3):
+            if bound(g, k):
+                fired += 1
+                assert enumerate_tangles(g, k) == [], (g, k)
+    assert fired == 4996
+
+
+@st.composite
+def graphs_near_the_bound(draw):
+    """A graph with <= 6 vertices and an order k near the bound: around
+    the largest k with 2|V| > 3(k - 1), or k = |V| - 1."""
+    g = draw(random_graphs(max_n=6))
+    n = len(g.vertices)
+    top = (2 * n + 2) // 3  # the largest k with 2n > 3(k - 1)
+    return g, draw(st.sampled_from(sorted({top - 1, top, top + 1, n - 1, n} - {-1})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_near_the_bound())
+def test_search_matches_reference_near_the_bound(case):
+    g, k = case
+    assert sorted(map(_output_key, reference_tangles(g, k))) == [
+        _output_key(t.members) for t in enumerate_tangles(g, k)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_graphs(), st.integers(1, 4), st.data())
 def test_search_extension_after_several_deletions(g, k, data):
@@ -683,6 +750,33 @@ def test_constructor_reads_exactly_one_maps_members(connected_graphs_6):
             assert (a == b) == (a.members == b.members)
             counts["pairs"] += 1
     assert counts["tangles"] == 492 and counts["pairs"] > 10000, counts
+
+
+def test_constructor_walks_no_more_separators_than_it_has_members(monkeypatch):
+    """Tangle(g, k, members) walks the separators lazily and stops at the
+    first one with no member row or two: on the 35 vertices of
+    synth_rc(8, 0, 1, 3), no members at order 9 or 60 are refused after
+    one separator, and the clique 3-tangle's members walk all 631."""
+    from tanglekit.rainbow_cloud import clique_tangle, synth_rc
+
+    g, _, clique = synth_rc(8, 0, 1, 3)
+    members = clique_tangle(g, clique, 3).members
+    walk, walked = tangles_module.separator_components, []
+
+    def counted(*args):
+        for split in walk(*args):
+            walked.append(split)
+            yield split
+
+    monkeypatch.setattr(tangles_module, "separator_components", counted)
+    for k in (9, 60):
+        walked.clear()
+        with pytest.raises(TangleError, match=f"not a {k}-tangle"):
+            Tangle(g, k, ())
+        assert len(walked) == 1
+    walked.clear()
+    assert is_tangle(g, 3, Tangle(g, 3, members))
+    assert len(walked) == 2 * 631 < len(members)  # the constructor's walk and _is_map's
 
 
 def test_extends_matches_member_subsets():
