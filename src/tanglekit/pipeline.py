@@ -21,7 +21,6 @@ from .survival import (
     survive_delete_edge_k1,
     survive_delete_edge_k2,
     survive_delete_pendant_edge,
-    survive_edge_deletion_via_supertangle,
     survive_suppress_vertex,
 )
 from .tangles import (
@@ -83,9 +82,10 @@ def _next_step(g: Graph, t: Tangle):
 
     Case order: disconnected graph (k >= 1: a 0-tangle points at no
     component), small k edge deletion, pendant edge, degree-2 suppression,
-    a higher-order tangle above t, and finally an edge search: each edge
-    in sorted order until search_extension finds a tangle of g - e that
-    extends t.
+    and finally an edge search: each edge in sorted order until
+    search_extension, which returns every tangle of g - e that extends t,
+    finds one.  So None means that no edge can go, and no (k + 1)-tangle
+    is built, as the supertangle rule (survival) would.
     """
     k = t.k
     if k >= 1 and not g.is_connected() and len(g.vertices) > 1:
@@ -109,10 +109,6 @@ def _next_step(g: Graph, t: Tangle):
         if deg2 is not None:
             t2 = survive_suppress_vertex(g, t, deg2)
             return ReductionStep("suppress_vertex", (deg2,), "degree-2 suppression", t2)
-        found = survive_edge_deletion_via_supertangle(g, t)
-        if found is not None:
-            e, t2 = found
-            return ReductionStep("delete_edge", e, "higher-order tangle", t2)
         for e in g.sorted_edges():
             found = brute_force_extensions(g, t, e)
             if found:
@@ -196,9 +192,9 @@ def trace_provenance(trace: ReductionTrace) -> dict:
 
 
 def is_witness(g: Graph, tau: Tangle, h: Graph) -> bool:
-    """No three members' small-side subgraphs jointly contain h (the
-    maximal members decide, see _covered).  An h that is not a subgraph of
-    g is never contained.
+    """No three members' small-side subgraphs jointly contain h (the map's
+    rows decide, see _covered).  An h that is not a subgraph of g is never
+    contained.
     """
     if not (h.vertex_set() <= g.vertex_set() and h.edges <= g.edges):
         return True

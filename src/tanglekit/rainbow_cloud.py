@@ -594,7 +594,7 @@ def extend_after_deletion(
 
     Separations the tangle forces keep their forced orientation: a row that
     is a separation of g too is read off tau's map, and only a row whose
-    strict sides e joins is compared with tau's maximal members (see
+    strict sides e joins is compared with the rows of tau's map (see
     survival._forced).  Any other separation owes its existence to the
     deleted edge, so its separator leaves e's endpoints in two components
     of the remaining graph; the side whose component reaches the cloud is

@@ -192,13 +192,13 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
     An orientation is forced when it sits below some member of tau.
     Consistency of tau makes the forced orientation unique.
 
-    Only tau's <=-maximal members are compared, read off its map's rows
-    (see Tangle.maximal_members).  This is exact for any map, tangle or
-    not: every member t lies below some maximal member m and <= is
-    transitive, so s <= t gives s <= m; conversely every maximal member is
-    a member.  So both the answer and the "forces both orientations" error
-    are those of a scan over all members.  A side naming a vertex outside
-    the graph lies inside no member's side (see Graph.side_mask).
+    Only the rows (V - C(X), C(X) | X) of tau's map are compared.  This is
+    exact for any map, tangle or not: every member (A, B) lies <= the row
+    of its separator, as C(A & B) misses A and lies in B, and <= is
+    transitive; conversely each row is a member.  So both the answer and
+    the "forces both orientations" error are those of a scan over all
+    members.  A side naming a vertex outside the graph lies inside no
+    member's side (see Graph.side_mask).
     """
     fwd = _forced(tau, tau.graph.side_mask(s.small), tau.graph.side_mask(s.big))
     return None if fwd is None else s if fwd else s.inverse()
@@ -206,13 +206,13 @@ def forced_orientation(tau: Tangle, s: OrientedSeparation):
 
 def _forced(tau: Tangle, a, b):
     """forced_orientation for side masks (a, b): True if (a, b) lies below a
-    maximal member, False if (b, a) does, None if neither.
+    row of tau's map, False if (b, a) does, None if neither.
 
     If tau is a tangle and (a, b) a separation of its graph of order < k,
     this is membership: True iff tau._holds(a, b), False iff
     tau._holds(b, a).  Tau orients the separation, so one of the two is a
-    member; a member lies below a maximal member.  Conversely tangles are
-    down-closed: if (a, b) lies below a member (c, d) and (b, a) were a
+    member; a member lies below its separator's row.  Conversely tangles
+    are down-closed: if (a, b) lies below a member (c, d) and (b, a) were a
     member, the small sides b and c would cover the graph: a | b is every
     vertex, and every edge lies inside b or inside a, which lies inside c.
     With repetition that is a covering triple, which a tangle has not.  So
@@ -220,9 +220,10 @@ def _forced(tau: Tangle, a, b):
     answers from the map that way and scans only the pairs that are no
     separation of the graph.
     """
-    tops = tau._top_masks
-    fwd = any(not a & ~c and not d & ~b for c, d in tops)
-    bwd = any(not b & ~c and not d & ~a for c, d in tops)
+    full = tau.graph.full_mask()
+    rows = [(full & ~c, c | x) for x, c in tau._pick.items()]
+    fwd = any(not a & ~c and not d & ~b for c, d in rows)
+    bwd = any(not b & ~c and not d & ~a for c, d in rows)
     if fwd and bwd:
         raise TangleError("tangle forces both orientations; it is inconsistent")
     return fwd if fwd or bwd else None
@@ -230,9 +231,9 @@ def _forced(tau: Tangle, a, b):
 
 def _oriented(tau: Tangle, a, b):
     """_forced for a tangle tau (see there): True if tau holds (a, b),
-    False if it holds (b, a), and _forced's scan over the maximal members
-    only for a pair tau holds in neither orientation, which is no
-    separation of tau's graph of order < k."""
+    False if it holds (b, a), and _forced's scan over the map's rows only
+    for a pair tau holds in neither orientation, which is no separation of
+    tau's graph of order < k."""
     if tau._holds(a, b):
         return True
     if tau._holds(b, a):

@@ -198,11 +198,13 @@ class Tangle:
 
     Tangle(graph, k, members) reads the map off members and refuses, with a
     TangleError, a member set that is not exactly one map's; construction
-    does not test for a covering triple, so use is_tangle / check_axioms
-    for tanglehood.  Every tangle keeps only its map, and builds its
+    does not test for a covering triple: rows_cover decides tanglehood
+    (see is_tangle).  Every tangle keeps only its map, and builds its
     member set from it on first use; the search and the rules build the
     map directly (_of_map, _of_rule).
     """
+
+    _walked = False  # set by the constructor, whose walk proves the map
 
     def __init__(self, graph: Graph, k: int, members):
         """If members M are one map's member set, the rule "is in M" passes
@@ -240,6 +242,7 @@ class Tangle:
                 or not all(self._holds(a, b) for a, b in rows)):
             raise TangleError(f"member set is not a {k}-tangle of the graph: "
                               "no separator-to-component map has exactly these members")
+        self._walked = True
 
     @classmethod
     def _of_map(cls, graph: Graph, k: int, pick):
@@ -424,13 +427,14 @@ def is_tangle(g: Graph, k: int, members) -> bool:
     map's member set, and so no k-tangle); a Tangle of g at order k is
     checked to be a map of g: one pass over the separators tests that it
     names exactly the separators of order < k, each with a component of
-    g - X.  Such a map orients every separation of order < k exactly
-    once, so tanglehood is that no three rows cover g (rows_cover).
+    g - X, unless the constructor's own walk has done so (_walked).  Such
+    a map orients every separation of order < k exactly once, so
+    tanglehood is that no three rows cover g (rows_cover).
     """
     _check_order(k)
     if isinstance(members, Tangle):
         if members.k == k and members.graph == g:
-            return _is_map(members) and not rows_cover(members)
+            return (members._walked or _is_map(members)) and not rows_cover(members)
         members = members.members
     try:
         return not rows_cover(Tangle(g, k, members))
@@ -450,21 +454,18 @@ def _is_map(t: Tangle) -> bool:
 
 
 def _covered(t: Tangle, target) -> bool:
-    """Do the small sides of three of t's maximal members (repetition
-    allowed) contain the cover mask target?  Cover is monotone in the small
-    side, so a triple among any members gives one among the maximal ones;
-    _triple_exists decides it."""
-    smalls = [a for a, _ in t.maximal_masks()]
-    return _triple_exists(side_covers(t.graph, smalls), target)
+    """Do the small sides of three of t's members (repetition allowed)
+    contain the cover mask target?  _triple_exists decides it on all rows
+    (V - C(X), C(X) | X) of t's map, exactly for any map: every member lies
+    <= its separator's row, each row is a member, and cover is monotone in
+    the small side, so a <=-maximal filter would change no verdict."""
+    return _triple_exists([t.graph.cover_outside(c) for c in t._pick.values()], target)
 
 
 def rows_cover(t: Tangle) -> bool:
-    """Do three of t's maximal members (repetition allowed) cover its graph?
-
-    A map orients every separation of order < k by construction, so "no"
-    is exactly tanglehood: every member lies <= a row, and cover is
-    monotone (see _search).
-    """
+    """Do three of t's members (repetition allowed) cover its graph (see
+    _covered)?  A map orients every separation of order < k by
+    construction, so "no" is exactly tanglehood."""
     return _covered(t, full_cover(t.graph))
 
 

@@ -184,26 +184,29 @@ def test_reduce_order_two_reaches_one_edge():
     assert len(trace.terminal_graph.edges) == 1
 
 
-def test_reduce_k5_uses_higher_order_route():
+def test_reduce_k5_takes_two_edge_searches_then_a_suppression():
+    """K5 at k = 3 has a 4-tangle, but reduce builds none: the edge search
+    deletes 01 and 02, and suppressing 0 leaves K4 on 1 to 4, which still
+    carries the 3-tangle."""
     g = complete_graph(5)
     (tau,) = enumerate_tangles(g, 3)
     trace = reduce(g, tau)
     check_trace_sound(trace)
-    assert any(
-        s.rule in ("higher-order tangle", "edge search") for s in trace.steps
-    )
-    # the terminal graph still carries the 3-tangle but sheds edges
-    assert len(trace.terminal_graph.edges) < len(g.edges)
+    assert [(s.rule, s.detail) for s in trace.steps] == [
+        ("edge search", (0, 1)),
+        ("edge search", (0, 2)),
+        ("degree-2 suppression", (0,)),
+    ]
 
 
-def test_reduce_lets_a_failed_supertangle_construction_through(monkeypatch):
-    def broken(g, t):
-        raise TangleError("agreement across the edge failed")
+def test_reduce_lets_a_failed_edge_search_through(monkeypatch):
+    def broken(g, t, e):
+        raise TangleError("edge search failed")
 
-    monkeypatch.setattr("tanglekit.pipeline.survive_edge_deletion_via_supertangle", broken)
+    monkeypatch.setattr("tanglekit.pipeline.brute_force_extensions", broken)
     g = complete_graph(4)
     (tau,) = enumerate_tangles(g, 3)
-    with pytest.raises(TangleError, match="agreement across the edge failed"):
+    with pytest.raises(TangleError, match="edge search failed"):
         reduce(g, tau)
 
 
@@ -674,6 +677,27 @@ def test_cli_verify_round_trip(k4_file, tmp_path, capsys):
     assert main(["verify", str(k4_file), "--tangle", str(tp)]) == 0
     out = capsys.readouterr().out
     assert "tangle: True" in out and "consistency: True" in out
+
+
+def test_cli_walks_a_tangle_files_separators_once(k4_file, tmp_path, capsys, monkeypatch):
+    """verify and reduce --tangle check a tangle file on the Tangle that
+    parse_tangle built, whose walk over the separators proved its map: no
+    second walk (_is_map) follows."""
+    import tanglekit.tangles
+    from tanglekit.tangles import format_tangle
+
+    def refuse(t):
+        raise AssertionError("separators walked twice")
+
+    (tau,) = enumerate_tangles(complete_graph(4), 3)
+    tp, tr = tmp_path / "t.tangle", tmp_path / "t.trace"
+    tp.write_text(format_tangle(tau))
+    monkeypatch.setattr(tanglekit.tangles, "_is_map", refuse)
+    assert main(["verify", str(k4_file), "--tangle", str(tp)]) == 0
+    assert capsys.readouterr().out.startswith("tangle: True\n")
+    assert main(["reduce", str(k4_file), "--k", "3", "--tangle", str(tp), "--out", str(tr)]) == 0
+    assert capsys.readouterr().err == "0 step(s); terminal: 4 vertices, 6 edges\n"
+    assert parse_trace(tr.read_text()).root_tangle == tau
 
 
 def test_cli_reduce_witness_transfer(tmp_path, capsys):

@@ -27,7 +27,7 @@ from tanglekit.separations import (
     separator_components,
 )
 from tanglekit import tangles as tangles_module
-from tanglekit.survival import tangle_of_block
+from tanglekit.survival import forced_orientation, tangle_of_block
 from tanglekit.tangles import (
     Tangle,
     TangleError,
@@ -216,6 +216,59 @@ def test_maximal_members_have_connected_remainder():
                 for s in t.maximal_members():
                     rem = g.induced(s.big - s.small)
                     assert rem.is_connected()
+
+
+def test_rows_decide_as_the_maximal_rows_do(connected_graphs_7):
+    """rows_cover and forced_orientation read every row of a map; the
+    oracle reads only the <=-maximal ones (maximal_masks).  They agree on
+    every tangle of the connected atlas graphs with <= 7 vertices at k = 3
+    and 4, and on each map made from one by pointing one separator at
+    another component: verdicts, forced orientations and the "forces both
+    orientations" error.  Probes are 40 sampled pairs per graph and order:
+    separations of order <= k and, with one separator vertex dropped from
+    the small side, pairs that are no separation."""
+
+    def oracle_forced(tops, a, b):
+        fwd = any(not a & ~c and not d & ~b for c, d in tops)
+        bwd = any(not b & ~c and not d & ~a for c, d in tops)
+        return "both" if fwd and bwd else fwd if fwd or bwd else None
+
+    def forced(t, s):
+        try:
+            got = forced_orientation(t, s)
+        except TangleError:
+            return "both"
+        return None if got is None else got == s
+
+    rng = random.Random(31)
+    covers, answers = Counter(), Counter()
+    for g in connected_graphs_7:
+        for k in (3, 4):
+            found = enumerate_tangles(g, k)
+            if not found:
+                continue
+            splits = dict(separator_components(g, k))
+            probes = []
+            for s in enumerate_separations(g, k + 1):
+                a, b = g.mask_of(s.small), g.mask_of(s.big)
+                probes += [(a, b), (a & ~(a & b & -(a & b)), b)]
+            probes = rng.sample(probes, min(40, len(probes)))
+            named = [(a, b, sep(g.labels_of(a), g.labels_of(b))) for a, b in probes]
+            for t in found:
+                flips = [Tangle._of_map(g, k, {**t._pick, x: d})
+                         for x, c in t._pick.items() for d in splits[x] if d != c]
+                for m in [t] + flips:
+                    tops = m.maximal_masks()
+                    want = covering_triple(side_covers(g, [a for a, _ in tops]), full_cover(g))
+                    assert rows_cover(m) == (want is not None)
+                    assert want is not None or m in found  # a flip onto another tangle
+                    covers[want is not None] += 1
+                    for a, b, s in named:
+                        got = forced(m, s)
+                        assert got == oracle_forced(tops, a, b)
+                        answers[got] += 1
+    assert covers == {True: 3429, False: 891 + 60}, covers
+    assert len(answers) == 4 and min(answers.values()) > 1000, answers
 
 
 def test_graphs_above_128_vertices():
@@ -776,7 +829,7 @@ def test_constructor_walks_no_more_separators_than_it_has_members(monkeypatch):
         assert len(walked) == 1
     walked.clear()
     assert is_tangle(g, 3, Tangle(g, 3, members))
-    assert len(walked) == 2 * 631 < len(members)  # the constructor's walk and _is_map's
+    assert len(walked) == 631 < len(members)  # the constructor's walk, not also _is_map's
 
 
 def test_extends_matches_member_subsets():
